@@ -1,7 +1,6 @@
 #include "discovery/anns_search.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/trace.h"
 #include "vecmath/vector_ops.h"
@@ -51,6 +50,7 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
     point.id = static_cast<uint64_t>(i);
     point.vector = corpus->vectors.RowVec(i);
     point.payload.SetInt("rel", static_cast<int64_t>(ref.relation));
+    searcher->cell_relation_.push_back(ref.relation);
     point.payload.SetString(
         "attr", federation.relation(ref.relation).schema[ref.col]);
     MIRA_RETURN_NOT_OK(cells->Upsert(std::move(point)));
@@ -104,24 +104,21 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
   }
 
   // Step 2 of Algorithm 2: the relation score is the average similarity of
-  // the relation's vectors among the approximate nearest neighbors.
+  // the relation's vectors among the approximate nearest neighbors. Hit ids
+  // are cell indexes; sums accumulate in hit order.
   obs::TraceSpan rank_span("anns.group_relations");
-  std::unordered_map<table::RelationId, std::pair<double, uint32_t>> grouped;
+  std::vector<std::pair<double, uint32_t>> grouped(num_relations_);
   for (const auto& hit : hits) {
-    auto rel = hit.payload->GetInt("rel");
-    if (!rel.has_value()) continue;
-    auto& [sum, count] = grouped[static_cast<table::RelationId>(*rel)];
+    auto& [sum, count] = grouped[cell_relation_[hit.id]];
     sum += hit.score;
     ++count;
   }
-  rank_span.AddCounter("relations", static_cast<int64_t>(grouped.size()));
-
   Ranking ranking;
-  ranking.reserve(grouped.size());
-  for (const auto& [rid, sum_count] : grouped) {
-    ranking.push_back(
-        {rid, static_cast<float>(sum_count.first / sum_count.second)});
+  for (table::RelationId rid = 0; rid < num_relations_; ++rid) {
+    const auto& [sum, count] = grouped[rid];
+    if (count > 0) ranking.push_back({rid, static_cast<float>(sum / count)});
   }
+  rank_span.AddCounter("relations", static_cast<int64_t>(ranking.size()));
   std::sort(ranking.begin(), ranking.end(),
             [](const DiscoveryHit& a, const DiscoveryHit& b) {
               if (a.score != b.score) return a.score > b.score;

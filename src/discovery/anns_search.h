@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "discovery/corpus_embeddings.h"
 #include "discovery/types.h"
@@ -66,6 +67,9 @@ class AnnsSearcher final : public Searcher {
 
   AnnsOptions options_;
   size_t num_relations_;
+  /// cell_relation_[cell] = the cell point's `rel` payload; points are keyed
+  /// by cell index, so grouping hits needs no payload lookup.
+  std::vector<table::RelationId> cell_relation_;
   std::shared_ptr<const embed::SemanticEncoder> encoder_;
   vectordb::VectorDb db_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "common/rng.h"
@@ -72,8 +73,7 @@ void HnswIndex::Reserve(size_t expected_rows) {
   ids_.reserve(expected_rows);
 }
 
-void HnswIndex::SearchScratch::BeginQuery(size_t num_nodes) {
-  if (visited.size() < num_nodes) visited.resize(num_nodes, 0);
+void HnswIndex::SearchScratch::BeginQuery() {
   ++epoch;
   if (epoch == 0) {
     // Epoch wrapped: stamps from 2^32 queries ago would read as visited.
@@ -92,7 +92,8 @@ std::unique_ptr<HnswIndex::SearchScratch> HnswIndex::AcquireScratch() const {
     scratch_pool_.pop_back();
     return scratch;
   }
-  return std::make_unique<SearchScratch>();
+  return std::make_unique<SearchScratch>(
+      ids_.size(), MaxDegree(0), pq_.has_value() ? pq_->code_bytes() : 0);
 }
 
 void HnswIndex::ReleaseScratch(std::unique_ptr<SearchScratch> scratch) const {
@@ -107,20 +108,37 @@ int HnswIndex::DrawLevel() {
   return static_cast<int>(std::floor(-std::log(u) * level_mult_));
 }
 
-uint32_t HnswIndex::GreedyClosest(const float* query, uint32_t entry,
-                                  int level, uint64_t* cost) const {
+std::span<const uint32_t> HnswIndex::Neighbors(uint32_t node,
+                                                int level) const {
+  if (level > 0) return upper_links_[node][level - 1];
+  const uint32_t* row = layer0_.data() + node * layer0_stride_;
+  return {row + 1, row[0]};
+}
+
+void HnswIndex::PrefetchRow(uint32_t node) const {
+  const char* row = reinterpret_cast<const char*>(vectors_.Row(node));
+  const size_t row_bytes = vectors_.cols() * sizeof(float);
+  for (size_t b = 0; b < row_bytes; b += 64) __builtin_prefetch(row + b);
+}
+
+template <typename BatchDistance>
+uint32_t HnswIndex::GreedyClosest(const BatchDistance& dist, uint32_t entry,
+                                  int level, SearchScratch* scratch) const {
+  float* out = scratch->gathered_dist.data();
   uint32_t current = entry;
-  float current_dist = ExactDistance(query, current);
-  if (cost != nullptr) ++*cost;
+  dist(&current, 1, out);
+  float current_dist = out[0];
   bool improved = true;
   while (improved) {
     improved = false;
-    for (uint32_t nb : links_[current][level]) {
-      float d = ExactDistance(query, nb);
-      if (cost != nullptr) ++*cost;
-      if (d < current_dist) {
-        current = nb;
-        current_dist = d;
+    // Every neighbour of the node the sweep started from is scored, as the
+    // one-at-a-time sweep did; only the choice of `current` is sequential.
+    std::span<const uint32_t> neighbors = Neighbors(current, level);
+    dist(neighbors.data(), neighbors.size(), out);
+    for (size_t i = 0; i < neighbors.size(); ++i) {
+      if (out[i] < current_dist) {
+        current = neighbors[i];
+        current_dist = out[i];
         improved = true;
       }
     }
@@ -128,21 +146,25 @@ uint32_t HnswIndex::GreedyClosest(const float* query, uint32_t entry,
   return current;
 }
 
-Status HnswIndex::SearchLayer(const float* query, uint32_t entry, size_t ef,
-                              int level, const QueryControl* control,
+template <typename BatchDistance>
+Status HnswIndex::SearchLayer(const BatchDistance& dist, uint32_t entry,
+                              size_t ef, int level,
+                              const QueryControl* control,
                               SearchScratch* scratch) const {
   // Min-heap of frontier candidates, max-heap of current best ef results,
   // both living in the scratch's reused storage; visited marks are epoch
   // stamps, so resetting them costs one increment instead of a hash-set
   // rebuild.
-  scratch->BeginQuery(links_.size());
+  scratch->BeginQuery();
   std::vector<Candidate>& frontier = scratch->frontier;
   std::vector<Candidate>& best = scratch->best;
   std::vector<uint32_t>& visited = scratch->visited;
   const uint32_t epoch = scratch->epoch;
+  uint32_t* gathered = scratch->gathered.data();
+  float* dists = scratch->gathered_dist.data();
 
-  float d0 = ExactDistance(query, entry);
-  ++scratch->stat_dist_comps;
+  float d0 = 0.f;
+  dist(&entry, 1, &d0);
   frontier.push_back({d0, entry});
   best.push_back({d0, entry});
   visited[entry] = epoch;
@@ -157,94 +179,20 @@ Status HnswIndex::SearchLayer(const float* query, uint32_t entry, size_t ef,
         scratch->stat_popped % kControlPopStride == 0) {
       MIRA_RETURN_NOT_OK(control->Check("hnsw.search_layer"));
     }
-    for (uint32_t nb : links_[c.node][level]) {
-      if (visited[nb] == epoch) continue;
+    // Branch-free gather: "already visited" is a coin flip to the branch
+    // predictor, so the slot is always written and only fresh nodes count.
+    size_t count = 0;
+    for (uint32_t nb : Neighbors(c.node, level)) {
+      gathered[count] = nb;
+      count += visited[nb] != epoch;
       visited[nb] = epoch;
-      float d = ExactDistance(query, nb);
-      ++scratch->stat_dist_comps;
-      if (best.size() < ef || d < best.front().distance) {
-        frontier.push_back({d, nb});
+    }
+    dist(gathered, count, dists);
+    for (size_t i = 0; i < count; ++i) {
+      if (best.size() < ef || dists[i] < best.front().distance) {
+        frontier.push_back({dists[i], gathered[i]});
         std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
-        best.push_back({d, nb});
-        std::push_heap(best.begin(), best.end());
-        if (best.size() > ef) {
-          std::pop_heap(best.begin(), best.end());
-          best.pop_back();
-        }
-      }
-    }
-  }
-
-  scratch->beam.assign(best.begin(), best.end());
-  std::sort(scratch->beam.begin(), scratch->beam.end());
-  return Status::OK();
-}
-
-uint32_t HnswIndex::GreedyClosestAdc(const std::vector<float>& table,
-                                     uint32_t entry, int level,
-                                     uint64_t* cost) const {
-  const size_t bytes = pq_->code_bytes();
-  auto dist = [&](uint32_t node) {
-    return pq_->AdcDistance(table, codes_.data() + node * bytes);
-  };
-  uint32_t current = entry;
-  float current_dist = dist(current);
-  if (cost != nullptr) ++*cost;
-  bool improved = true;
-  while (improved) {
-    improved = false;
-    for (uint32_t nb : links_[current][level]) {
-      float d = dist(nb);
-      if (cost != nullptr) ++*cost;
-      if (d < current_dist) {
-        current = nb;
-        current_dist = d;
-        improved = true;
-      }
-    }
-  }
-  return current;
-}
-
-Status HnswIndex::SearchLayerAdc(const std::vector<float>& table,
-                                 uint32_t entry, size_t ef, int level,
-                                 const QueryControl* control,
-                                 SearchScratch* scratch) const {
-  const size_t bytes = pq_->code_bytes();
-  auto dist = [&](uint32_t node) {
-    return pq_->AdcDistance(table, codes_.data() + node * bytes);
-  };
-  scratch->BeginQuery(links_.size());
-  std::vector<Candidate>& frontier = scratch->frontier;
-  std::vector<Candidate>& best = scratch->best;
-  std::vector<uint32_t>& visited = scratch->visited;
-  const uint32_t epoch = scratch->epoch;
-
-  float d0 = dist(entry);
-  ++scratch->stat_adc_decoded;
-  frontier.push_back({d0, entry});
-  best.push_back({d0, entry});
-  visited[entry] = epoch;
-
-  while (!frontier.empty()) {
-    Candidate c = frontier.front();
-    if (best.size() >= ef && c.distance > best.front().distance) break;
-    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
-    frontier.pop_back();
-    ++scratch->stat_popped;
-    if (control != nullptr &&
-        scratch->stat_popped % kControlPopStride == 0) {
-      MIRA_RETURN_NOT_OK(control->Check("hnsw.search_layer_adc"));
-    }
-    for (uint32_t nb : links_[c.node][level]) {
-      if (visited[nb] == epoch) continue;
-      visited[nb] = epoch;
-      float d = dist(nb);
-      ++scratch->stat_adc_decoded;
-      if (best.size() < ef || d < best.front().distance) {
-        frontier.push_back({d, nb});
-        std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
-        best.push_back({d, nb});
+        best.push_back({dists[i], gathered[i]});
         std::push_heap(best.begin(), best.end());
         if (best.size() > ef) {
           std::pop_heap(best.begin(), best.end());
@@ -293,40 +241,49 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
 }
 
 void HnswIndex::Connect(uint32_t from, uint32_t to, int level) {
-  auto& list = links_[from][level];
+  std::span<const uint32_t> list = Neighbors(from, level);
   if (std::find(list.begin(), list.end(), to) != list.end()) return;
-  list.push_back(to);
-  size_t cap = MaxDegree(level);
-  if (list.size() <= cap) return;
-  // Overflow: re-select the best `cap` neighbors with the heuristic.
-  std::vector<Candidate> candidates;
-  candidates.reserve(list.size());
-  const float* base_vec = vectors_.Row(from);
-  for (uint32_t nb : list) {
-    candidates.push_back({ExactDistance(base_vec, nb), nb});
+  std::vector<uint32_t> grown(list.begin(), list.end());
+  grown.push_back(to);
+  const size_t cap = MaxDegree(level);
+  if (grown.size() > cap) {
+    // Overflow: re-select the best `cap` neighbors with the heuristic.
+    std::vector<Candidate> candidates;
+    candidates.reserve(grown.size());
+    const float* base_vec = vectors_.Row(from);
+    for (uint32_t nb : grown) {
+      candidates.push_back({ExactDistance(base_vec, nb), nb});
+    }
+    std::sort(candidates.begin(), candidates.end());
+    grown = SelectNeighbors(from, candidates, cap);
   }
-  std::sort(candidates.begin(), candidates.end());
-  list = SelectNeighbors(from, candidates, cap);
+  if (level == 0) {
+    uint32_t* row = layer0_.data() + from * layer0_stride_;
+    row[0] = static_cast<uint32_t>(grown.size());
+    std::copy(grown.begin(), grown.end(), row + 1);
+  } else {
+    upper_links_[from][level - 1] = std::move(grown);
+  }
 }
 
 void HnswIndex::InsertNode(uint32_t node, SearchScratch* scratch) {
-  int level = levels_[node];
+  const int level = static_cast<int>(upper_links_[node].size());
   if (max_level_ < 0) {
     entry_point_ = node;
     max_level_ = level;
     return;
   }
 
-  const float* query = vectors_.Row(node);
+  auto dist = ExactBatch(vectors_.Row(node), &scratch->stat_dist_comps);
   uint32_t ep = entry_point_;
   for (int l = max_level_; l > level; --l) {
-    ep = GreedyClosest(query, ep, l);
+    ep = GreedyClosest(dist, ep, l, scratch);
   }
   for (int l = std::min(level, max_level_); l >= 0; --l) {
     // Null control: construction beams are never budget-bounded, so this
     // cannot fail.
-    Status beam_status =
-        SearchLayer(query, ep, options_.ef_construction, l, nullptr, scratch);
+    Status beam_status = SearchLayer(dist, ep, options_.ef_construction, l,
+                                     nullptr, scratch);
     MIRA_CHECK(beam_status.ok());
     std::vector<uint32_t> neighbors =
         SelectNeighbors(node, scratch->beam, options_.M);
@@ -353,15 +310,15 @@ Status HnswIndex::Build() {
   if (ids_.empty()) return Status::FailedPrecondition("hnsw: no vectors added");
 
   const size_t n = ids_.size();
-  levels_.resize(n);
-  links_.resize(n);
+  layer0_stride_ = 1 + MaxDegree(0);
+  layer0_.assign(n * layer0_stride_, 0);
+  upper_links_.resize(n);
   for (size_t i = 0; i < n; ++i) {
-    levels_[i] = DrawLevel();
-    links_[i].resize(levels_[i] + 1);
+    upper_links_[i].resize(static_cast<size_t>(DrawLevel()));
   }
   // Build is single-threaded; one scratch serves every insertion, so the
   // whole construction reuses the same visited/heap storage.
-  SearchScratch scratch;
+  SearchScratch scratch(n, MaxDegree(0), 0);
   for (size_t i = 0; i < n; ++i) {
     InsertNode(static_cast<uint32_t>(i), &scratch);
   }
@@ -404,65 +361,75 @@ Result<std::vector<vecmath::ScoredId>> HnswIndex::Search(
 
   obs::TraceSpan span("hnsw.search");
   std::unique_ptr<SearchScratch> scratch = AcquireScratch();
-  scratch->stat_dist_comps = 0;
-  scratch->stat_adc_decoded = 0;
-  scratch->stat_popped = 0;
+  SearchScratch* s = scratch.get();
+  s->stat_dist_comps = 0;
+  s->stat_adc_decoded = 0;
+  s->stat_popped = 0;
+  // Greedy upper-layer descent is O(log n) hops — below the amortization
+  // stride, so only the layer-0 beam is budget-checked.
+  auto traverse = [&](const auto& dist) {
+    uint32_t ep = entry_point_;
+    for (int l = max_level_; l >= 1; --l) ep = GreedyClosest(dist, ep, l, s);
+    return SearchLayer(dist, ep, ef, 0, params.control, s);
+  };
+  Status beam_status;
   if (pq_.has_value()) {
     // Quantized traversal: greedy descent and the layer-0 beam both run on
     // ADC lookups; only the final beam is rescored exactly.
     obs::TraceSpan adc_span("anns.pq_adc");
-    pq_->ComputeDistanceTable(q, &scratch->table);
-    uint32_t ep = entry_point_;
-    // Greedy upper-layer descent is O(log n) hops — below the amortization
-    // stride, so only the layer-0 beam is budget-checked.
-    for (int l = max_level_; l >= 1; --l) {
-      ep = GreedyClosestAdc(scratch->table, ep, l, &scratch->stat_adc_decoded);
+    pq_->ComputeDistanceTable(q, &s->table);
+    // Gather each batch's codes contiguous, then score them eight at a time:
+    // independent add chains instead of one serial chain per code.
+    const size_t bytes = pq_->code_bytes();
+    auto adc = [this, bytes, s](const uint32_t* nodes, size_t count,
+                                float* out) {
+      uint8_t* codes = s->gathered_codes.data();
+      s->stat_adc_decoded += count;
+      for (size_t i = 0; i < count; ++i) {
+        std::memcpy(codes + i * bytes, codes_.data() + nodes[i] * bytes, bytes);
+      }
+      pq_->AdcDistanceBatch(s->table, codes, count, out);
+    };
+    beam_status = traverse(adc);
+    if (beam_status.ok()) {
+      adc_span.AddCounter("codes_decoded",
+                          static_cast<int64_t>(s->stat_adc_decoded));
+      adc_span.Finish();
+      // Rescore the beam with exact distances, fetching the next row while
+      // scoring the current one.
+      std::vector<Candidate>& beam = s->beam;
+      for (size_t i = 0; i < beam.size(); ++i) {
+        if (i + 1 < beam.size()) PrefetchRow(beam[i + 1].node);
+        beam[i].distance = ExactDistance(q.data(), beam[i].node);
+      }
+      s->stat_dist_comps += beam.size();
+      std::sort(beam.begin(), beam.end());
+      span.AddCounter("rescored", static_cast<int64_t>(beam.size()));
     }
-    Status beam_status =
-        SearchLayerAdc(scratch->table, ep, ef, 0, params.control, scratch.get());
-    if (!beam_status.ok()) {
-      ReleaseScratch(std::move(scratch));
-      return beam_status;
-    }
-    adc_span.AddCounter("codes_decoded",
-                        static_cast<int64_t>(scratch->stat_adc_decoded));
-    adc_span.Finish();
-    // Rescore the beam with exact distances.
-    for (Candidate& c : scratch->beam) {
-      c.distance = ExactDistance(q.data(), c.node);
-    }
-    scratch->stat_dist_comps += scratch->beam.size();
-    std::sort(scratch->beam.begin(), scratch->beam.end());
-    span.AddCounter("rescored", static_cast<int64_t>(scratch->beam.size()));
   } else {
-    uint32_t ep = entry_point_;
-    for (int l = max_level_; l >= 1; --l) {
-      ep = GreedyClosest(q.data(), ep, l, &scratch->stat_dist_comps);
-    }
-    Status beam_status =
-        SearchLayer(q.data(), ep, ef, 0, params.control, scratch.get());
-    if (!beam_status.ok()) {
-      ReleaseScratch(std::move(scratch));
-      return beam_status;
-    }
+    beam_status = traverse(ExactBatch(q.data(), &s->stat_dist_comps));
+  }
+  if (!beam_status.ok()) {
+    ReleaseScratch(std::move(scratch));
+    return beam_status;
   }
   span.AddCounter("ef", static_cast<int64_t>(ef));
-  span.AddCounter("dist_comps", static_cast<int64_t>(scratch->stat_dist_comps));
+  span.AddCounter("dist_comps", static_cast<int64_t>(s->stat_dist_comps));
   if (pq_.has_value()) {
     span.AddCounter("adc_decoded",
-                    static_cast<int64_t>(scratch->stat_adc_decoded));
+                    static_cast<int64_t>(s->stat_adc_decoded));
   }
-  span.AddCounter("popped", static_cast<int64_t>(scratch->stat_popped));
+  span.AddCounter("popped", static_cast<int64_t>(s->stat_popped));
   if constexpr (obs::kObsEnabled) {
     static obs::Counter& searches_metric =
         obs::MetricRegistry::Global().GetCounter("mira.hnsw.searches");
     static obs::Counter& dist_metric =
         obs::MetricRegistry::Global().GetCounter("mira.hnsw.dist_comps");
     searches_metric.Increment();
-    dist_metric.Add(scratch->stat_dist_comps + scratch->stat_adc_decoded);
+    dist_metric.Add(s->stat_dist_comps + s->stat_adc_decoded);
   }
 
-  const std::vector<Candidate>& beam = scratch->beam;
+  const std::vector<Candidate>& beam = s->beam;
   std::vector<vecmath::ScoredId> out;
   out.reserve(std::min(params.k, beam.size()));
   for (size_t i = 0; i < beam.size() && i < params.k; ++i) {
@@ -473,9 +440,10 @@ Result<std::vector<vecmath::ScoredId>> HnswIndex::Search(
 }
 
 size_t HnswIndex::Degree(uint32_t node, int level) const {
-  MIRA_CHECK(node < links_.size());
-  if (level < 0 || static_cast<size_t>(level) >= links_[node].size()) return 0;
-  return links_[node][level].size();
+  MIRA_CHECK(node < upper_links_.size());
+  const bool on_level =
+      level >= 0 && static_cast<size_t>(level) <= upper_links_[node].size();
+  return on_level ? Neighbors(node, level).size() : 0;
 }
 
 MemoryStats HnswIndex::MemoryUsage() const {
@@ -486,7 +454,8 @@ MemoryStats HnswIndex::MemoryUsage() const {
   stats.vectors_bytes = vectors_.data().size() * sizeof(float);
   stats.ids_bytes = ids_.size() * sizeof(uint64_t);
   stats.codes_bytes = codes_.size();
-  for (const auto& node : links_) {
+  stats.graph_bytes = layer0_.size() * sizeof(uint32_t);
+  for (const auto& node : upper_links_) {
     for (const auto& level : node) {
       stats.graph_bytes += level.size() * sizeof(uint32_t);
     }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -87,16 +88,25 @@ class HnswIndex final : public VectorIndex {
 
   /// Reusable per-query search state: epoch-stamped visited marks (reset in
   /// O(1) by bumping the epoch instead of clearing a hash set), raw vectors
-  /// driven as heaps for the frontier/result beams, and the ADC table
-  /// buffer. After a few queries warm the buffers, Search() allocates
-  /// nothing.
+  /// driven as heaps for the frontier/result beams, the per-pop gather
+  /// buffers, and the ADC table buffer. After a few queries warm the
+  /// buffers, Search() allocates nothing.
   struct SearchScratch {
+    SearchScratch(size_t num_nodes, size_t max_degree, size_t code_bytes)
+        : visited(num_nodes), gathered(max_degree), gathered_dist(max_degree),
+          gathered_codes(max_degree * code_bytes) {}
+
     std::vector<uint32_t> visited;  // visited[node] == epoch -> seen
     uint32_t epoch = 0;
     std::vector<Candidate> frontier;  // min-heap (std::greater)
     std::vector<Candidate> best;      // max-heap (default less)
     std::vector<Candidate> beam;      // SearchLayer output, ascending
     std::vector<float> table;         // ADC distance table
+    /// One expansion's unvisited neighbours, their distances, and their
+    /// codes copied contiguous for AdcDistanceBatch.
+    std::vector<uint32_t> gathered;
+    std::vector<float> gathered_dist;
+    std::vector<uint8_t> gathered_codes;
 
     /// Per-query effort counters, reset by Search() and reported on its
     /// trace span. Plain integers: bumping them inside the traversal loops
@@ -105,9 +115,9 @@ class HnswIndex final : public VectorIndex {
     uint64_t stat_adc_decoded = 0;  // ADC table lookups (quantized search)
     uint64_t stat_popped = 0;       // beam-search frontier pops
 
-    /// Grows `visited` to cover `num_nodes`, advances the epoch, and clears
-    /// the heap buffers. Call once per SearchLayer invocation.
-    void BeginQuery(size_t num_nodes);
+    /// Advances the visited epoch and clears the heap buffers. Call once per
+    /// SearchLayer invocation.
+    void BeginQuery();
   };
 
   /// Internal distance (lower = closer): squared L2 for kCosine (vectors
@@ -116,34 +126,50 @@ class HnswIndex final : public VectorIndex {
   float OutputSimilarity(float internal_distance) const;
 
   int DrawLevel();
+  /// A slice of the flat layer-0 row, or the node's upper-layer list.
+  std::span<const uint32_t> Neighbors(uint32_t node, int level) const;
+  void PrefetchRow(uint32_t node) const;
+  /// The exact BatchDistance (see below), fetching each next row while the
+  /// current one is scored.
+  auto ExactBatch(const float* query, uint64_t* evaluated) const {
+    return [this, query, evaluated](const uint32_t* nodes, size_t count,
+                                    float* out) {
+      *evaluated += count;
+      for (size_t i = 0; i < count; ++i) {
+        if (i + 1 < count) PrefetchRow(nodes[i + 1]);
+        out[i] = ExactDistance(query, nodes[i]);
+      }
+    };
+  }
+
+  /// The traversal is written once over a BatchDistance callable
+  /// `dist(nodes, count, out)` setting out[i] to the distance to nodes[i]
+  /// and counting the evaluations: ExactBatch, or gathered codes through
+  /// AdcDistanceBatch when quantized.
+  ///
   /// Greedy hill-climb toward the query on one layer; returns the local
-  /// minimum node. `cost` (optional) accumulates distance evaluations.
-  /// Deliberately not budget-checked: upper-layer descents touch a handful
-  /// of nodes (O(log n) hops), far below the amortization stride of the
-  /// layer-0 beam where the real work happens.
-  uint32_t GreedyClosest(const float* query, uint32_t entry, int level,
-                         uint64_t* cost = nullptr) const;
+  /// minimum node. Deliberately not budget-checked: upper-layer descents
+  /// touch a handful of nodes (O(log n) hops), far below the amortization
+  /// stride of the layer-0 beam where the real work happens.
+  template <typename BatchDistance>
+  uint32_t GreedyClosest(const BatchDistance& dist, uint32_t entry, int level,
+                         SearchScratch* scratch) const;
   /// Beam search on one layer; leaves the candidates sorted by distance in
-  /// scratch->beam. `control` (nullable) is consulted every
-  /// kControlPopStride frontier pops; when it fires the beam is abandoned
-  /// and kDeadlineExceeded/kCancelled is returned. With a null control the
-  /// call cannot fail.
-  [[nodiscard]] Status SearchLayer(const float* query, uint32_t entry,
+  /// scratch->beam. Each pop scores the unvisited neighbours in one batch,
+  /// then offers them to the heaps in neighbour order: no distance depends
+  /// on heap state, so the admissions match a one-at-a-time loop. `control`
+  /// (nullable) is consulted every kControlPopStride pops; when it fires the
+  /// beam is abandoned and kDeadlineExceeded/kCancelled is returned. With a
+  /// null control the call cannot fail.
+  template <typename BatchDistance>
+  [[nodiscard]] Status SearchLayer(const BatchDistance& dist, uint32_t entry,
                                    size_t ef, int level,
                                    const QueryControl* control,
                                    SearchScratch* scratch) const;
-  /// ADC variants used for quantized search.
-  uint32_t GreedyClosestAdc(const std::vector<float>& table, uint32_t entry,
-                            int level, uint64_t* cost = nullptr) const;
-  [[nodiscard]] Status SearchLayerAdc(const std::vector<float>& table,
-                                      uint32_t entry, size_t ef, int level,
-                                      const QueryControl* control,
-                                      SearchScratch* scratch) const;
 
-  /// Beam pops between budget checks in SearchLayer/SearchLayerAdc. Each pop
-  /// expands up to 2M neighbors, so 64 pops ≈ 2k distance evaluations of
-  /// work between checks — amortized to nothing, responsive within
-  /// microseconds.
+  /// Beam pops between budget checks in SearchLayer. Each pop expands up to
+  /// 2M neighbors, so 64 pops ≈ 2k distance evaluations of work between
+  /// checks — amortized to nothing, responsive within microseconds.
   static constexpr uint64_t kControlPopStride = 64;
 
   /// Scratch pool so concurrent Search() calls each get warm buffers without
@@ -182,9 +208,13 @@ class HnswIndex final : public VectorIndex {
 
   vecmath::Matrix vectors_;
   std::vector<uint64_t> ids_;
-  std::vector<int> levels_;
-  /// links_[node][level] = neighbor list.
-  std::vector<std::vector<std::vector<uint32_t>>> links_;
+  /// Layer 0 as one fixed-stride array: node i's row at i * layer0_stride_
+  /// holds its neighbour count, then up to 2M neighbour ids.
+  std::vector<uint32_t> layer0_;
+  size_t layer0_stride_ = 0;
+  /// upper_links_[node][level - 1] = neighbour list on layers >= 1; the
+  /// outer size is the node's level.
+  std::vector<std::vector<std::vector<uint32_t>>> upper_links_;
   uint32_t entry_point_ = 0;
   int max_level_ = -1;
   /// Phase flag. Build() release-stores true after the graph is complete;

@@ -172,15 +172,21 @@ Histogram::Snapshot Histogram::TakeSnapshot() const {
   snap.min = std::numeric_limits<double>::infinity();
   snap.max = -std::numeric_limits<double>::infinity();
   for (const Shard& shard : shards_) {
-    const uint64_t shard_count = shard.count.load(std::memory_order_relaxed);
+    // The count is the bucket sum, not a separate read of shard.count: with
+    // writers active the two relaxed reads can disagree, and every consumer
+    // (quantiles, windowed deltas) assumes count == Σ buckets.
+    uint64_t shard_count = 0;
+    for (size_t b = 0; b < kNumBuckets; ++b) {
+      const uint64_t in_bucket =
+          shard.buckets[b].load(std::memory_order_relaxed);
+      snap.buckets[b] += in_bucket;
+      shard_count += in_bucket;
+    }
     if (shard_count == 0) continue;
     snap.count += shard_count;
     snap.sum += shard.sum.load(std::memory_order_relaxed);
     snap.min = std::min(snap.min, shard.min.load(std::memory_order_relaxed));
     snap.max = std::max(snap.max, shard.max.load(std::memory_order_relaxed));
-    for (size_t b = 0; b < kNumBuckets; ++b) {
-      snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
   }
   if (snap.count == 0) {
     snap.min = 0.0;

@@ -276,6 +276,70 @@ TEST(HnswStressTest, ParallelInsertBuildParallelQuery) {
   EXPECT_EQ(ok_queries.load(), kQueries);
 }
 
+TEST(HnswStressTest, QuantizedParallelQuery) {
+  // HNSW+PQ searches share the pooled scratch, whose gather buffers and ADC
+  // table are rewritten by every query. Concurrent searches, a third of them
+  // under a live (never fired) control and a few already cancelled, must
+  // match a serial reference bit for bit.
+  constexpr size_t kDim = 32;
+  constexpr size_t kVectors = 1500;
+  constexpr size_t kQueries = 40;
+  constexpr size_t kK = 10;
+  constexpr size_t kEf = 160;  // > kControlPopStride pops: the check runs
+
+  for (size_t nbits : {size_t{8}, size_t{4}}) {
+    index::HnswOptions options;
+    options.M = 8;
+    options.ef_construction = 40;
+    index::PqOptions pq;
+    pq.num_subquantizers = 8;
+    pq.nbits = nbits;
+    options.quantization = pq;
+    index::HnswIndex index(options);
+    Rng rng(31 + nbits);
+    for (size_t i = 0; i < kVectors; ++i) {
+      ASSERT_TRUE(index.Add(i, RandomVec(&rng, kDim)).ok());
+    }
+    ASSERT_TRUE(index.Build().ok());
+
+    std::vector<vecmath::Vec> queries;
+    for (size_t q = 0; q < kQueries; ++q) {
+      queries.push_back(RandomVec(&rng, kDim));
+    }
+    std::vector<std::vector<vecmath::ScoredId>> reference;
+    for (const auto& q : queries) {
+      reference.push_back(index.Search(q, {kK, kEf}).MoveValue());
+    }
+
+    QueryControl live;
+    live.cancel = CancellationToken::Make();
+    QueryControl cancelled;
+    cancelled.cancel = CancellationToken::Make();
+    cancelled.cancel.RequestCancel();
+    std::atomic<size_t> rejected{0};
+    ThreadPool pool(kPoolThreads);
+    ParallelFor(&pool, 0, kQueries * 8, [&](size_t task) {
+      const size_t qi = task % kQueries;
+      const QueryControl* control = nullptr;
+      if (task % 3 == 1) control = &live;
+      if (task % 29 == 0) control = &cancelled;
+      auto hits = index.Search(queries[qi], {kK, kEf, control});
+      if (control == &cancelled) {
+        ASSERT_TRUE(hits.status().IsCancelled()) << hits.status().ToString();
+        rejected.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
+      ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+      ASSERT_EQ(hits->size(), reference[qi].size());
+      for (size_t i = 0; i < hits->size(); ++i) {
+        ASSERT_EQ((*hits)[i].id, reference[qi][i].id) << "query " << qi;
+        ASSERT_EQ((*hits)[i].score, reference[qi][i].score) << "query " << qi;
+      }
+    });
+    EXPECT_EQ(rejected.load(), (kQueries * 8 + 28) / 29);
+  }
+}
+
 // ---------- Metrics ----------
 
 TEST(ObsStressTest, CounterAndHistogramUnderTenThousandPoolTasks) {

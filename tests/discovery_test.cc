@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string_view>
 #include <unordered_set>
@@ -22,6 +25,8 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
+#include "vecmath/vector_ops.h"
+#include "vectordb/vector_db.h"
 
 namespace mira::discovery {
 namespace {
@@ -438,6 +443,76 @@ TEST_F(GeneratedWorkloadTest, AnnsReportsIndexMemory) {
       static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
   ASSERT_NE(anns, nullptr);
   EXPECT_GT(anns->IndexMemoryBytes(), 0u);
+}
+
+TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
+  // Reference for Algorithm 2's step 2: a cells collection built with the
+  // parameters AnnsSearcher::Build uses, its hits grouped by the `rel`
+  // payload. The searcher's own grouping must agree bit for bit.
+  const auto* anns =
+      static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
+  ASSERT_NE(anns, nullptr);
+  const AnnsOptions& anns_options = anns->options();
+  const CorpusEmbeddings& corpus = engine_->corpus();
+  vectordb::CollectionParams params;
+  params.dim = corpus.dim();
+  params.metric = vecmath::Metric::kCosine;
+  params.index_kind = anns_options.use_pq ? vectordb::IndexKind::kHnswPq
+                                          : vectordb::IndexKind::kHnsw;
+  params.hnsw_m = anns_options.hnsw_m;
+  params.hnsw_ef_construction = anns_options.hnsw_ef_construction;
+  params.hnsw_ef_search = anns_options.ef_search;
+  params.pq_subquantizers = anns_options.pq_subquantizers;
+  params.pq_nbits = anns_options.pq_nbits;
+  params.seed = anns_options.seed;
+  vectordb::VectorDb db;
+  vectordb::Collection* cells =
+      db.CreateCollection("cells", params).MoveValue();
+  for (size_t i = 0; i < corpus.num_cells(); ++i) {
+    vectordb::Point point;
+    point.id = i;
+    point.vector = corpus.vectors.RowVec(i);
+    point.payload.SetInt("rel", static_cast<int64_t>(corpus.refs[i].relation));
+    ASSERT_TRUE(cells->Upsert(std::move(point)).ok());
+  }
+  ASSERT_TRUE(cells->BuildIndex().ok());
+
+  DiscoveryOptions options;
+  options.top_k = 1000;
+  for (const auto& q : workload_->queries) {
+    vecmath::Vec embedding = engine_->encoder().EncodeText(q.text);
+    vecmath::NormalizeInPlace(&embedding);
+    auto hits = cells->Search(embedding, anns_options.cell_candidates,
+                              anns_options.ef_search, {}, nullptr)
+                    .MoveValue();
+    std::map<table::RelationId, std::pair<double, uint32_t>> grouped;
+    for (const auto& hit : hits) {
+      auto& [sum, count] =
+          grouped[static_cast<table::RelationId>(*hit.payload->GetInt("rel"))];
+      sum += hit.score;
+      ++count;
+    }
+    Ranking expected;
+    for (const auto& [rid, sum_count] : grouped) {
+      expected.push_back(
+          {rid, static_cast<float>(sum_count.first / sum_count.second)});
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const DiscoveryHit& a, const DiscoveryHit& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.relation < b.relation;
+              });
+    ApplyThresholdAndTopK(&expected, options);
+
+    auto ranking = engine_->Search(Method::kAnns, q.text, options).MoveValue();
+    ASSERT_EQ(ranking.size(), expected.size()) << q.text;
+    for (size_t i = 0; i < ranking.size(); ++i) {
+      EXPECT_EQ(ranking[i].relation, expected[i].relation) << q.text;
+      EXPECT_EQ(std::bit_cast<uint32_t>(ranking[i].score),
+                std::bit_cast<uint32_t>(expected[i].score))
+          << q.text;
+    }
+  }
 }
 
 // ---------- Observability integration ----------

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <utility>
 #include <unordered_set>
 
 #include "common/rng.h"
@@ -11,6 +14,8 @@
 #include "index/hnsw_index.h"
 #include "index/pq_flat_index.h"
 #include "index/product_quantizer.h"
+#include "obs/trace.h"
+#include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
 
 namespace mira::index {
@@ -398,12 +403,21 @@ TEST(HnswIndexTest, DegreeBounds) {
   Matrix data = MakeClusteredData(n, 16, 8, 17);
   for (size_t i = 0; i < n; ++i) ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
   ASSERT_TRUE(index.Build().ok());
+  size_t upper_entries = 0;
   for (uint32_t node = 0; node < n; ++node) {
+    // Layer 0 comes from the flat array: every node is linked, none past 2M.
+    EXPECT_GE(index.Degree(node, 0), 1u);
     EXPECT_LE(index.Degree(node, 0), opts.M * 2);
     for (int level = 1; level <= index.max_level(); ++level) {
       EXPECT_LE(index.Degree(node, level), opts.M);
+      upper_entries += index.Degree(node, level);
     }
+    EXPECT_EQ(index.Degree(node, index.max_level() + 1), 0u);
   }
+  // Layer 0 is counted once, as its fixed-stride rows ([count, 2M slots]
+  // per node); upper layers count their entries.
+  EXPECT_EQ(index.MemoryUsage().graph_bytes,
+            (n * (1 + opts.M * 2) + upper_entries) * sizeof(uint32_t));
 }
 
 TEST(HnswIndexTest, DeterministicGivenSeed) {
@@ -484,6 +498,109 @@ TEST(HnswIndexTest, QuantizedSearchWithRescoringKeepsRecall) {
     recall += RecallAtK(quantized.Search(query, {k, 128}).MoveValue(), truth, k);
   }
   EXPECT_GT(recall / kQueries, 0.75);
+}
+
+// FNV-1a hashes over every query's top-k (id, score bits) in rank order
+// (.first) and over its traversal effort, the hnsw.search span's counters
+// (.second).
+std::pair<uint64_t, uint64_t> TopKFingerprint(const HnswIndex& index,
+                                              const Matrix& queries, size_t k,
+                                              size_t ef) {
+  std::pair<uint64_t, uint64_t> hashes{0xcbf29ce484222325ULL,
+                                       0xcbf29ce484222325ULL};
+  auto mix = [](uint64_t* hash, uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      *hash ^= (value >> (8 * byte)) & 0xFF;
+      *hash *= 0x100000001b3ULL;
+    }
+  };
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    obs::QueryTrace trace;
+    std::vector<vecmath::ScoredId> hits;
+    {
+      obs::ScopedTrace collect(&trace);
+      hits = index.Search(queries.RowVec(q), {k, ef}).MoveValue();
+    }
+    mix(&hashes.first, hits.size());
+    for (const auto& hit : hits) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, &hit.score, sizeof(bits));
+      mix(&hashes.first, hit.id);
+      mix(&hashes.first, bits);
+    }
+    for (const char* counter : {"dist_comps", "adc_decoded", "popped"}) {
+      mix(&hashes.second, static_cast<uint64_t>(
+                              trace.CounterValue("hnsw.search", counter)));
+    }
+  }
+  return hashes;
+}
+
+TEST(HnswIndexTest, TraversalMatchesParentFingerprint) {
+  // Pins construction and search bit for bit: the rankings, and the
+  // distance evaluations and pops that produced them. The constants were
+  // recorded on the nested-vector adjacency with a per-neighbour distance
+  // loop, before layer 0 became one flat array walked by a
+  // gather-then-batch beam. L2 keeps Add() and Search() free of the
+  // tier-dependent normalization, and `deterministic` pins exact distances
+  // to the scalar kernels, so the exact hash holds on every CPU. The ADC
+  // table is computed on the active SIMD tier; the quantized hashes were
+  // recorded on the scalar and AVX2 tiers, which agree here, and are not
+  // checked elsewhere.
+  // k = ef returns the whole final beam, so a change in which nodes enter
+  // it shows even where the top few survive.
+  const size_t n = 1200, dim = 32, k = 32, ef = 32;
+  Rng rng(4242);
+  Matrix data(n, dim);
+  for (size_t i = 0; i < n; ++i) {
+    const float center = static_cast<float>(i % 12);
+    for (size_t j = 0; j < dim; ++j) {
+      data.At(i, j) = (j % 12 == i % 12 ? center : 0.f) +
+                      static_cast<float>(rng.NextGaussian());
+    }
+  }
+  Matrix queries(30, dim);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    for (size_t j = 0; j < dim; ++j) {
+      queries.At(q, j) =
+          data.At(q * 37, j) + 0.5f * static_cast<float>(rng.NextGaussian());
+    }
+  }
+  auto fingerprint = [&](std::optional<size_t> pq_nbits) {
+    HnswOptions opts;
+    opts.M = 8;
+    opts.ef_construction = 64;
+    opts.metric = Metric::kL2;
+    opts.seed = 5;
+    opts.deterministic = true;
+    if (pq_nbits.has_value()) {
+      PqOptions pq;
+      pq.num_subquantizers = 8;
+      pq.nbits = *pq_nbits;
+      opts.quantization = pq;
+    }
+    HnswIndex index(opts);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(index.Add(i, data.RowVec(i)).ok());
+    }
+    EXPECT_TRUE(index.Build().ok());
+    return TopKFingerprint(index, queries, k, ef);
+  };
+  // Effort hashes need the span counters, which -DMIRA_OBS=OFF compiles out.
+  auto expect = [](std::pair<uint64_t, uint64_t> got, uint64_t ranking,
+                   uint64_t effort) {
+    EXPECT_EQ(got.first, ranking);
+    if (obs::kObsEnabled) {
+      EXPECT_EQ(got.second, effort);
+    }
+  };
+  expect(fingerprint(std::nullopt), 17909920715436095480ULL,
+         9228334547508009012ULL);
+  if (vecmath::ActiveSimdTier() == vecmath::SimdTier::kNeon) {
+    GTEST_SKIP() << "no recorded quantized fingerprints for this tier";
+  }
+  expect(fingerprint(8), 8083439478480731754ULL, 932191962552928697ULL);
+  expect(fingerprint(4), 8253871075080975556ULL, 14364205301552116444ULL);
 }
 
 TEST(HnswIndexTest, QuantizedDotMetricRejected) {
