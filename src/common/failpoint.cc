@@ -31,6 +31,9 @@ constexpr const char* kSites[] = {
     "service.dispatch",     // DiscoveryService worker dequeue->run (error
                             // fails the request; delay stalls workers to
                             // build deterministic queue pressure)
+    "cts.cluster_probe",    // CtsSearcher::Search, after each cluster probe
+                            // is grouped (delay drains the budget between
+                            // probes)
 };
 
 struct SiteState {

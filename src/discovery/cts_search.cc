@@ -1,11 +1,12 @@
 #include "discovery/cts_search.h"
 
 #include <algorithm>
-#include <limits>
-#include <unordered_map>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "index/flat_index.h"
+#include "index/hnsw_index.h"
 #include "obs/trace.h"
 #include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
@@ -14,40 +15,31 @@ namespace mira::discovery {
 
 namespace {
 
-constexpr char kMedoidCollection[] = "cts_medoids";
+// Clusters are small by design; graph indexes only pay off past a few
+// thousand points.
+constexpr size_t kHnswClusterCells = 2048;
 
-std::string ClusterCollectionName(size_t cluster) {
-  return StrFormat("cluster_%zu", cluster);
-}
-
-// Nearest medoid (in the reduced space) of a reduced point. `dist` is a
-// caller-owned scratch buffer (resized to the medoid count) so the per-cell
-// assignment loop doesn't allocate per call.
-size_t NearestMedoid(const vecmath::Matrix& medoid_reduced, const float* point,
-                     size_t dim, std::vector<float>* dist) {
-  const size_t rows = medoid_reduced.rows();
-  dist->resize(rows);
-  // Scalar-reference kernels: cluster assignment is part of the build and
-  // must be bit-reproducible across SIMD tiers (see vecmath/simd.h).
-  vecmath::ScalarSquaredL2Batch(point, medoid_reduced.Row(0), rows, dim,
+// Row of `rows` nearest to `point` in squared L2. Scalar-reference kernels:
+// cluster assignment is part of the build and must be bit-reproducible
+// across SIMD tiers (see vecmath/simd.h). `dist` is caller-owned scratch so
+// the per-cell assignment loop doesn't allocate per call.
+size_t NearestRow(const vecmath::Matrix& rows, const float* point,
+                  std::vector<float>* dist) {
+  dist->resize(rows.rows());
+  vecmath::ScalarSquaredL2Batch(point, rows.Row(0), rows.rows(), rows.cols(),
                                 dist->data());
-  size_t best = 0;
-  float best_d = std::numeric_limits<float>::max();
-  for (size_t m = 0; m < rows; ++m) {
-    if ((*dist)[m] < best_d) {
-      best_d = (*dist)[m];
-      best = m;
-    }
-  }
-  return best;
+  return static_cast<size_t>(std::min_element(dist->begin(), dist->end()) -
+                             dist->begin());
 }
 
 }  // namespace
 
 CtsSearcher::CtsSearcher(CtsOptions options) : options_(options) {}
 
+CtsSearcher::~CtsSearcher() = default;
+
 Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
-    const table::Federation& federation,
+    const table::Federation& /*federation*/,
     std::shared_ptr<const CorpusEmbeddings> corpus,
     std::shared_ptr<const embed::SemanticEncoder> encoder,
     const CtsOptions& options) {
@@ -57,6 +49,7 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
   const size_t n = corpus->num_cells();
   std::unique_ptr<CtsSearcher> searcher(new CtsSearcher(options));
   searcher->encoder_ = encoder;
+  searcher->num_relations_ = corpus->num_relations;
 
   // ---- Table vectorization + dimensionality reduction (Algorithm 3) ----
   // Corpora too small for a meaningful manifold collapse to one cluster.
@@ -64,7 +57,7 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
       std::max<size_t>(32, options.hdbscan.min_cluster_size * 4);
 
   std::vector<int32_t> cell_cluster(n, 0);
-  vecmath::Matrix medoid_full;  // one full-dim medoid vector per cluster
+  vecmath::Matrix& medoids = searcher->medoids_;  // full-dim, per cluster
   size_t num_clusters = 1;
 
   if (n >= min_for_clustering) {
@@ -99,11 +92,11 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
       std::vector<size_t> medoid_sample_rows =
           cluster::ComputeMedoids(sample, clustering);
       vecmath::Matrix medoid_reduced(num_clusters, rd);
-      medoid_full = vecmath::Matrix(num_clusters, corpus->dim());
+      medoids = vecmath::Matrix(num_clusters, corpus->dim());
       for (size_t m = 0; m < num_clusters; ++m) {
         size_t corpus_row = sample_rows[medoid_sample_rows[m]];
         medoid_reduced.SetRow(m, reduced.RowVec(corpus_row));
-        medoid_full.SetRow(m, corpus->vectors.RowVec(corpus_row));
+        medoids.SetRow(m, corpus->vectors.RowVec(corpus_row));
       }
 
       // Cluster of each cell: HDBSCAN label for sampled+clustered cells,
@@ -118,8 +111,8 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
         cell_cluster[i] =
             label != cluster::kNoise
                 ? label
-                : static_cast<int32_t>(NearestMedoid(
-                      medoid_reduced, reduced.Row(i), rd, &medoid_dist));
+                : static_cast<int32_t>(
+                      NearestRow(medoid_reduced, reduced.Row(i), &medoid_dist));
       }
     }
   }
@@ -132,83 +125,58 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
       vecmath::AddInPlace(centroid.data(), corpus->vectors.Row(i), corpus->dim());
     }
     vecmath::ScaleInPlace(&centroid, 1.0f / static_cast<float>(n));
-    std::vector<float> dist(n);
-    vecmath::ScalarSquaredL2Batch(centroid.data(), corpus->vectors.Row(0), n,
-                                  corpus->dim(), dist.data());
-    size_t best = 0;
-    float best_d = std::numeric_limits<float>::max();
-    for (size_t i = 0; i < n; ++i) {
-      if (dist[i] < best_d) {
-        best_d = dist[i];
-        best = i;
-      }
-    }
-    medoid_full = vecmath::Matrix(1, corpus->dim());
-    medoid_full.SetRow(0, corpus->vectors.RowVec(best));
+    std::vector<float> dist;
+    const size_t best = NearestRow(corpus->vectors, centroid.data(), &dist);
+    medoids = vecmath::Matrix(1, corpus->dim());
+    medoids.SetRow(0, corpus->vectors.RowVec(best));
   }
   searcher->num_clusters_ = num_clusters;
 
-  // ---- Store clusters in the vector database (§4.3: each cluster is a
-  // collection; the medoids act as the retrieval index) ----
-  std::vector<size_t> cluster_sizes(num_clusters, 0);
+  // ---- Store the clusters (§4.3): one row block ordered by cluster, the
+  // medoids acting as the retrieval index. Rows are normalized once here,
+  // so a probe is a plain dot scan. ----
+  const size_t dim = corpus->dim();
+  std::vector<size_t>& begin = searcher->cluster_begin_;
+  begin.assign(num_clusters + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    ++cluster_sizes[static_cast<size_t>(cell_cluster[i])];
+    ++begin[static_cast<size_t>(cell_cluster[i]) + 1];
+  }
+  size_t largest = 0;
+  for (size_t c = 0; c < num_clusters; ++c) {
+    largest = std::max(largest, begin[c + 1]);
+    begin[c + 1] += begin[c];
   }
   searcher->largest_cluster_fraction_ =
-      static_cast<double>(*std::max_element(cluster_sizes.begin(),
-                                            cluster_sizes.end())) /
-      static_cast<double>(n);
+      static_cast<double>(largest) / static_cast<double>(n);
 
+  searcher->cluster_graphs_.resize(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
-    vectordb::CollectionParams params;
-    params.dim = corpus->dim();
-    params.metric = vecmath::Metric::kCosine;
-    // Clusters are small by design; graph indexes only pay off past a few
-    // thousand points.
-    params.index_kind = cluster_sizes[c] >= 2048 ? vectordb::IndexKind::kHnsw
-                                                 : vectordb::IndexKind::kFlat;
-    params.seed = options.seed + c;
-    MIRA_ASSIGN_OR_RETURN(auto* collection,
-                          searcher->db_.CreateCollection(
-                              ClusterCollectionName(c), params));
-    (void)collection;
+    if (begin[c + 1] - begin[c] < kHnswClusterCells) continue;
+    index::HnswOptions hnsw;  // cosine, M 16, ef_construction 200, ef 64
+    hnsw.seed = options.seed + c;
+    searcher->cluster_graphs_[c] = std::make_unique<index::HnswIndex>(hnsw);
   }
+  searcher->rows_ = vecmath::Matrix(n, dim);
+  searcher->row_relation_.resize(n);
+  std::vector<size_t> next_row(begin.begin(), begin.end() - 1);
   for (size_t i = 0; i < n; ++i) {
-    const CellRef& ref = corpus->refs[i];
-    vectordb::Point point;
-    point.id = static_cast<uint64_t>(i);
-    point.vector = corpus->vectors.RowVec(i);
-    point.payload.SetInt("rel", static_cast<int64_t>(ref.relation));
-    point.payload.SetString(
-        "attr", federation.relation(ref.relation).schema[ref.col]);
-    MIRA_ASSIGN_OR_RETURN(
-        auto* collection,
-        searcher->db_.GetCollection(
-            ClusterCollectionName(static_cast<size_t>(cell_cluster[i]))));
-    MIRA_RETURN_NOT_OK(collection->Upsert(std::move(point)));
+    const size_t c = static_cast<size_t>(cell_cluster[i]);
+    const size_t row = next_row[c]++;
+    float* out = searcher->rows_.Row(row);
+    std::copy(corpus->vectors.Row(i), corpus->vectors.Row(i) + dim, out);
+    vecmath::NormalizeInPlace(out, dim);
+    searcher->row_relation_[row] = corpus->refs[i].relation;
+    // A graph takes the raw row, keyed by row, and normalizes it itself.
+    if (const auto& graph = searcher->cluster_graphs_[c]) {
+      MIRA_RETURN_NOT_OK(graph->Add(row, corpus->vectors.RowVec(i)));
+    }
+  }
+  for (const auto& graph : searcher->cluster_graphs_) {
+    if (graph != nullptr) MIRA_RETURN_NOT_OK(graph->Build());
   }
   for (size_t c = 0; c < num_clusters; ++c) {
-    MIRA_ASSIGN_OR_RETURN(auto* collection,
-                          searcher->db_.GetCollection(ClusterCollectionName(c)));
-    MIRA_RETURN_NOT_OK(collection->BuildIndex());
+    vecmath::NormalizeInPlace(medoids.Row(c), dim);
   }
-
-  vectordb::CollectionParams medoid_params;
-  medoid_params.dim = corpus->dim();
-  medoid_params.metric = vecmath::Metric::kCosine;
-  medoid_params.index_kind = vectordb::IndexKind::kFlat;
-  MIRA_ASSIGN_OR_RETURN(
-      auto* medoids, searcher->db_.CreateCollection(kMedoidCollection,
-                                                    medoid_params));
-  for (size_t c = 0; c < num_clusters; ++c) {
-    vectordb::Point point;
-    point.id = static_cast<uint64_t>(c);
-    point.vector = medoid_full.RowVec(c);
-    point.payload.SetInt("cluster", static_cast<int64_t>(c));
-    MIRA_RETURN_NOT_OK(medoids->Upsert(std::move(point)));
-  }
-  MIRA_RETURN_NOT_OK(medoids->BuildIndex());
-
   return searcher;
 }
 
@@ -220,17 +188,25 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
     q = encoder_->EncodeText(query);
     vecmath::NormalizeInPlace(&q);
   }
+  if (q.size() != medoids_.cols()) {
+    return Status::InvalidArgument(StrFormat(
+        "cts: query dim %zu != %zu", q.size(), medoids_.cols()));
+  }
+  // Flat scans score against a re-normalization of q, whose low bits the
+  // pinned rankings depend on; the graphs normalize q themselves.
+  const vecmath::Vec scan_q = vecmath::Normalized(q);
 
   const QueryControl& control = options.control;
   const QueryControl* control_ptr = control.active() ? &control : nullptr;
 
   // Match the query against the cluster medoids and keep the top clusters.
   obs::TraceSpan medoid_span("cts.medoid_match");
-  MIRA_ASSIGN_OR_RETURN(const vectordb::Collection* medoids,
-                        db_.GetCollection(kMedoidCollection));
-  MIRA_ASSIGN_OR_RETURN(
-      auto medoid_hits,
-      medoids->Search(q, options_.cluster_candidates, 0, {}, control_ptr));
+  vecmath::TopK medoid_top(options_.cluster_candidates);
+  MIRA_RETURN_NOT_OK(index::ScanRows(
+      scan_q.data(), medoids_.Row(0), num_clusters_, medoids_.cols(),
+      vecmath::Metric::kCosine, control_ptr,
+      [&](size_t c, float score) { medoid_top.Push(c, score); }));
+  const std::vector<vecmath::ScoredId> medoid_hits = medoid_top.Take();
   medoid_span.AddCounter("clusters_total", static_cast<int64_t>(num_clusters_));
   medoid_span.AddCounter("clusters_selected",
                          static_cast<int64_t>(medoid_hits.size()));
@@ -239,7 +215,8 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
       static_cast<int64_t>(num_clusters_ - medoid_hits.size()));
   medoid_span.Finish();
 
-  // Targeted ANN search inside the selected clusters only.
+  // Targeted search inside the selected clusters only. Hits are summed per
+  // relation in probe order (medoid rank, then best-first within a cluster).
   obs::TraceSpan cluster_span("cts.cluster_search");
   size_t per_cluster =
       std::max<size_t>(16, options_.cell_candidates /
@@ -247,7 +224,21 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
   size_t cell_hits = 0;
   size_t clusters_searched = 0;
   bool degraded = false;
-  std::unordered_map<table::RelationId, std::pair<double, uint32_t>> grouped;
+  // The per_cluster best rows of cluster c, best-first: through its graph,
+  // or a flat scan of its row range.
+  auto probe = [&](size_t c) -> Result<std::vector<vecmath::ScoredId>> {
+    if (cluster_graphs_[c] != nullptr) {
+      return cluster_graphs_[c]->Search(q, {per_cluster, 0, control_ptr});
+    }
+    const size_t first = cluster_begin_[c];
+    vecmath::TopK top(per_cluster);
+    MIRA_RETURN_NOT_OK(index::ScanRows(
+        scan_q.data(), rows_.Row(first), cluster_begin_[c + 1] - first,
+        rows_.cols(), vecmath::Metric::kCosine, control_ptr,
+        [&](size_t offset, float score) { top.Push(first + offset, score); }));
+    return top.Take();
+  };
+  std::vector<std::pair<double, uint32_t>> grouped(num_relations_);
   for (const auto& medoid_hit : medoid_hits) {
     // Degradation point: once at least one cluster has been probed, a spent
     // budget shrinks the probe set instead of failing the query. Scores stay
@@ -257,46 +248,37 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
       degraded = true;
       break;
     }
-    auto cluster_id = medoid_hit.payload->GetInt("cluster");
-    if (!cluster_id.has_value()) continue;
-    MIRA_ASSIGN_OR_RETURN(
-        const vectordb::Collection* cells,
-        db_.GetCollection(
-            ClusterCollectionName(static_cast<size_t>(*cluster_id))));
-    auto hits_result = cells->Search(q, per_cluster, 0, {}, control_ptr);
-    if (!hits_result.ok()) {
+    auto hits = probe(static_cast<size_t>(medoid_hit.id));
+    if (!hits.ok()) {
       // A deadline firing mid-probe degrades to the clusters already
       // covered; cancellation and real errors always propagate.
-      if (hits_result.status().IsDeadlineExceeded() && !grouped.empty()) {
+      if (hits.status().IsDeadlineExceeded() && cell_hits > 0) {
         degraded = true;
         break;
       }
-      return hits_result.status();
+      return hits.status();
     }
-    const auto& hits = *hits_result;
     ++clusters_searched;
-    cell_hits += hits.size();
-    for (const auto& hit : hits) {
-      auto rel = hit.payload->GetInt("rel");
-      if (!rel.has_value()) continue;
-      auto& [sum, count] = grouped[static_cast<table::RelationId>(*rel)];
+    cell_hits += hits->size();
+    for (const auto& hit : *hits) {
+      auto& [sum, count] = grouped[row_relation_[hit.id]];
       sum += hit.score;
       ++count;
     }
+    MIRA_FAILPOINT("cts.cluster_probe");
+  }
+  Ranking ranking;
+  for (table::RelationId rid = 0; rid < num_relations_; ++rid) {
+    const auto& [sum, count] = grouped[rid];
+    if (count > 0) ranking.push_back({rid, static_cast<float>(sum / count)});
   }
   cluster_span.AddCounter("clusters_searched",
                           static_cast<int64_t>(clusters_searched));
   cluster_span.AddCounter("per_cluster_k", static_cast<int64_t>(per_cluster));
   cluster_span.AddCounter("cell_hits", static_cast<int64_t>(cell_hits));
-  cluster_span.AddCounter("relations", static_cast<int64_t>(grouped.size()));
+  cluster_span.AddCounter("relations", static_cast<int64_t>(ranking.size()));
   cluster_span.Finish();
 
-  Ranking ranking;
-  ranking.reserve(grouped.size());
-  for (const auto& [rid, sum_count] : grouped) {
-    ranking.push_back(
-        {rid, static_cast<float>(sum_count.first / sum_count.second)});
-  }
   std::sort(ranking.begin(), ranking.end(),
             [](const DiscoveryHit& a, const DiscoveryHit& b) {
               if (a.score != b.score) return a.score > b.score;
@@ -309,26 +291,21 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
 }
 
 size_t CtsSearcher::IndexMemoryBytes() const {
-  size_t total = 0;
-  for (const auto& name : db_.ListCollections()) {
-    auto collection = db_.GetCollection(name);
-    if (collection.ok()) total += (*collection)->IndexMemoryBytes();
-  }
-  return total;
+  return MemoryUsage().index.total();
 }
 
 vectordb::CollectionMemoryStats CtsSearcher::MemoryUsage() const {
   vectordb::CollectionMemoryStats total;
-  for (const auto& name : db_.ListCollections()) {
-    auto collection = db_.GetCollection(name);
-    if (!collection.ok()) continue;
-    const vectordb::CollectionMemoryStats stats = (*collection)->MemoryUsage();
-    total.points_bytes += stats.points_bytes;
-    total.payload_index_bytes += stats.payload_index_bytes;
-    total.index.vectors_bytes += stats.index.vectors_bytes;
-    total.index.ids_bytes += stats.index.ids_bytes;
-    total.index.graph_bytes += stats.index.graph_bytes;
-    total.index.codes_bytes += stats.index.codes_bytes;
+  total.points_bytes = row_relation_.size() * sizeof(table::RelationId) +
+                       cluster_begin_.size() * sizeof(size_t);
+  total.index.vectors_bytes =
+      (rows_.data().size() + medoids_.data().size()) * sizeof(float);
+  for (const auto& graph : cluster_graphs_) {
+    if (graph == nullptr) continue;
+    const index::MemoryStats stats = graph->MemoryUsage();
+    total.index.vectors_bytes += stats.vectors_bytes;
+    total.index.ids_bytes += stats.ids_bytes;
+    total.index.graph_bytes += stats.graph_bytes;
   }
   return total;
 }

@@ -10,7 +10,12 @@
 #include "discovery/corpus_embeddings.h"
 #include "discovery/types.h"
 #include "embed/encoder.h"
-#include "vectordb/vector_db.h"
+#include "vecmath/matrix.h"
+#include "vectordb/collection.h"
+
+namespace mira::index {
+class HnswIndex;
+}  // namespace mira::index
 
 namespace mira::discovery {
 
@@ -43,11 +48,14 @@ struct CtsOptions {
 ///
 /// Build: cell embeddings -> UMAP reduction -> HDBSCAN clustering -> medoid
 /// per cluster (HDBSCAN has no native centers, so medoids are computed
-/// manually); cells and medoids live in vector-database collections, with
-/// each cell tagged by its cluster and the medoids acting as the cluster
-/// index. Search: the query is compared against the medoids, then an ANN
-/// search runs *inside the top clusters only*, and relations are ranked by
-/// the average similarity of their retrieved cells.
+/// manually); the medoids act as the cluster index. Search: the query is
+/// compared against the medoids, then a search runs *inside the top clusters
+/// only*, and relations are ranked by the average similarity of their
+/// retrieved cells.
+///
+/// Storage: one matrix of normalized cell rows ordered by cluster, so a probe
+/// scans one row range (~20 probes of a few dozen rows per query, too small
+/// to pay for a collection each); clusters of 2048+ cells get an HNSW graph.
 class CtsSearcher final : public Searcher {
  public:
   [[nodiscard]] static Result<std::unique_ptr<CtsSearcher>> Build(
@@ -64,19 +72,28 @@ class CtsSearcher final : public Searcher {
   /// Fraction of cells assigned to the largest cluster (diagnostic).
   double largest_cluster_fraction() const { return largest_cluster_fraction_; }
   size_t IndexMemoryBytes() const;
-  /// Resident-byte breakdown summed over every cluster/medoid collection —
-  /// feeds the `mira.mem.cts.*` gauges.
+  /// Resident-byte breakdown for the `mira.mem.cts.*` gauges: `index` is the
+  /// rows, medoids and graphs, `points_bytes` the row->relation/offsets.
   vectordb::CollectionMemoryStats MemoryUsage() const;
   const CtsOptions& options() const { return options_; }
+
+  ~CtsSearcher() override;
 
  private:
   explicit CtsSearcher(CtsOptions options);
 
   CtsOptions options_;
   std::shared_ptr<const embed::SemanticEncoder> encoder_;
-  vectordb::VectorDb db_;
   size_t num_clusters_ = 0;
+  size_t num_relations_ = 0;
   double largest_cluster_fraction_ = 0.0;
+  /// Cells ordered by cluster, then cell index; cluster c owns rows
+  /// [cluster_begin_[c], cluster_begin_[c + 1]). Medoids: one per cluster.
+  vecmath::Matrix rows_, medoids_;
+  std::vector<size_t> cluster_begin_;
+  std::vector<table::RelationId> row_relation_;
+  /// Non-null for clusters of 2048+ cells (graph ids are rows).
+  std::vector<std::unique_ptr<index::HnswIndex>> cluster_graphs_;
 };
 
 }  // namespace mira::discovery

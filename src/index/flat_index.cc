@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/string_util.h"
-#include "obs/trace.h"
-#include "vecmath/simd.h"
 
 namespace mira::index {
 
@@ -47,37 +45,10 @@ Result<std::vector<vecmath::ScoredId>> FlatIndex::Search(
                        ? vecmath::Normalized(query)
                        : query;
   vecmath::TopK top(params.k);
-  const size_t n = ids_.size();
-  const size_t d = vectors_.cols();
-  obs::TraceSpan span("flat.scan");
-  span.AddCounter("rows_scanned", static_cast<int64_t>(n));
-  // Blocked batched scan: the kernels stream 4 rows per iteration with
-  // prefetch; a stack block keeps the score spill out of the heap. For cosine
-  // the rows and query are pre-normalized, so similarity is a plain dot.
-  constexpr size_t kBlock = 256;
-  // Budget checks are amortized over whole blocks (4096 rows between
-  // checks) so an uncontrolled query pays nothing measurable.
-  constexpr size_t kControlStride = 16;
-  float scores[kBlock];
-  size_t block_idx = 0;
-  for (size_t start = 0; start < n; start += kBlock, ++block_idx) {
-    if (params.control != nullptr && block_idx % kControlStride == 0) {
-      Status budget = params.control->Check("flat.scan");
-      if (!budget.ok()) return budget;
-    }
-    const size_t count = std::min(kBlock, n - start);
-    if (metric_ == vecmath::Metric::kL2) {
-      vecmath::SquaredL2Batch(q.data(), vectors_.Row(start), count, d, scores);
-      for (size_t j = 0; j < count; ++j) {
-        top.Push(ids_[start + j], -scores[j]);
-      }
-    } else {
-      vecmath::DotBatch(q.data(), vectors_.Row(start), count, d, scores);
-      for (size_t j = 0; j < count; ++j) {
-        top.Push(ids_[start + j], scores[j]);
-      }
-    }
-  }
+  MIRA_RETURN_NOT_OK(ScanRows(
+      q.data(), vectors_.data().data(), ids_.size(), vectors_.cols(), metric_,
+      params.control,
+      [&](size_t row, float score) { top.Push(ids_[row], score); }));
   return top.Take();
 }
 

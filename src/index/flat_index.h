@@ -1,13 +1,51 @@
 #ifndef MIRA_INDEX_FLAT_INDEX_H_
 #define MIRA_INDEX_FLAT_INDEX_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "index/vector_index.h"
+#include "obs/trace.h"
 #include "vecmath/matrix.h"
+#include "vecmath/simd.h"
 
 namespace mira::index {
+
+/// The blocked exact scan of FlatIndex::Search, shared with CTS's cluster
+/// probes: scores the `count` rows at `rows` against `query` (a plain dot on
+/// pre-normalized rows for cosine, negated squared L2 for kL2) and calls
+/// `push(offset, similarity)` per row. A row's bits depend on its offset in
+/// the call (SIMD tiers score row groups and a tail differently), so a row
+/// set must always be scanned from the same first row.
+template <typename Push>
+[[nodiscard]] Status ScanRows(const float* query, const float* rows,
+                              size_t count, size_t dim, vecmath::Metric metric,
+                              const QueryControl* control, Push&& push) {
+  obs::TraceSpan span("flat.scan");
+  span.AddCounter("rows_scanned", static_cast<int64_t>(count));
+  // A stack block keeps the score spill out of the heap; budget checks are
+  // amortized over whole blocks (4096 rows between checks).
+  constexpr size_t kBlock = 256;
+  constexpr size_t kControlStride = 16;
+  float scores[kBlock];
+  size_t block_idx = 0;
+  for (size_t start = 0; start < count; start += kBlock, ++block_idx) {
+    if (control != nullptr && block_idx % kControlStride == 0) {
+      MIRA_RETURN_NOT_OK(control->Check("flat.scan"));
+    }
+    const size_t n = std::min(kBlock, count - start);
+    const float* block = rows + start * dim;
+    if (metric == vecmath::Metric::kL2) {
+      vecmath::SquaredL2Batch(query, block, n, dim, scores);
+      for (size_t j = 0; j < n; ++j) push(start + j, -scores[j]);
+    } else {
+      vecmath::DotBatch(query, block, n, dim, scores);
+      for (size_t j = 0; j < n; ++j) push(start + j, scores[j]);
+    }
+  }
+  return Status::OK();
+}
 
 /// Exact brute-force index: the storage backend of Exhaustive Search (§4.1)
 /// and the ground-truth oracle for ANN recall tests.
@@ -26,10 +64,6 @@ class FlatIndex final : public VectorIndex {
   vecmath::Metric metric() const override { return metric_; }
   std::string name() const override { return "flat"; }
   MemoryStats MemoryUsage() const override;
-
-  /// Direct access for callers that stream over all vectors (ExS).
-  const vecmath::Matrix& vectors() const { return vectors_; }
-  const std::vector<uint64_t>& ids() const { return ids_; }
 
  private:
   vecmath::Metric metric_;

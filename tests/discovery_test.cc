@@ -10,6 +10,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <unordered_set>
 
@@ -25,6 +26,7 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
+#include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
 #include "vectordb/vector_db.h"
 
@@ -438,6 +440,125 @@ TEST_F(GeneratedWorkloadTest, CtsBuildsMultipleClusters) {
   EXPECT_GT(cts->IndexMemoryBytes(), 0u);
 }
 
+// ---------- CTS ranking fingerprints ----------
+
+// FNV-1a over every workload query's full CTS ranking: the (relation, score
+// bits) pairs in rank order, then the degraded and partial flags.
+uint64_t CtsRankingFingerprint(const Searcher& cts, const Workload& workload) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  auto mix = [&hash](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  DiscoveryOptions options;
+  options.top_k = 1000;
+  for (const auto& q : workload.queries) {
+    auto ranking = cts.Search(q.text, options);
+    EXPECT_TRUE(ranking.ok()) << ranking.status().ToString();
+    if (!ranking.ok()) return 0;
+    mix(ranking->size());
+    for (const auto& hit : *ranking) {
+      mix(hit.relation);
+      mix(std::bit_cast<uint32_t>(hit.score));
+    }
+    mix(ranking->degraded);
+    mix(ranking->partial);
+  }
+  return hash;
+}
+
+// The recorded fingerprint for the active SIMD tier (first: scalar, second:
+// AVX2), or nullopt on a tier with none recorded.
+std::optional<uint64_t> FingerprintForTier(uint64_t scalar, uint64_t avx2) {
+  switch (vecmath::ActiveSimdTier()) {
+    case vecmath::SimdTier::kScalar:
+      return scalar;
+    case vecmath::SimdTier::kAvx2:
+      return avx2;
+    default:
+      return std::nullopt;
+  }
+}
+
+// The test engine options without ANNS, which the CTS tests do not need.
+EngineOptions CtsOnlyEngineOptions() {
+  EngineOptions options = FastEngineOptions();
+  options.build_anns = false;
+  return options;
+}
+
+std::unique_ptr<DiscoveryEngine> BuildEngine(const Workload& workload,
+                                             const EngineOptions& options) {
+  return DiscoveryEngine::Build(workload.corpus.federation,
+                                workload.bank.lexicon(), options)
+      .MoveValue();
+}
+
+TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
+  // Pins the CTS rankings bit for bit over the whole workload. The constants
+  // were recorded before the per-cluster vector-database collections became
+  // one cluster-ordered row block scanned in place; scalar under
+  // MIRA_FORCE_SCALAR=1, AVX2 without it.
+  const std::optional<uint64_t> expected = FingerprintForTier(
+      12469985460493807822ULL, 16515422571427583440ULL);
+  if (!expected.has_value()) {
+    GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
+                 << vecmath::SimdTierName(vecmath::ActiveSimdTier());
+  }
+  const Workload workload = SmallWorkload();
+  auto engine = BuildEngine(workload, CtsOnlyEngineOptions());
+  const auto* cts =
+      static_cast<const CtsSearcher*>(engine->searcher(Method::kCts));
+  ASSERT_NE(cts, nullptr);
+  ASSERT_GT(cts->num_clusters(), 1u);
+  EXPECT_EQ(CtsRankingFingerprint(*cts, workload), *expected);
+}
+
+TEST(CtsSearchTest, LargeClusterRankingMatchesParentFingerprint) {
+  // A corpus below the clustering floor (4 x min_cluster_size cells)
+  // collapses into one cluster; past 2048 cells that cluster is searched
+  // through an HNSW graph instead of a flat scan. Constants recorded like
+  // RankingMatchesParentFingerprint's.
+  const std::optional<uint64_t> expected = FingerprintForTier(
+      2326614739933340567ULL, 16953455431268257531ULL);
+  if (!expected.has_value()) {
+    GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
+                 << vecmath::SimdTierName(vecmath::ActiveSimdTier());
+  }
+  const Workload workload = SmallWorkload();
+  EngineOptions options = CtsOnlyEngineOptions();
+  options.cts.hdbscan.min_cluster_size = 4096;
+  auto engine = BuildEngine(workload, options);
+  ASSERT_GT(engine->corpus().num_cells(), 2048u);
+  ASSERT_LT(engine->corpus().num_cells(), 4u * 4096u);
+  const auto* cts =
+      static_cast<const CtsSearcher*>(engine->searcher(Method::kCts));
+  ASSERT_NE(cts, nullptr);
+  ASSERT_EQ(cts->num_clusters(), 1u);
+  EXPECT_GT(cts->MemoryUsage().index.graph_bytes, 0u);
+  EXPECT_EQ(CtsRankingFingerprint(*cts, workload), *expected);
+}
+
+TEST(CtsSearchTest, WrongDimensionQueryIsInvalidArgument) {
+  CovidFixture fx = MakeCovidFixture();
+  embed::EncoderOptions corpus_options;
+  corpus_options.dim = 64;
+  embed::SemanticEncoder corpus_encoder(corpus_options, fx.lexicon);
+  auto corpus = std::make_shared<CorpusEmbeddings>(
+      CorpusEmbeddings::Build(fx.federation, corpus_encoder).MoveValue());
+  embed::EncoderOptions query_options;
+  query_options.dim = 32;
+  auto query_encoder =
+      std::make_shared<embed::SemanticEncoder>(query_options, fx.lexicon);
+  auto cts = CtsSearcher::Build(fx.federation, corpus, query_encoder);
+  ASSERT_TRUE(cts.ok()) << cts.status().ToString();
+  auto ranking = (*cts)->Search("covid vaccine", {});
+  EXPECT_TRUE(ranking.status().IsInvalidArgument())
+      << ranking.status().ToString();
+}
+
 TEST_F(GeneratedWorkloadTest, AnnsReportsIndexMemory) {
   const auto* anns =
       static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
@@ -717,6 +838,14 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
   vectordb::CollectionMemoryStats cts_stats = cts->MemoryUsage();
   EXPECT_GT(cts_stats.points_bytes, 0u);
   EXPECT_GT(cts_stats.total(), 0u);
+  // No cluster of this workload reaches the graph threshold, so the index
+  // is exactly the cell row block plus one medoid row per cluster.
+  const CorpusEmbeddings& corpus = engine_->corpus();
+  EXPECT_EQ(cts_stats.index.graph_bytes, 0u);
+  EXPECT_EQ(cts_stats.index.vectors_bytes,
+            (corpus.num_cells() + cts->num_clusters()) * corpus.dim() *
+                sizeof(float));
+  EXPECT_EQ(cts_stats.index.total(), cts->IndexMemoryBytes());
 }
 
 TEST_F(GeneratedWorkloadTest, PublishResourceMetricsFillsGauges) {

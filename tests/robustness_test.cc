@@ -624,11 +624,12 @@ TEST_F(CorpusIntegrityTest, PartialWriteNeverClobbersTheTarget) {
 
 TEST(FailpointFrameworkTest, RegistryIsStatic) {
   std::vector<std::string> sites = failpoint::RegisteredSites();
-  ASSERT_EQ(sites.size(), 9u);
+  ASSERT_EQ(sites.size(), 10u);
   EXPECT_EQ(sites[0], "embed.encode");
   EXPECT_EQ(sites[4], "corpus.save");
   EXPECT_EQ(sites[7], "service.admit");
   EXPECT_EQ(sites[8], "service.dispatch");
+  EXPECT_EQ(sites[9], "cts.cluster_probe");
 }
 
 TEST(FailpointFrameworkTest, ConfigureReflectsBuildMode) {
@@ -768,6 +769,12 @@ Status DriveSite(const std::string& site, const CovidFixture& fx,
     svc.Stop();
     return response.status;
   }
+  if (site == "cts.cluster_probe") {
+    return SharedEngine()
+        .engine->searcher(Method::kCts)
+        ->Search("covid vaccine", {})
+        .status();
+  }
   return Status::NotImplemented("no failpoint driver for site: " + site);
 }
 
@@ -808,6 +815,54 @@ TEST(FailpointMatrixTest, EverySiteSurfacesATypedError) {
   std::filesystem::remove(good_path);
   std::filesystem::remove(scratch_path);
   std::filesystem::remove(scratch_path + ".tmp");
+}
+
+// ---------- CTS probe faults ----------
+
+const CtsSearcher* SharedCts() {
+  return static_cast<const CtsSearcher*>(
+      SharedEngine().engine->searcher(Method::kCts));
+}
+
+TEST(CtsFailpointTest, ProbeDelayPastTheDeadlineDegradesToProbedClusters) {
+  if (!failpoint::Enabled()) {
+    GTEST_SKIP() << "built with MIRA_FAILPOINTS=OFF";
+  }
+  FailpointGuard guard;
+  const CtsSearcher* cts = SharedCts();
+  ASSERT_NE(cts, nullptr);
+  ASSERT_GE(cts->num_clusters(), 2u) << "no second probe to skip";
+  // The deadline covers the medoid match and the first probe; the delay
+  // after that probe outlasts it, so the second probe never runs.
+  ASSERT_TRUE(failpoint::Configure("cts.cluster_probe",
+                                   failpoint::Action::Delay(300.0, 1))
+                  .ok());
+  DiscoveryOptions options;
+  options.control.deadline = Deadline::After(100.0);
+  auto result = cts->Search("covid vaccine", options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_FALSE(result->empty());
+  EXPECT_TRUE(result->degraded);
+  EXPECT_TRUE(result->partial);
+  EXPECT_EQ(failpoint::HitCount("cts.cluster_probe"), 1u);
+}
+
+TEST(CtsFailpointTest, ProbeErrorPropagates) {
+  if (!failpoint::Enabled()) {
+    GTEST_SKIP() << "built with MIRA_FAILPOINTS=OFF";
+  }
+  FailpointGuard guard;
+  const CtsSearcher* cts = SharedCts();
+  ASSERT_NE(cts, nullptr);
+  ASSERT_TRUE(failpoint::Configure(
+                  "cts.cluster_probe",
+                  failpoint::Action::Error(StatusCode::kIoError))
+                  .ok());
+  DiscoveryOptions options;
+  options.control.deadline = Deadline::After(60'000.0);
+  auto result = cts->Search("covid vaccine", options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsIoError()) << result.status().ToString();
 }
 
 TEST(FailpointMatrixTest, InjectedCodesRoundTripThroughTheStack) {
