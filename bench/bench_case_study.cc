@@ -136,37 +136,25 @@ CaseStudy MakeCaseStudy() {
   return cs;
 }
 
-// Synthetic 16k-cell corpus behind a 4-thread ExS scanner: large enough for
-// the parallel scan path and dominated by vecmath kernel time. Used for the
+// A 4-thread faithful ExS over the case-study federation: each relation is
+// re-encoded on a pool worker, so its exs.scan_relation spans land on worker
+// lanes and its time goes to encoder and vecmath kernels. Used for the
 // cross-thread trace export below and as the scan-heavy --hold workload
-// (whose /profilez captures should show vecmath frames on top).
-// `engine` must outlive the returned scanner (it borrows the encoder).
-std::unique_ptr<discovery::ExhaustiveSearcher> MakeSyntheticScanner(
+// (whose /profilez captures should show vecmath frames).
+// `engine` must outlive the returned scanner (it borrows the federation,
+// corpus and encoder).
+std::unique_ptr<discovery::ExhaustiveSearcher> MakePooledScanner(
     const discovery::DiscoveryEngine& engine) {
-  auto corpus = std::make_shared<discovery::CorpusEmbeddings>();
-  constexpr size_t kCells = 16384;
-  constexpr size_t kRelations = 64;
-  const size_t dim = engine.encoder().dim();
-  corpus->vectors = vecmath::Matrix(kCells, dim);
-  Rng rng(4242);
-  for (size_t i = 0; i < kCells; ++i) {
-    float* row = corpus->vectors.Row(i);
-    for (size_t j = 0; j < dim; ++j) row[j] = rng.NextFloat() - 0.5f;
-    corpus->refs.push_back(
-        {static_cast<table::RelationId>(i % kRelations), 0, 0});
-  }
-  corpus->num_relations = kRelations;
-  corpus->cells_per_relation.assign(kRelations,
-                                    static_cast<uint32_t>(kCells / kRelations));
-
   discovery::ExsOptions exs;
-  exs.reuse_corpus_embeddings = true;
   exs.num_threads = 4;
-  // Non-owning alias: the engine outlives the scanner by contract.
-  std::shared_ptr<const embed::SemanticEncoder> encoder(
-      &engine.encoder(), [](const embed::SemanticEncoder*) {});
-  return std::make_unique<discovery::ExhaustiveSearcher>(nullptr, corpus,
-                                                         encoder, exs);
+  // Non-owning aliases: the engine outlives the scanner by contract.
+  return std::make_unique<discovery::ExhaustiveSearcher>(
+      &engine.federation(),
+      std::shared_ptr<const discovery::CorpusEmbeddings>(
+          std::shared_ptr<void>(), &engine.corpus()),
+      std::shared_ptr<const embed::SemanticEncoder>(std::shared_ptr<void>(),
+                                                    &engine.encoder()),
+      exs);
 }
 
 }  // namespace
@@ -248,13 +236,12 @@ int main(int argc, char** argv) {
       writer.AddQuery(traced.trace, annotations);
     }
 
-    // The case-study corpus is far below the scan's parallel threshold, so
-    // also trace one ExS-cached query over a synthetic 16k-cell corpus with
-    // a 4-thread scan pool: its exs.scan_block spans run on pool workers and
-    // exercise cross-thread trace propagation end to end (the CI check
-    // requires worker-lane spans in the exported file).
+    // The engine's ExS scans serially, so also trace one query through a
+    // 4-thread faithful scan: its exs.scan_relation spans run on pool
+    // workers and exercise cross-thread trace propagation end to end (the
+    // CI check requires worker-lane spans in the exported file).
     {
-      auto scanner = MakeSyntheticScanner(*engine);
+      auto scanner = MakePooledScanner(*engine);
       obs::QueryTrace trace;
       {
         obs::ScopedTrace collect(&trace);
@@ -295,11 +282,11 @@ int main(int argc, char** argv) {
       "different years can rank higher\").\n");
 
   // Live-introspection tail (no-op without --debug-server/--hold): serve the
-  // debugz pages while driving a scan-heavy workload — the synthetic 16k-cell
-  // parallel scan (vecmath-kernel-bound, what /profilez should surface) plus
+  // debugz pages while driving a scan-heavy workload — the pooled faithful
+  // scan (encoder- and vecmath-bound, what /profilez should surface) plus
   // the three traced engine methods (feeding /querylogz and /tracez).
   if (serve.server || serve.hold) {
-    auto scanner = MakeSyntheticScanner(*engine);
+    auto scanner = MakePooledScanner(*engine);
     bench::ServeAndHold(serve, engine.get(), [&] {
       discovery::DiscoveryOptions search;
       search.top_k = 5;

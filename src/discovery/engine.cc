@@ -151,7 +151,6 @@ Status DiscoveryEngine::FinishBuild(const EngineOptions& options) {
                                                      encoder_, options.exs);
   ExsOptions fallback_exs;
   fallback_exs.reuse_corpus_embeddings = true;  // index-speed, shares corpus_
-  fallback_exs.num_threads = 1;                 // partial mode runs serially
   fallback_exs.allow_partial = true;
   fallback_exs_ = std::make_unique<ExhaustiveSearcher>(&federation_, corpus_,
                                                        encoder_, fallback_exs);

@@ -181,10 +181,10 @@ class DiscoveryEngine {
   std::unique_ptr<ExhaustiveSearcher> exhaustive_;
   std::unique_ptr<AnnsSearcher> anns_;
   std::unique_ptr<CtsSearcher> cts_;
-  /// Last rung of the deadline ladder: a serial cached-corpus exhaustive
-  /// scanner in allow_partial mode. Construction is cheap (it shares
-  /// corpus_), and it always returns *something* — even a pre-expired
-  /// budget scans one block.
+  /// Last rung of the deadline ladder: a cached-corpus exhaustive scanner
+  /// in allow_partial mode. Construction builds its per-relation mean
+  /// vectors from corpus_, and it always returns *something* —
+  /// even a pre-expired budget scores one run of relations.
   std::unique_ptr<ExhaustiveSearcher> fallback_exs_;
   BuildReport build_report_;
   std::array<MethodMetrics, 3> method_metrics_{};

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/sync.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "vecmath/simd.h"
@@ -20,8 +19,32 @@ ExhaustiveSearcher::ExhaustiveSearcher(
       options_(options) {
   MIRA_CHECK(corpus_ != nullptr && encoder_ != nullptr);
   MIRA_CHECK(options_.reuse_corpus_embeddings || federation_ != nullptr);
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+  if (!options_.reuse_corpus_embeddings) {
+    if (options_.num_threads > 1) {
+      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+    }
+    return;
+  }
+  // avg_s(r) = (1/n_r) Σ q·c_i = q·m_r: sum each relation's rows in double,
+  // in corpus row order (a relation's rows need not be contiguous), and
+  // store the mean as float. Relations without cells keep a zero row and
+  // are skipped at ranking time.
+  const size_t d = corpus_->dim();
+  std::vector<double> sums(corpus_->num_relations * d, 0.0);
+  for (size_t i = 0; i < corpus_->num_cells(); ++i) {
+    const float* row = corpus_->vectors.Row(i);
+    double* sum = &sums[corpus_->refs[i].relation * d];
+    for (size_t j = 0; j < d; ++j) sum[j] += row[j];
+  }
+  relation_means_ = vecmath::Matrix(corpus_->num_relations, d);
+  for (size_t rid = 0; rid < corpus_->num_relations; ++rid) {
+    const uint32_t cells = corpus_->cells_per_relation[rid];
+    if (cells == 0) continue;
+    float* mean = relation_means_.Row(rid);
+    for (size_t j = 0; j < d; ++j) {
+      mean[j] = static_cast<float>(sums[rid * d + j] /
+                                   static_cast<double>(cells));
+    }
   }
 }
 
@@ -37,101 +60,45 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
 
   const QueryControl& control = options.control;
   const size_t d = corpus_->dim();
-  std::vector<double> score_sum(corpus_->num_relations, 0.0);
-  // Per-relation scanned-cell counts, tracked only on the partial path so
-  // truncated relations average over what was actually seen.
-  std::vector<uint32_t> cells_seen;
+  const size_t num_relations = corpus_->num_relations;
+  // avg_s per relation; only relations [0, reached) are ranked.
+  std::vector<float> avg(num_relations, 0.0f);
+  size_t reached = num_relations;
   const bool track_partial = control.active() && options_.allow_partial;
-  bool partial = false;
   size_t cells_scanned = corpus_->num_cells();
 
-  // Aggregate scan counters live on this call-site span (every cell is
-  // visited exactly once either way); the pool paths additionally record
-  // per-chunk worker spans — ParallelFor propagates the trace context and
-  // splices them in under this span at the join.
+  // Aggregate scan counters live on this call-site span; the faithful pool
+  // paths additionally record per-relation worker spans — ParallelFor
+  // propagates the trace context and splices them in under this span at
+  // the join.
   obs::TraceSpan scan_span("exs.scan");
 
   if (options_.reuse_corpus_embeddings) {
-    // "ExS-cached" ablation: score against the pre-built corpus matrix with
-    // the batched dot kernel, one block of rows at a time (q and the rows
-    // are unit-normalized, so the dot *is* the cosine — no norms needed).
-    // Above kParallelThreshold cells the blocks are partitioned across the
-    // pool; each worker folds into a local per-relation sum merged once
-    // under a mutex, so scores stay independent of the partitioning.
-    const size_t n = corpus_->num_cells();
-    constexpr size_t kBlock = 1024;
-    constexpr size_t kParallelThreshold = 8192;
-    const size_t num_blocks = (n + kBlock - 1) / kBlock;
-    auto scan_block = [&](std::vector<double>& sums, size_t block) {
-      const size_t start = block * kBlock;
-      const size_t count = std::min(kBlock, n - start);
-      float scores[kBlock];
-      vecmath::DotBatch(q.data(), corpus_->vectors.Row(start), count, d,
-                        scores);
-      for (size_t j = 0; j < count; ++j) {
-        sums[corpus_->refs[start + j].relation] += scores[j];
+    // "ExS-cached" ablation: one dot per relation against its mean cell
+    // vector (q and the cells are unit-normalized, so each q·c_i is the
+    // cosine and their mean is q·m_r). Relations are scored in runs of at
+    // least kRunCells cells with a budget check before each run. In partial
+    // mode run 0 always executes (a pre-expired budget still yields hits)
+    // and the relations past the cut go missing.
+    constexpr size_t kRunCells = 1024;
+    cells_scanned = 0;
+    size_t begin = 0;
+    while (begin < num_relations) {
+      if (!track_partial) {
+        MIRA_RETURN_NOT_OK(control.Check("exs.scan"));
+      } else if (begin > 0 && control.ShouldStop()) {
+        break;
       }
-    };
-    if (track_partial) {
-      // Partial mode runs serially so "everything before the cut" is well
-      // defined: block 0 always runs (a pre-expired budget still yields
-      // hits), later blocks only while budget remains.
-      cells_seen.assign(corpus_->num_relations, 0);
-      size_t scanned = 0;
-      for (size_t block = 0; block < num_blocks; ++block) {
-        if (block > 0 && control.ShouldStop()) break;
-        const size_t start = block * kBlock;
-        const size_t count = std::min(kBlock, n - start);
-        scan_block(score_sum, block);
-        for (size_t j = 0; j < count; ++j) {
-          ++cells_seen[corpus_->refs[start + j].relation];
-        }
-        scanned += count;
+      size_t end = begin;
+      const size_t run_start = cells_scanned;
+      while (end < num_relations && cells_scanned - run_start < kRunCells) {
+        cells_scanned += corpus_->cells_per_relation[end++];
       }
-      partial = scanned < n;
-      cells_scanned = scanned;
-    } else if (control.active()) {
-      if (pool_ != nullptr && n >= kParallelThreshold) {
-        Mutex merge_mu;
-        MIRA_RETURN_NOT_OK(ParallelForCancellable(
-            pool_.get(), 0, num_blocks, &control, [&](size_t block) {
-              obs::TraceSpan span("exs.scan_block");
-              span.AddCounter(
-                  "cells",
-                  static_cast<int64_t>(std::min(kBlock, n - block * kBlock)));
-              std::vector<double> local(score_sum.size(), 0.0);
-              scan_block(local, block);
-              MutexLock lock(merge_mu);
-              for (size_t rid = 0; rid < local.size(); ++rid) {
-                score_sum[rid] += local[rid];
-              }
-              return Status::OK();
-            }));
-      } else {
-        for (size_t block = 0; block < num_blocks; ++block) {
-          MIRA_RETURN_NOT_OK(control.Check("exs.scan"));
-          scan_block(score_sum, block);
-        }
-      }
-    } else if (pool_ != nullptr && n >= kParallelThreshold) {
-      Mutex merge_mu;
-      ParallelFor(pool_.get(), 0, num_blocks, [&](size_t block) {
-        obs::TraceSpan span("exs.scan_block");
-        span.AddCounter(
-            "cells",
-            static_cast<int64_t>(std::min(kBlock, n - block * kBlock)));
-        std::vector<double> local(score_sum.size(), 0.0);
-        scan_block(local, block);
-        MutexLock lock(merge_mu);
-        for (size_t rid = 0; rid < local.size(); ++rid) {
-          score_sum[rid] += local[rid];
-        }
-      });
-    } else {
-      for (size_t block = 0; block < num_blocks; ++block) {
-        scan_block(score_sum, block);
-      }
+      vecmath::DotBatch(q.data(), relation_means_.Row(begin), end - begin, d,
+                        &avg[begin]);
+      begin = end;
     }
+    reached = begin;
   } else {
     // Faithful Algorithm 1: every attribute value is embedded inside the
     // query loop (lines 3-8) before its similarity is computed. With a pool
@@ -149,7 +116,10 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
           sum += vecmath::Dot(q.data(), w.data(), d);
         }
       }
-      score_sum[rid] = sum;
+      const uint32_t cells = corpus_->cells_per_relation[rid];
+      if (cells > 0) {
+        avg[rid] = static_cast<float>(sum / static_cast<double>(cells));
+      }
     };
     // Pool paths wrap each relation in a worker span (serial paths stay
     // covered by the call-site exs.scan span alone, keeping serial traces
@@ -162,16 +132,14 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
     };
     if (track_partial) {
       // Serial with a per-relation budget check; relation 0 always runs.
-      cells_seen.assign(corpus_->num_relations, 0);
       size_t scanned = 0;
       for (size_t rid = 0; rid < federation_->size(); ++rid) {
         if (rid > 0 && control.ShouldStop()) {
-          partial = true;
+          reached = rid;
           break;
         }
         scan_relation(rid);
-        cells_seen[rid] = corpus_->cells_per_relation[rid];
-        scanned += cells_seen[rid];
+        scanned += corpus_->cells_per_relation[rid];
       }
       cells_scanned = scanned;
     } else if (control.active()) {
@@ -198,6 +166,7 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
 
   scan_span.AddCounter("cells_scanned", static_cast<int64_t>(cells_scanned));
   scan_span.AddCounter("dist_comps", static_cast<int64_t>(cells_scanned));
+  scan_span.AddCounter("relations_scanned", static_cast<int64_t>(reached));
   scan_span.AddCounter("reused_embeddings",
                        options_.reuse_corpus_embeddings ? 1 : 0);
   scan_span.Finish();
@@ -207,17 +176,12 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
     cells_metric.Add(cells_scanned);
   }
 
-  // avg_s per relation, then sort / threshold / top-k (lines 10-13). On the
-  // partial path the denominator is the scanned-cell count, so relations the
-  // cut truncated still score as the average of what was seen.
+  // Sort / threshold / top-k over the relations reached (lines 10-13).
   Ranking ranking;
-  ranking.reserve(corpus_->num_relations);
-  for (table::RelationId rid = 0; rid < corpus_->num_relations; ++rid) {
-    uint32_t cells = track_partial ? cells_seen[rid]
-                                   : corpus_->cells_per_relation[rid];
-    if (cells == 0) continue;
-    ranking.push_back(
-        {rid, static_cast<float>(score_sum[rid] / static_cast<double>(cells))});
+  ranking.reserve(reached);
+  for (table::RelationId rid = 0; rid < reached; ++rid) {
+    if (corpus_->cells_per_relation[rid] == 0) continue;
+    ranking.push_back({rid, avg[rid]});
   }
   std::sort(ranking.begin(), ranking.end(),
             [](const DiscoveryHit& a, const DiscoveryHit& b) {
@@ -225,8 +189,8 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
               return a.relation < b.relation;
             });
   ApplyThresholdAndTopK(&ranking, options);
-  ranking.partial = partial;
-  ranking.degraded = partial;
+  ranking.partial = reached < num_relations;
+  ranking.degraded = ranking.partial;
   return ranking;
 }
 

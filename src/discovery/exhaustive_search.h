@@ -8,6 +8,7 @@
 #include "discovery/corpus_embeddings.h"
 #include "discovery/types.h"
 #include "embed/encoder.h"
+#include "vecmath/matrix.h"
 
 namespace mira::discovery {
 
@@ -21,18 +22,19 @@ struct ExsOptions {
   /// pre-built corpus embeddings instead (the "ExS-cached" ablation;
   /// identical scores, index-assisted speed).
   bool reuse_corpus_embeddings = false;
-  /// Worker threads for the per-query scan (1 = serial, the paper's setup;
-  /// >1 partitions relations across a thread pool — an engineering extension
-  /// that preserves scores exactly).
+  /// Worker threads for the faithful per-query scan (1 = serial, the
+  /// paper's setup; >1 partitions relations across a thread pool — an
+  /// engineering extension that preserves scores exactly). The cached scan
+  /// is one dot per relation and always runs on the calling thread, so it
+  /// ignores this.
   size_t num_threads = 1;
   /// How an active DiscoveryOptions::control firing mid-scan is handled.
   /// false (default): the scan aborts and Search returns
-  /// kDeadlineExceeded/kCancelled. true: the scan stops where it is —
-  /// after at least one block/relation, so even a pre-expired deadline
-  /// yields hits — and Search returns the relations scanned so far with
-  /// `partial` and `degraded` set, averaging each relation over its
-  /// *scanned* cells only. The engine's last-resort fallback uses this
-  /// mode; see docs/ROBUSTNESS.md.
+  /// kDeadlineExceeded/kCancelled. true: the scan stops at a relation
+  /// boundary — after at least one run of relations, so even a pre-expired
+  /// deadline yields hits — and Search returns the relations reached so far,
+  /// each scored exactly, with `partial` and `degraded` set. The engine's
+  /// last-resort fallback uses this mode; see docs/ROBUSTNESS.md.
   bool allow_partial = false;
 };
 
@@ -43,6 +45,11 @@ struct ExsOptions {
 /// cells (avg_s). Thorough, query-time O(total cells), and — as the paper's
 /// §5.3 case study shows — prone to diluting a relation's relevance with its
 /// unrelated attributes.
+///
+/// The threshold applies only after averaging and the dot product is
+/// linear, so with cached embeddings avg_s(r) = q·m_r, where m_r is the mean
+/// of r's normalized cell vectors: the cached scan is one dot per relation
+/// against a matrix of means built at construction.
 class ExhaustiveSearcher final : public Searcher {
  public:
   /// Shares ownership of pre-built corpus embeddings. `federation` must
@@ -56,8 +63,8 @@ class ExhaustiveSearcher final : public Searcher {
                          const DiscoveryOptions& options) const override;
   std::string name() const override { return "ExS"; }
 
-  /// The scan pool (null when num_threads <= 1). Resource-accounting gauges
-  /// read its queue stats.
+  /// The faithful scan's pool (null when num_threads <= 1 or embeddings are
+  /// reused). Resource-accounting gauges read its queue stats.
   const ThreadPool* pool() const { return pool_.get(); }
 
  private:
@@ -65,8 +72,11 @@ class ExhaustiveSearcher final : public Searcher {
   std::shared_ptr<const CorpusEmbeddings> corpus_;
   std::shared_ptr<const embed::SemanticEncoder> encoder_;
   ExsOptions options_;
-  /// Present only when options_.num_threads > 1.
+  /// Present only on the faithful path with options_.num_threads > 1.
   std::unique_ptr<ThreadPool> pool_;
+  /// num_relations x dim mean cell vectors; filled only when
+  /// options_.reuse_corpus_embeddings is set.
+  vecmath::Matrix relation_means_;
 };
 
 }  // namespace mira::discovery

@@ -371,8 +371,9 @@ TEST_F(GeneratedWorkloadTest, ExhaustiveDeterministic) {
 }
 
 TEST_F(GeneratedWorkloadTest, CachedExhaustiveMatchesFaithful) {
-  // The ExS-cached ablation must return identical rankings — only speed
-  // differs.
+  // The ExS-cached ablation (one dot per relation against its mean cell
+  // vector) must return the rankings of the faithful per-cell scan on every
+  // query — only speed differs.
   auto corpus = std::make_shared<CorpusEmbeddings>(
       CorpusEmbeddings::Build(workload_->corpus.federation, engine_->encoder())
           .MoveValue());
@@ -390,8 +391,9 @@ TEST_F(GeneratedWorkloadTest, CachedExhaustiveMatchesFaithful) {
   ExhaustiveSearcher fast(nullptr, corpus, encoder, cached);
   DiscoveryOptions options;
   options.top_k = 20;
-  for (size_t qi = 0; qi < 3; ++qi) {
-    const auto& q = workload_->queries[qi];
+  ASSERT_FALSE(workload_->queries.empty());
+  for (const auto& q : workload_->queries) {
+    SCOPED_TRACE(q.text);
     auto faithful =
         engine_->Search(Method::kExhaustive, q.text, options).MoveValue();
     auto quick = fast.Search(q.text, options).MoveValue();
@@ -763,61 +765,124 @@ TEST_F(GeneratedWorkloadTest, TraceSamplingZeroDisablesCollection) {
   EXPECT_FALSE(traced.ranking.empty());
 }
 
-TEST(TracedScanTest, ParallelCachedScanEmitsWorkerSpans) {
+TEST(TracedScanTest, ParallelFaithfulScanEmitsWorkerSpans) {
   if (!obs::kObsEnabled) GTEST_SKIP() << "built with MIRA_OBS=OFF";
-  // 8192 cells reach the cached scan's parallel threshold, so the blocks go
-  // through the pool and each chunk's exs.scan_block span must come back
-  // spliced under exs.scan with the worker's thread id.
-  auto corpus = std::make_shared<CorpusEmbeddings>();
-  constexpr size_t kCells = 8192;
-  constexpr size_t kRelations = 16;
-  constexpr size_t kDim = 32;
-  corpus->vectors = vecmath::Matrix(kCells, kDim);
-  Rng rng(99);
-  for (size_t i = 0; i < kCells; ++i) {
-    float* row = corpus->vectors.Row(i);
-    for (size_t j = 0; j < kDim; ++j) row[j] = rng.NextFloat() - 0.5f;
-    corpus->refs.push_back(
-        {static_cast<table::RelationId>(i % kRelations), 0, 0});
+  // A 4-thread faithful scan re-encodes each relation on a pool worker:
+  // every exs.scan_relation span must come back spliced under exs.scan with
+  // the worker's thread id. The cached scan on a 4-thread searcher is one
+  // dot per relation on the calling thread, so it emits no worker spans.
+  CovidFixture fx = MakeCovidFixture();
+  embed::EncoderOptions encoder_options;
+  encoder_options.dim = 32;
+  auto encoder =
+      std::make_shared<embed::SemanticEncoder>(encoder_options, fx.lexicon);
+  auto corpus = std::make_shared<CorpusEmbeddings>(
+      CorpusEmbeddings::Build(fx.federation, *encoder).MoveValue());
+  const int64_t kCells = static_cast<int64_t>(corpus->num_cells());
+
+  auto trace_scan = [&](bool reuse) {
+    ExsOptions exs;
+    exs.reuse_corpus_embeddings = reuse;
+    exs.num_threads = 4;
+    ExhaustiveSearcher scanner(&fx.federation, corpus, encoder, exs);
+    obs::QueryTrace trace;
+    {
+      obs::ScopedTrace collect(&trace);
+      EXPECT_TRUE(collect.armed());
+      auto ranking = scanner.Search("covid vaccine", {}).MoveValue();
+      EXPECT_FALSE(ranking.empty());
+    }
+    return trace;
+  };
+
+  const obs::QueryTrace faithful = trace_scan(false);
+  const obs::SpanRecord* scan = faithful.Find("exs.scan");
+  ASSERT_NE(scan, nullptr);
+  const int32_t scan_index =
+      static_cast<int32_t>(scan - faithful.spans().data());
+  size_t relations = 0;
+  for (const obs::SpanRecord& span : faithful.spans()) {
+    if (std::string_view(span.name) != "exs.scan_relation") continue;
+    ++relations;
+    EXPECT_EQ(span.parent, scan_index);
+    EXPECT_GT(span.tid, 0);
   }
+  EXPECT_EQ(relations, fx.federation.size());  // one span per relation
+  EXPECT_EQ(faithful.CounterValue("exs.scan_relation", "cells"), kCells);
+  EXPECT_EQ(faithful.CounterValue("exs.scan", "cells_scanned"), kCells);
+
+  const obs::QueryTrace cached = trace_scan(true);
+  ASSERT_NE(cached.Find("exs.scan"), nullptr);
+  EXPECT_EQ(cached.CounterValue("exs.scan", "cells_scanned"), kCells);
+  for (const obs::SpanRecord& span : cached.spans()) {
+    EXPECT_EQ(span.tid, 0) << span.name;
+  }
+}
+
+TEST(CachedExhaustiveTest, MeanVectorScoresMatchPerCellAverage) {
+  // Hand-built corpus whose relations interleave row by row, with unequal
+  // cell counts and one relation without cells: each cached score q·m_r
+  // must equal the per-cell average of q·c_i computed in double.
+  constexpr size_t kRelations = 7;
+  constexpr size_t kEmpty = 3;
+  constexpr size_t kDim = 32;
+  auto corpus = std::make_shared<CorpusEmbeddings>();
   corpus->num_relations = kRelations;
-  corpus->cells_per_relation.assign(kRelations,
-                                    static_cast<uint32_t>(kCells / kRelations));
+  corpus->cells_per_relation.assign(kRelations, 0);
+  Rng rng(4711);
+  std::vector<vecmath::Vec> rows;
+  for (size_t i = 0; i < 3000; ++i) {
+    const size_t rid = i % kRelations;
+    if (rid == kEmpty) continue;
+    if (rid == 1 && i % 3 != 0) continue;  // about a third of the others
+    if (rid == 5 && i > 200) continue;     // a small relation
+    vecmath::Vec row(kDim);
+    for (float& x : row) x = rng.NextFloat() - 0.5f;
+    vecmath::NormalizeInPlace(&row);
+    rows.push_back(std::move(row));
+    corpus->refs.push_back({static_cast<table::RelationId>(rid), 0, 0});
+    ++corpus->cells_per_relation[rid];
+  }
+  corpus->vectors = vecmath::Matrix(rows.size(), kDim);
+  for (size_t i = 0; i < rows.size(); ++i) corpus->vectors.SetRow(i, rows[i]);
+  ASSERT_NE(corpus->cells_per_relation[1], corpus->cells_per_relation[0]);
+  ASSERT_NE(corpus->cells_per_relation[5], corpus->cells_per_relation[0]);
 
   CovidFixture fx = MakeCovidFixture();
   embed::EncoderOptions encoder_options;
   encoder_options.dim = kDim;
   auto encoder =
       std::make_shared<embed::SemanticEncoder>(encoder_options, fx.lexicon);
-
   ExsOptions exs;
   exs.reuse_corpus_embeddings = true;
-  exs.num_threads = 4;
   ExhaustiveSearcher scanner(nullptr, corpus, encoder, exs);
 
-  obs::QueryTrace trace;
-  {
-    obs::ScopedTrace collect(&trace);
-    ASSERT_TRUE(collect.armed());
-    auto ranking = scanner.Search("covid vaccine", {}).MoveValue();
-    EXPECT_FALSE(ranking.empty());
+  const std::string query = "covid vaccine";
+  vecmath::Vec q = encoder->EncodeText(query);
+  vecmath::NormalizeInPlace(&q);
+  std::vector<double> expected(kRelations, 0.0);
+  for (size_t i = 0; i < corpus->num_cells(); ++i) {
+    double dot = 0.0;
+    for (size_t j = 0; j < kDim; ++j) {
+      dot += static_cast<double>(q[j]) *
+             static_cast<double>(corpus->vectors.At(i, j));
+    }
+    expected[corpus->refs[i].relation] += dot;
   }
-  const obs::SpanRecord* scan = trace.Find("exs.scan");
-  ASSERT_NE(scan, nullptr);
-  const int32_t scan_index =
-      static_cast<int32_t>(scan - trace.spans().data());
-  size_t blocks = 0;
-  for (const obs::SpanRecord& span : trace.spans()) {
-    if (std::string_view(span.name) != "exs.scan_block") continue;
-    ++blocks;
-    EXPECT_EQ(span.parent, scan_index);
-    EXPECT_GT(span.tid, 0);
+
+  DiscoveryOptions options;
+  options.top_k = kRelations;
+  const Ranking ranking = scanner.Search(query, options).MoveValue();
+  EXPECT_FALSE(ranking.partial);
+  ASSERT_EQ(ranking.size(), kRelations - 1);
+  for (const DiscoveryHit& hit : ranking) {
+    ASSERT_NE(hit.relation, kEmpty);
+    EXPECT_NEAR(hit.score,
+                expected[hit.relation] /
+                    static_cast<double>(corpus->cells_per_relation[hit.relation]),
+                1e-6)
+        << "relation " << hit.relation;
   }
-  EXPECT_EQ(blocks, kCells / 1024);  // one span per 1024-cell block
-  EXPECT_EQ(trace.CounterValue("exs.scan_block", "cells"),
-            static_cast<int64_t>(kCells));
-  EXPECT_EQ(trace.CounterValue("exs.scan", "cells_scanned"),
-            static_cast<int64_t>(kCells));
 }
 
 TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
