@@ -19,9 +19,7 @@ namespace {
 /// failpoint matrix in tests/robustness_test.cc.
 constexpr const char* kSites[] = {
     "embed.encode",         // per-cell encoding inside CorpusEmbeddings::Build
-    "vectordb.upsert",      // Collection::Upsert
-    "vectordb.search",      // Collection::Search
-    "index.build",          // Collection::BuildIndex (vector index build)
+    "index.build",          // AnnsSearcher::Build, before the HNSW build
     "corpus.save",          // CorpusEmbeddings::Save entry
     "corpus.save.partial",  // CorpusEmbeddings::Save payload write cutoff
     "corpus.load",          // CorpusEmbeddings::Load entry
@@ -34,6 +32,9 @@ constexpr const char* kSites[] = {
     "cts.cluster_probe",    // CtsSearcher::Search, after each cluster probe
                             // is grouped (delay drains the budget between
                             // probes)
+    "anns.search",          // AnnsSearcher::Search, after the HNSW search and
+                            // before grouping (delay drains the budget
+                            // between probe and ranking)
 };
 
 struct SiteState {

@@ -17,7 +17,7 @@ namespace mira::failpoint {
 /// Sites are *registered statically* in failpoint.cc (kSites) so the CI
 /// failpoint matrix can enumerate them without executing the code paths
 /// first, and so arming a misspelled site fails loudly. Naming scheme:
-/// `<layer>.<operation>[.<variant>]`, e.g. "vectordb.upsert",
+/// `<layer>.<operation>[.<variant>]`, e.g. "index.build",
 /// "corpus.save.partial" — see docs/ROBUSTNESS.md for the registry.
 ///
 /// With the default build (-DMIRA_FAILPOINTS=OFF) the MIRA_FAILPOINT macros
@@ -71,7 +71,7 @@ bool Enabled();
 ///           | partial(<bytes>[,count]) | off
 ///   code   := io | unavailable | internal | dataloss | cancelled | deadline
 ///
-/// e.g. MIRA_FAILPOINTS='corpus.load=error(io,2);vectordb.search=delay(5)'.
+/// e.g. MIRA_FAILPOINTS='corpus.load=error(io,2);anns.search=delay(5)'.
 [[nodiscard]] Status ConfigureFromString(const std::string& spec);
 
 /// Disarms one site / every site. Clearing is always safe (no-op when

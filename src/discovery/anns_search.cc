@@ -2,20 +2,20 @@
 
 #include <algorithm>
 
+#include "common/failpoint.h"
+#include "index/hnsw_index.h"
 #include "obs/trace.h"
 #include "vecmath/vector_ops.h"
 
 namespace mira::discovery {
 
-namespace {
-constexpr char kCellCollection[] = "cells";
-}  // namespace
-
 AnnsSearcher::AnnsSearcher(AnnsOptions options, size_t num_relations)
     : options_(options), num_relations_(num_relations) {}
 
+AnnsSearcher::~AnnsSearcher() = default;
+
 Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
-    const table::Federation& federation,
+    const table::Federation& /*federation*/,
     std::shared_ptr<const CorpusEmbeddings> corpus,
     std::shared_ptr<const embed::SemanticEncoder> encoder,
     const AnnsOptions& options) {
@@ -28,34 +28,32 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
   // Keep the encoder alive through the shared_ptr captured below.
   searcher->encoder_ = encoder;
 
-  vectordb::CollectionParams params;
-  params.dim = corpus->dim();
-  params.metric = vecmath::Metric::kCosine;
-  params.index_kind = options.use_pq ? vectordb::IndexKind::kHnswPq
-                                     : vectordb::IndexKind::kHnsw;
-  params.hnsw_m = options.hnsw_m;
-  params.hnsw_ef_construction = options.hnsw_ef_construction;
-  params.hnsw_ef_search = options.ef_search;
-  params.pq_subquantizers = options.pq_subquantizers;
-  params.pq_nbits = options.pq_nbits;
-  params.seed = options.seed;
-
-  MIRA_ASSIGN_OR_RETURN(vectordb::Collection * cells,
-                        searcher->db_.CreateCollection(kCellCollection, params));
-  // Step 1 of Algorithm 2: populate the vector database. Each point carries
-  // the relation id and attribute name as payload metadata.
-  for (size_t i = 0; i < corpus->num_cells(); ++i) {
-    const CellRef& ref = corpus->refs[i];
-    vectordb::Point point;
-    point.id = static_cast<uint64_t>(i);
-    point.vector = corpus->vectors.RowVec(i);
-    point.payload.SetInt("rel", static_cast<int64_t>(ref.relation));
-    searcher->cell_relation_.push_back(ref.relation);
-    point.payload.SetString(
-        "attr", federation.relation(ref.relation).schema[ref.col]);
-    MIRA_RETURN_NOT_OK(cells->Upsert(std::move(point)));
+  index::HnswOptions hnsw;
+  hnsw.M = options.hnsw_m;
+  hnsw.ef_construction = options.hnsw_ef_construction;
+  hnsw.ef_search = options.ef_search;
+  hnsw.metric = vecmath::Metric::kCosine;
+  hnsw.seed = options.seed;
+  if (options.use_pq) {
+    index::PqOptions pq;
+    // Shrink m for small dims so it always divides; PQ needs subvectors.
+    size_t m = options.pq_subquantizers;
+    while (m > 1 && corpus->dim() % m != 0) --m;
+    pq.num_subquantizers = m;
+    pq.nbits = options.pq_nbits;
+    hnsw.quantization = pq;
   }
-  MIRA_RETURN_NOT_OK(cells->BuildIndex());
+  searcher->index_ = std::make_unique<index::HnswIndex>(hnsw);
+
+  // Step 1 of Algorithm 2: index every cell embedding under its cell index.
+  searcher->index_->Reserve(corpus->num_cells());
+  searcher->cell_relation_.reserve(corpus->num_cells());
+  for (size_t i = 0; i < corpus->num_cells(); ++i) {
+    MIRA_RETURN_NOT_OK(searcher->index_->Add(i, corpus->vectors.RowVec(i)));
+    searcher->cell_relation_.push_back(corpus->refs[i].relation);
+  }
+  MIRA_FAILPOINT("index.build");
+  MIRA_RETURN_NOT_OK(searcher->index_->Build());
   return searcher;
 }
 
@@ -67,9 +65,6 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
     q = encoder_->EncodeText(query);
     vecmath::NormalizeInPlace(&q);
   }
-
-  MIRA_ASSIGN_OR_RETURN(const vectordb::Collection* cells,
-                        db_.GetCollection(kCellCollection));
 
   // Graceful degradation under a deadline: shrink the HNSW beam as the
   // budget drains (full ef above 50% remaining, half above 25%, quarter
@@ -91,17 +86,18 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
     degraded = degraded && ef < options_.ef_search;
   }
 
-  std::vector<vectordb::SearchHit> hits;
+  std::vector<vecmath::ScoredId> hits;
   {
     obs::TraceSpan span("anns.hnsw_search");
     MIRA_ASSIGN_OR_RETURN(
-        hits, cells->Search(q, options_.cell_candidates, ef, {},
-                            control.active() ? &control : nullptr));
+        hits, index_->Search(q, {options_.cell_candidates, ef,
+                                 control.active() ? &control : nullptr}));
     span.AddCounter("candidates_requested",
                     static_cast<int64_t>(options_.cell_candidates));
     span.AddCounter("ef", static_cast<int64_t>(ef));
     span.AddCounter("hits", static_cast<int64_t>(hits.size()));
   }
+  MIRA_FAILPOINT("anns.search");
 
   // Step 2 of Algorithm 2: the relation score is the average similarity of
   // the relation's vectors among the approximate nearest neighbors. Hit ids
@@ -129,15 +125,13 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
   return ranking;
 }
 
-size_t AnnsSearcher::IndexMemoryBytes() const {
-  auto cells = db_.GetCollection(kCellCollection);
-  return cells.ok() ? (*cells)->IndexMemoryBytes() : 0;
-}
+size_t AnnsSearcher::IndexMemoryBytes() const { return index_->MemoryBytes(); }
 
-vectordb::CollectionMemoryStats AnnsSearcher::MemoryUsage() const {
-  auto cells = db_.GetCollection(kCellCollection);
-  return cells.ok() ? (*cells)->MemoryUsage()
-                    : vectordb::CollectionMemoryStats{};
+CollectionMemoryStats AnnsSearcher::MemoryUsage() const {
+  CollectionMemoryStats stats;
+  stats.points_bytes = cell_relation_.size() * sizeof(table::RelationId);
+  stats.index = index_->MemoryUsage();
+  return stats;
 }
 
 }  // namespace mira::discovery

@@ -8,7 +8,10 @@
 #include "discovery/corpus_embeddings.h"
 #include "discovery/types.h"
 #include "embed/encoder.h"
-#include "vectordb/vector_db.h"
+
+namespace mira::index {
+class HnswIndex;
+}  // namespace mira::index
 
 namespace mira::discovery {
 
@@ -36,14 +39,13 @@ struct AnnsOptions {
 
 /// Approximate Nearest Neighbors Search — Algorithm 2 (§4.2).
 ///
-/// Build: every cell embedding is stored in a vector-database collection with
-/// its metadata (relation id, attribute name), Product-Quantization
-/// compressed and HNSW indexed. Search: embed the query, fetch the
-/// approximate nearest cells, rank relations by the average similarity of
-/// their retrieved cells.
+/// Build: every cell embedding is HNSW indexed under its cell index, with
+/// Product-Quantization compressed traversal and exact rescoring. Search:
+/// embed the query, fetch the approximate nearest cells, rank relations by
+/// the average similarity of their retrieved cells.
 class AnnsSearcher final : public Searcher {
  public:
-  /// Builds the vector database from pre-computed corpus embeddings.
+  /// Builds the index from pre-computed corpus embeddings.
   [[nodiscard]] static Result<std::unique_ptr<AnnsSearcher>> Build(
       const table::Federation& federation,
       std::shared_ptr<const CorpusEmbeddings> corpus,
@@ -57,21 +59,24 @@ class AnnsSearcher final : public Searcher {
   /// Resident bytes of the vector index (storage-reduction reporting).
   size_t IndexMemoryBytes() const;
 
-  /// Full resident-byte breakdown of the cell collection (points, payload
-  /// index, vector index) — feeds the `mira.mem.anns.*` gauges.
-  vectordb::CollectionMemoryStats MemoryUsage() const;
+  /// Resident-byte breakdown for the `mira.mem.anns.*` gauges: `index` is
+  /// the HNSW graph, vectors and PQ codes, `points_bytes` the cell->relation
+  /// map.
+  CollectionMemoryStats MemoryUsage() const;
   const AnnsOptions& options() const { return options_; }
+
+  ~AnnsSearcher() override;
 
  private:
   AnnsSearcher(AnnsOptions options, size_t num_relations);
 
   AnnsOptions options_;
   size_t num_relations_;
-  /// cell_relation_[cell] = the cell point's `rel` payload; points are keyed
-  /// by cell index, so grouping hits needs no payload lookup.
+  /// cell_relation_[cell] = the cell's relation; index ids are cell indexes,
+  /// so grouping hits is one array read each.
   std::vector<table::RelationId> cell_relation_;
   std::shared_ptr<const embed::SemanticEncoder> encoder_;
-  vectordb::VectorDb db_;
+  std::unique_ptr<index::HnswIndex> index_;
 };
 
 }  // namespace mira::discovery

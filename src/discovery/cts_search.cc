@@ -294,8 +294,8 @@ size_t CtsSearcher::IndexMemoryBytes() const {
   return MemoryUsage().index.total();
 }
 
-vectordb::CollectionMemoryStats CtsSearcher::MemoryUsage() const {
-  vectordb::CollectionMemoryStats total;
+CollectionMemoryStats CtsSearcher::MemoryUsage() const {
+  CollectionMemoryStats total;
   total.points_bytes = row_relation_.size() * sizeof(table::RelationId) +
                        cluster_begin_.size() * sizeof(size_t);
   total.index.vectors_bytes =

@@ -11,7 +11,6 @@
 #include "discovery/types.h"
 #include "embed/encoder.h"
 #include "vecmath/matrix.h"
-#include "vectordb/collection.h"
 
 namespace mira::index {
 class HnswIndex;
@@ -74,7 +73,7 @@ class CtsSearcher final : public Searcher {
   size_t IndexMemoryBytes() const;
   /// Resident-byte breakdown for the `mira.mem.cts.*` gauges: `index` is the
   /// rows, medoids and graphs, `points_bytes` the row->relation/offsets.
-  vectordb::CollectionMemoryStats MemoryUsage() const;
+  CollectionMemoryStats MemoryUsage() const;
   const CtsOptions& options() const { return options_; }
 
   ~CtsSearcher() override;

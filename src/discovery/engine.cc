@@ -289,11 +289,9 @@ void DiscoveryEngine::PublishResourceMetrics() const {
     }
     const auto publish = [&registry, &total](
                              const std::string& prefix,
-                             const vectordb::CollectionMemoryStats& stats) {
+                             const CollectionMemoryStats& stats) {
       registry.GetGauge(prefix + ".points_bytes")
           .Set(static_cast<double>(stats.points_bytes));
-      registry.GetGauge(prefix + ".payload_index_bytes")
-          .Set(static_cast<double>(stats.payload_index_bytes));
       registry.GetGauge(prefix + ".index_graph_bytes")
           .Set(static_cast<double>(stats.index.graph_bytes));
       registry.GetGauge(prefix + ".index_codes_bytes")

@@ -8,6 +8,7 @@
 
 #include "common/deadline.h"
 #include "common/result.h"
+#include "index/vector_index.h"
 #include "table/relation.h"
 
 namespace mira::discovery {
@@ -71,6 +72,15 @@ struct Ranking {
   void reserve(size_t n) { hits.reserve(n); }
   void resize(size_t n) { hits.resize(n); }
   void clear() { hits.clear(); }
+};
+
+/// Resident-byte breakdown of a searcher's cell storage, for the
+/// `mira.mem.{anns,cts}.*` gauges: the per-cell bookkeeping next to the
+/// vector index, and the index's own MemoryStats.
+struct CollectionMemoryStats {
+  size_t points_bytes = 0;  ///< Cell->relation map and row offsets.
+  index::MemoryStats index;  ///< Vector-index breakdown.
+  size_t total() const { return points_bytes + index.total(); }
 };
 
 /// Common interface of the three semantic search methods (and of the

@@ -80,9 +80,9 @@ void HnswIndex::SearchScratch::BeginQuery() {
     std::fill(visited.begin(), visited.end(), 0u);
     epoch = 1;
   }
-  frontier.clear();
-  best.clear();
   beam.clear();
+  expanded.clear();
+  ties.clear();
 }
 
 std::unique_ptr<HnswIndex::SearchScratch> HnswIndex::AcquireScratch() const {
@@ -151,13 +151,18 @@ Status HnswIndex::SearchLayer(const BatchDistance& dist, uint32_t entry,
                               size_t ef, int level,
                               const QueryControl* control,
                               SearchScratch* scratch) const {
-  // Min-heap of frontier candidates, max-heap of current best ef results,
-  // both living in the scratch's reused storage; visited marks are epoch
-  // stamps, so resetting them costs one increment instead of a hash-set
-  // rebuild.
+  // One candidate pool (NSG's, Fu et al. 2019) in place of a frontier
+  // min-heap and a best-ef max-heap: at most ef candidates sorted by
+  // (distance, node), an expanded mark per entry, and a cursor at the first
+  // unexpanded one. It expands exactly what the two heaps expanded, in the
+  // same order: the heaps' next pop was the smallest unexpanded admitted
+  // candidate, and an evicted candidate is greater than every pool member
+  // from then on, so it could only be popped on an exact distance tie with
+  // the pool's maximum. `ties` keeps those.
   scratch->BeginQuery();
-  std::vector<Candidate>& frontier = scratch->frontier;
-  std::vector<Candidate>& best = scratch->best;
+  std::vector<Candidate>& pool = scratch->beam;
+  std::vector<uint8_t>& expanded = scratch->expanded;
+  std::vector<Candidate>& ties = scratch->ties;
   std::vector<uint32_t>& visited = scratch->visited;
   const uint32_t epoch = scratch->epoch;
   uint32_t* gathered = scratch->gathered.data();
@@ -165,15 +170,26 @@ Status HnswIndex::SearchLayer(const BatchDistance& dist, uint32_t entry,
 
   float d0 = 0.f;
   dist(&entry, 1, &d0);
-  frontier.push_back({d0, entry});
-  best.push_back({d0, entry});
+  pool.push_back({d0, entry});
+  expanded.push_back(0);
   visited[entry] = epoch;
+  size_t cursor = 0;
 
-  while (!frontier.empty()) {
-    Candidate c = frontier.front();
-    if (best.size() >= ef && c.distance > best.front().distance) break;
-    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
-    frontier.pop_back();
+  while (true) {
+    Candidate c{};
+    if (cursor < pool.size()) {
+      c = pool[cursor];
+      expanded[cursor] = 1;
+    } else if (!ties.empty()) {
+      // Every pool entry is expanded; the heaps would now pop the smallest
+      // evicted candidate tied with the maximum.
+      auto next = std::min_element(ties.begin(), ties.end());
+      c = *next;
+      *next = ties.back();
+      ties.pop_back();
+    } else {
+      break;
+    }
     ++scratch->stat_popped;
     if (control != nullptr &&
         scratch->stat_popped % kControlPopStride == 0) {
@@ -189,21 +205,29 @@ Status HnswIndex::SearchLayer(const BatchDistance& dist, uint32_t entry,
     }
     dist(gathered, count, dists);
     for (size_t i = 0; i < count; ++i) {
-      if (best.size() < ef || dists[i] < best.front().distance) {
-        frontier.push_back({dists[i], gathered[i]});
-        std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
-        best.push_back({dists[i], gathered[i]});
-        std::push_heap(best.begin(), best.end());
-        if (best.size() > ef) {
-          std::pop_heap(best.begin(), best.end());
-          best.pop_back();
+      if (pool.size() >= ef && !(dists[i] < pool.back().distance)) continue;
+      const Candidate admitted{dists[i], gathered[i]};
+      const size_t pos = static_cast<size_t>(
+          std::lower_bound(pool.begin(), pool.end(), admitted) - pool.begin());
+      pool.insert(pool.begin() + static_cast<std::ptrdiff_t>(pos), admitted);
+      expanded.insert(expanded.begin() + static_cast<std::ptrdiff_t>(pos), 0);
+      cursor = std::min(cursor, pos);
+      if (pool.size() > ef) {
+        const Candidate evicted = pool.back();
+        const bool evicted_unexpanded = expanded.back() == 0;
+        pool.pop_back();
+        expanded.pop_back();
+        const float max_distance = pool.back().distance;
+        if (!ties.empty() && ties.front().distance != max_distance) {
+          ties.clear();
+        }
+        if (evicted_unexpanded && evicted.distance == max_distance) {
+          ties.push_back(evicted);
         }
       }
     }
+    while (cursor < pool.size() && expanded[cursor] != 0) ++cursor;
   }
-
-  scratch->beam.assign(best.begin(), best.end());
-  std::sort(scratch->beam.begin(), scratch->beam.end());
   return Status::OK();
 }
 
@@ -317,7 +341,7 @@ Status HnswIndex::Build() {
     upper_links_[i].resize(static_cast<size_t>(DrawLevel()));
   }
   // Build is single-threaded; one scratch serves every insertion, so the
-  // whole construction reuses the same visited/heap storage.
+  // whole construction reuses the same visited/pool storage.
   SearchScratch scratch(n, MaxDegree(0), 0);
   for (size_t i = 0; i < n; ++i) {
     InsertNode(static_cast<uint32_t>(i), &scratch);

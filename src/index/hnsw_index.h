@@ -83,14 +83,12 @@ class HnswIndex final : public VectorIndex {
       return distance < other.distance ||
              (distance == other.distance && node < other.node);
     }
-    bool operator>(const Candidate& other) const { return other < *this; }
   };
 
   /// Reusable per-query search state: epoch-stamped visited marks (reset in
-  /// O(1) by bumping the epoch instead of clearing a hash set), raw vectors
-  /// driven as heaps for the frontier/result beams, the per-pop gather
-  /// buffers, and the ADC table buffer. After a few queries warm the
-  /// buffers, Search() allocates nothing.
+  /// O(1) by bumping the epoch instead of clearing a hash set), the beam's
+  /// candidate pool, the per-pop gather buffers, and the ADC table buffer.
+  /// After a few queries warm the buffers, Search() allocates nothing.
   struct SearchScratch {
     SearchScratch(size_t num_nodes, size_t max_degree, size_t code_bytes)
         : visited(num_nodes), gathered(max_degree), gathered_dist(max_degree),
@@ -98,9 +96,11 @@ class HnswIndex final : public VectorIndex {
 
     std::vector<uint32_t> visited;  // visited[node] == epoch -> seen
     uint32_t epoch = 0;
-    std::vector<Candidate> frontier;  // min-heap (std::greater)
-    std::vector<Candidate> best;      // max-heap (default less)
-    std::vector<Candidate> beam;      // SearchLayer output, ascending
+    /// SearchLayer's candidate pool, ascending, and its output.
+    std::vector<Candidate> beam;
+    std::vector<uint8_t> expanded;  // expanded[i] != 0 -> beam[i] expanded
+    /// Evicted, unexpanded candidates tied with the pool's maximum.
+    std::vector<Candidate> ties;
     std::vector<float> table;         // ADC distance table
     /// One expansion's unvisited neighbours, their distances, and their
     /// codes copied contiguous for AdcDistanceBatch.
@@ -113,9 +113,9 @@ class HnswIndex final : public VectorIndex {
     /// is noise next to the distance computations they count.
     uint64_t stat_dist_comps = 0;   // exact distance evaluations
     uint64_t stat_adc_decoded = 0;  // ADC table lookups (quantized search)
-    uint64_t stat_popped = 0;       // beam-search frontier pops
+    uint64_t stat_popped = 0;       // beam-search expansions
 
-    /// Advances the visited epoch and clears the heap buffers. Call once per
+    /// Advances the visited epoch and clears the pool buffers. Call once per
     /// SearchLayer invocation.
     void BeginQuery();
   };
@@ -156,8 +156,8 @@ class HnswIndex final : public VectorIndex {
                          SearchScratch* scratch) const;
   /// Beam search on one layer; leaves the candidates sorted by distance in
   /// scratch->beam. Each pop scores the unvisited neighbours in one batch,
-  /// then offers them to the heaps in neighbour order: no distance depends
-  /// on heap state, so the admissions match a one-at-a-time loop. `control`
+  /// then offers them to the pool in neighbour order: no distance depends
+  /// on pool state, so the admissions match a one-at-a-time loop. `control`
   /// (nullable) is consulted every kControlPopStride pops; when it fires the
   /// beam is abandoned and kDeadlineExceeded/kCancelled is returned. With a
   /// null control the call cannot fail.

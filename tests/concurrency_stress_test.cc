@@ -1,9 +1,8 @@
 // Concurrency stress tests for the parallel substrate: ThreadPool /
-// ParallelFor, Collection under concurrent upserts+searches, and HnswIndex
-// under parallel insert/query. Designed to run under ThreadSanitizer (the
-// `tsan` preset registers this binary); sizes are chosen so a TSan run on a
-// small machine stays in the seconds range while still crossing well over
-// 10k scheduled tasks.
+// ParallelFor, and HnswIndex under parallel insert/query. Designed to run
+// under ThreadSanitizer (the `tsan` preset registers this binary); sizes are
+// chosen so a TSan run on a small machine stays in the seconds range while
+// still crossing well over 10k scheduled tasks.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +23,6 @@
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "vecmath/vector_ops.h"
-#include "vectordb/collection.h"
 
 namespace mira {
 namespace {
@@ -145,89 +143,10 @@ TEST(ParallelForStressTest, BodyExceptionRethrownInCallerAndPoolSurvives) {
   EXPECT_EQ(after.load(), 500u);
 }
 
-// ---------- Collection ----------
-
 vecmath::Vec RandomVec(Rng* rng, size_t dim) {
   vecmath::Vec v(dim);
   for (auto& x : v) x = static_cast<float>(rng->NextGaussian());
   return v;
-}
-
-TEST(CollectionStressTest, ConcurrentUpsertsThenConcurrentSearches) {
-  constexpr size_t kDim = 8;
-  constexpr size_t kPoints = 1000;
-  constexpr size_t kWriters = 4;
-
-  vectordb::CollectionParams params;
-  params.dim = kDim;
-  params.index_kind = vectordb::IndexKind::kHnsw;
-  params.hnsw_m = 8;
-  params.hnsw_ef_construction = 40;
-  params.hnsw_ef_search = 32;
-  vectordb::Collection collection("stress", params);
-
-  // Phase 1: concurrent upserts racing with searches. Searches before
-  // BuildIndex must fail cleanly (FailedPrecondition), never crash or race.
-  std::vector<std::thread> workers;
-  for (size_t w = 0; w < kWriters; ++w) {
-    workers.emplace_back([&collection, w] {
-      Rng rng(1000 + w);
-      for (size_t i = w; i < kPoints; i += kWriters) {
-        vectordb::Point p;
-        p.id = i;
-        p.vector = RandomVec(&rng, kDim);
-        p.payload.SetInt("shard", static_cast<int64_t>(w));
-        Status st = collection.Upsert(std::move(p));
-        ASSERT_TRUE(st.ok()) << st.ToString();
-      }
-    });
-  }
-  workers.emplace_back([&collection] {
-    Rng rng(77);
-    for (size_t i = 0; i < 200; ++i) {
-      auto hits = collection.Search(RandomVec(&rng, kDim), 5);
-      if (!hits.ok()) {
-        EXPECT_TRUE(hits.status().IsFailedPrecondition()) << hits.status();
-      }
-      (void)collection.size();
-      (void)collection.built();
-    }
-  });
-  for (auto& t : workers) t.join();
-  workers.clear();
-
-  ASSERT_EQ(collection.size(), kPoints);
-  Status built = collection.BuildIndex();
-  ASSERT_TRUE(built.ok()) << built.ToString();
-
-  // Phase 2: concurrent searches racing with (now-rejected) upserts and
-  // point lookups.
-  std::atomic<size_t> total_hits{0};
-  for (size_t w = 0; w < 4; ++w) {
-    workers.emplace_back([&collection, &total_hits, w] {
-      Rng rng(500 + w);
-      for (size_t i = 0; i < 250; ++i) {
-        auto hits = collection.Search(RandomVec(&rng, kDim), 5);
-        ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-        ASSERT_LE(hits->size(), 5u);
-        total_hits.fetch_add(hits->size(), std::memory_order_relaxed);
-        auto point = collection.Get(i % kPoints);
-        ASSERT_TRUE(point.ok()) << point.status().ToString();
-      }
-    });
-  }
-  workers.emplace_back([&collection] {
-    Rng rng(9);
-    for (size_t i = 0; i < 100; ++i) {
-      vectordb::Point p;
-      p.id = kPoints + i;
-      p.vector = RandomVec(&rng, kDim);
-      Status st = collection.Upsert(std::move(p));
-      EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
-    }
-  });
-  for (auto& t : workers) t.join();
-  EXPECT_GT(total_hits.load(), 0u);
 }
 
 // ---------- HnswIndex ----------

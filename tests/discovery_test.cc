@@ -23,12 +23,12 @@
 #include "discovery/exhaustive_search.h"
 #include "discovery/match.h"
 #include "discovery/types.h"
+#include "index/hnsw_index.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
-#include "vectordb/vector_db.h"
 
 namespace mira::discovery {
 namespace {
@@ -187,6 +187,23 @@ TEST(CorpusEmbeddingsTest, ParallelMatchesSerial) {
       CorpusEmbeddings::Build(fx.federation, encoder, &pool).MoveValue();
   ASSERT_EQ(serial.num_cells(), parallel.num_cells());
   EXPECT_EQ(serial.vectors.data(), parallel.vectors.data());
+}
+
+// ---------- AnnsSearcher ----------
+
+TEST(AnnsSearcherTest, PqSubquantizersAutoAdjustToDim) {
+  // The default 16 subquantizers do not divide dim 24; Build shrinks m until
+  // it does instead of failing PQ training.
+  CovidFixture fx = MakeCovidFixture();
+  embed::EncoderOptions opts;
+  opts.dim = 24;
+  auto encoder = std::make_shared<embed::SemanticEncoder>(opts, fx.lexicon);
+  auto corpus = std::make_shared<CorpusEmbeddings>(
+      CorpusEmbeddings::Build(fx.federation, *encoder).MoveValue());
+  auto anns = AnnsSearcher::Build(fx.federation, corpus, encoder);
+  ASSERT_TRUE(anns.ok()) << anns.status().ToString();
+  EXPECT_GT((*anns)->MemoryUsage().index.codes_bytes, 0u);
+  EXPECT_FALSE((*anns)->Search("covid vaccine", {}).MoveValue().empty());
 }
 
 // ---------- Motivating example (Figure 1) ----------
@@ -569,49 +586,45 @@ TEST_F(GeneratedWorkloadTest, AnnsReportsIndexMemory) {
 }
 
 TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
-  // Reference for Algorithm 2's step 2: a cells collection built with the
-  // parameters AnnsSearcher::Build uses, its hits grouped by the `rel`
-  // payload. The searcher's own grouping must agree bit for bit.
+  // Reference for Algorithm 2's step 2: a separately built HNSW index with
+  // the options AnnsSearcher::Build derives, its hits grouped by each cell's
+  // relation in corpus.refs. The searcher's own grouping must agree bit for
+  // bit.
   const auto* anns =
       static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
   ASSERT_NE(anns, nullptr);
   const AnnsOptions& anns_options = anns->options();
   const CorpusEmbeddings& corpus = engine_->corpus();
-  vectordb::CollectionParams params;
-  params.dim = corpus.dim();
-  params.metric = vecmath::Metric::kCosine;
-  params.index_kind = anns_options.use_pq ? vectordb::IndexKind::kHnswPq
-                                          : vectordb::IndexKind::kHnsw;
-  params.hnsw_m = anns_options.hnsw_m;
-  params.hnsw_ef_construction = anns_options.hnsw_ef_construction;
-  params.hnsw_ef_search = anns_options.ef_search;
-  params.pq_subquantizers = anns_options.pq_subquantizers;
-  params.pq_nbits = anns_options.pq_nbits;
-  params.seed = anns_options.seed;
-  vectordb::VectorDb db;
-  vectordb::Collection* cells =
-      db.CreateCollection("cells", params).MoveValue();
-  for (size_t i = 0; i < corpus.num_cells(); ++i) {
-    vectordb::Point point;
-    point.id = i;
-    point.vector = corpus.vectors.RowVec(i);
-    point.payload.SetInt("rel", static_cast<int64_t>(corpus.refs[i].relation));
-    ASSERT_TRUE(cells->Upsert(std::move(point)).ok());
+  index::HnswOptions hnsw;
+  hnsw.M = anns_options.hnsw_m;
+  hnsw.ef_construction = anns_options.hnsw_ef_construction;
+  hnsw.ef_search = anns_options.ef_search;
+  hnsw.metric = vecmath::Metric::kCosine;
+  hnsw.seed = anns_options.seed;
+  if (anns_options.use_pq) {
+    index::PqOptions pq;
+    pq.num_subquantizers = anns_options.pq_subquantizers;
+    while (corpus.dim() % pq.num_subquantizers != 0) --pq.num_subquantizers;
+    pq.nbits = anns_options.pq_nbits;
+    hnsw.quantization = pq;
   }
-  ASSERT_TRUE(cells->BuildIndex().ok());
+  index::HnswIndex cells(hnsw);
+  for (size_t i = 0; i < corpus.num_cells(); ++i) {
+    ASSERT_TRUE(cells.Add(i, corpus.vectors.RowVec(i)).ok());
+  }
+  ASSERT_TRUE(cells.Build().ok());
 
   DiscoveryOptions options;
   options.top_k = 1000;
   for (const auto& q : workload_->queries) {
     vecmath::Vec embedding = engine_->encoder().EncodeText(q.text);
     vecmath::NormalizeInPlace(&embedding);
-    auto hits = cells->Search(embedding, anns_options.cell_candidates,
-                              anns_options.ef_search, {}, nullptr)
+    auto hits = cells.Search(embedding, {anns_options.cell_candidates,
+                                         anns_options.ef_search})
                     .MoveValue();
     std::map<table::RelationId, std::pair<double, uint32_t>> grouped;
     for (const auto& hit : hits) {
-      auto& [sum, count] =
-          grouped[static_cast<table::RelationId>(*hit.payload->GetInt("rel"))];
+      auto& [sum, count] = grouped[corpus.refs[hit.id].relation];
       sum += hit.score;
       ++count;
     }
@@ -705,8 +718,7 @@ TEST_F(GeneratedWorkloadTest, TracedAnnsSearchPopulatesSpans) {
   ASSERT_NE(trace.Find("anns.hnsw_search"), nullptr);
   EXPECT_GT(trace.SpanMillis("anns.hnsw_search"), 0.0);
   EXPECT_GT(trace.CounterValue("anns.hnsw_search", "hits"), 0);
-  // The vector-database and index layers contribute nested spans.
-  ASSERT_NE(trace.Find("vdb.search"), nullptr);
+  // The index layer contributes a nested span.
   ASSERT_NE(trace.Find("hnsw.search"), nullptr);
   EXPECT_GT(trace.CounterValue("hnsw.search", "dist_comps") +
                 trace.CounterValue("hnsw.search", "adc_decoded"),
@@ -889,7 +901,7 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
   const auto* anns =
       static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
   ASSERT_NE(anns, nullptr);
-  vectordb::CollectionMemoryStats anns_stats = anns->MemoryUsage();
+  CollectionMemoryStats anns_stats = anns->MemoryUsage();
   EXPECT_GT(anns_stats.points_bytes, 0u);
   EXPECT_GT(anns_stats.index.total(), 0u);
   EXPECT_GE(anns_stats.total(), anns_stats.points_bytes);
@@ -900,7 +912,7 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
   const auto* cts =
       static_cast<const CtsSearcher*>(engine_->searcher(Method::kCts));
   ASSERT_NE(cts, nullptr);
-  vectordb::CollectionMemoryStats cts_stats = cts->MemoryUsage();
+  CollectionMemoryStats cts_stats = cts->MemoryUsage();
   EXPECT_GT(cts_stats.points_bytes, 0u);
   EXPECT_GT(cts_stats.total(), 0u);
   // No cluster of this workload reaches the graph threshold, so the index

@@ -1,10 +1,11 @@
 // Unit + property tests for src/index: flat, HNSW (recall vs exact oracle),
-// product quantization, PQ-flat.
+// product quantization, PQ-flat, payloads and filters.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <unordered_set>
@@ -12,6 +13,7 @@
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
+#include "index/payload.h"
 #include "index/pq_flat_index.h"
 #include "index/product_quantizer.h"
 #include "obs/trace.h"
@@ -536,6 +538,41 @@ std::pair<uint64_t, uint64_t> TopKFingerprint(const HnswIndex& index,
   return hashes;
 }
 
+// The deterministic L2 index the traversal fingerprints pin: M = 8, and PQ
+// with 8 subquantizers of `pq_nbits` bits when set.
+std::unique_ptr<HnswIndex> FingerprintIndex(const Matrix& data,
+                                            size_t ef_construction,
+                                            uint64_t seed,
+                                            std::optional<size_t> pq_nbits) {
+  HnswOptions opts;
+  opts.M = 8;
+  opts.ef_construction = ef_construction;
+  opts.metric = Metric::kL2;
+  opts.seed = seed;
+  opts.deterministic = true;
+  if (pq_nbits.has_value()) {
+    PqOptions pq;
+    pq.num_subquantizers = 8;
+    pq.nbits = *pq_nbits;
+    opts.quantization = pq;
+  }
+  auto index = std::make_unique<HnswIndex>(opts);
+  for (size_t i = 0; i < data.rows(); ++i) {
+    EXPECT_TRUE(index->Add(i, data.RowVec(i)).ok());
+  }
+  EXPECT_TRUE(index->Build().ok());
+  return index;
+}
+
+// Effort hashes need the span counters, which -DMIRA_OBS=OFF compiles out.
+void ExpectFingerprint(std::pair<uint64_t, uint64_t> got, uint64_t ranking,
+                       uint64_t effort) {
+  EXPECT_EQ(got.first, ranking);
+  if (obs::kObsEnabled) {
+    EXPECT_EQ(got.second, effort);
+  }
+}
+
 TEST(HnswIndexTest, TraversalMatchesParentFingerprint) {
   // Pins construction and search bit for bit: the rankings, and the
   // distance evaluations and pops that produced them. The constants were
@@ -567,40 +604,66 @@ TEST(HnswIndexTest, TraversalMatchesParentFingerprint) {
     }
   }
   auto fingerprint = [&](std::optional<size_t> pq_nbits) {
-    HnswOptions opts;
-    opts.M = 8;
-    opts.ef_construction = 64;
-    opts.metric = Metric::kL2;
-    opts.seed = 5;
-    opts.deterministic = true;
-    if (pq_nbits.has_value()) {
-      PqOptions pq;
-      pq.num_subquantizers = 8;
-      pq.nbits = *pq_nbits;
-      opts.quantization = pq;
-    }
-    HnswIndex index(opts);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(index.Add(i, data.RowVec(i)).ok());
-    }
-    EXPECT_TRUE(index.Build().ok());
-    return TopKFingerprint(index, queries, k, ef);
+    return TopKFingerprint(*FingerprintIndex(data, 64, 5, pq_nbits), queries,
+                           k, ef);
   };
-  // Effort hashes need the span counters, which -DMIRA_OBS=OFF compiles out.
-  auto expect = [](std::pair<uint64_t, uint64_t> got, uint64_t ranking,
-                   uint64_t effort) {
-    EXPECT_EQ(got.first, ranking);
-    if (obs::kObsEnabled) {
-      EXPECT_EQ(got.second, effort);
-    }
-  };
-  expect(fingerprint(std::nullopt), 17909920715436095480ULL,
-         9228334547508009012ULL);
+  ExpectFingerprint(fingerprint(std::nullopt), 17909920715436095480ULL,
+                    9228334547508009012ULL);
   if (vecmath::ActiveSimdTier() == vecmath::SimdTier::kNeon) {
     GTEST_SKIP() << "no recorded quantized fingerprints for this tier";
   }
-  expect(fingerprint(8), 8083439478480731754ULL, 932191962552928697ULL);
-  expect(fingerprint(4), 8253871075080975556ULL, 14364205301552116444ULL);
+  ExpectFingerprint(fingerprint(8), 8083439478480731754ULL,
+                    932191962552928697ULL);
+  ExpectFingerprint(fingerprint(4), 8253871075080975556ULL,
+                    14364205301552116444ULL);
+}
+
+TEST(HnswIndexTest, TieHeavyTraversalMatchesParentFingerprint) {
+  // The same pin on data built for exact distance ties at the beam's
+  // boundary. Integer coordinates make every exact squared-L2 distance an
+  // integer, and each vector is added three times, so duplicates share a
+  // distance and, quantized, an identical code. The constants were recorded
+  // on the two-heap beam, before it became one sorted candidate pool. The
+  // exact hashes hold on every CPU; the quantized ones were recorded on the
+  // scalar and AVX2 tiers, which agree here, and are not checked
+  // elsewhere.
+  const size_t distinct = 700, copies = 3, dim = 32;
+  Rng rng(1717);
+  Matrix data(distinct * copies, dim);
+  for (size_t i = 0; i < distinct; ++i) {
+    for (size_t j = 0; j < dim; ++j) {
+      const float value = (j % 7 == i % 7 ? 3.f : 0.f) +
+                          static_cast<float>(rng.NextBounded(3));
+      for (size_t c = 0; c < copies; ++c) data.At(c * distinct + i, j) = value;
+    }
+  }
+  Matrix queries(24, dim);
+  for (size_t q = 0; q < queries.rows(); ++q) {
+    for (size_t j = 0; j < dim; ++j) {
+      queries.At(q, j) = data.At(q * 29, j) +
+                         static_cast<float>(rng.NextBounded(3)) - 1.f;
+    }
+  }
+  // One ranking and one effort hash over ef = k in {8, 32, 100}.
+  auto fingerprint = [&](std::optional<size_t> pq_nbits) {
+    std::unique_ptr<HnswIndex> index = FingerprintIndex(data, 48, 9, pq_nbits);
+    std::pair<uint64_t, uint64_t> combined{0, 0};
+    for (size_t ef : {8, 32, 100}) {
+      const auto got = TopKFingerprint(*index, queries, ef, ef);
+      combined.first = combined.first * 0x100000001b3ULL ^ got.first;
+      combined.second = combined.second * 0x100000001b3ULL ^ got.second;
+    }
+    return combined;
+  };
+  ExpectFingerprint(fingerprint(std::nullopt), 4389739146173058032ULL,
+                    14468117544598013859ULL);
+  if (vecmath::ActiveSimdTier() == vecmath::SimdTier::kNeon) {
+    GTEST_SKIP() << "no recorded quantized fingerprints for this tier";
+  }
+  ExpectFingerprint(fingerprint(8), 1339682225500978091ULL,
+                    9512239891798705215ULL);
+  ExpectFingerprint(fingerprint(4), 5824091118984969496ULL,
+                    18220828487418865191ULL);
 }
 
 TEST(HnswIndexTest, QuantizedDotMetricRejected) {
@@ -793,6 +856,71 @@ TEST(PqFlatIndexTest, MemoryUsageSeparatesCodebookFromCodes) {
         << "nbits=" << nbits;
     EXPECT_GT(stats.codes_bytes, 0u);
   }
+}
+
+// ---------- Payload ----------
+
+TEST(PayloadTest, TypedGetters) {
+  Payload p;
+  p.SetString("s", "hello");
+  p.SetInt("i", 42);
+  p.SetDouble("d", 2.5);
+  EXPECT_EQ(p.GetString("s"), "hello");
+  EXPECT_EQ(p.GetInt("i"), 42);
+  EXPECT_EQ(p.GetDouble("d"), 2.5);
+  EXPECT_FALSE(p.GetString("i").has_value());  // type mismatch
+  EXPECT_FALSE(p.GetInt("missing").has_value());
+  EXPECT_TRUE(p.Has("s"));
+  EXPECT_FALSE(p.Has("missing"));
+  EXPECT_EQ(p.size(), 3u);
+}
+
+TEST(PayloadTest, Overwrite) {
+  Payload p;
+  p.SetInt("k", 1);
+  p.SetInt("k", 2);
+  EXPECT_EQ(p.GetInt("k"), 2);
+  EXPECT_EQ(p.size(), 1u);
+}
+
+// ---------- Filter ----------
+
+TEST(FilterTest, EqualsCondition) {
+  Payload p;
+  p.SetInt("rel", 7);
+  p.SetString("attr", "name");
+  EXPECT_TRUE(Condition::Equals("rel", int64_t{7}).Matches(p));
+  EXPECT_FALSE(Condition::Equals("rel", int64_t{8}).Matches(p));
+  EXPECT_TRUE(Condition::Equals("attr", std::string("name")).Matches(p));
+  EXPECT_FALSE(Condition::Equals("missing", int64_t{7}).Matches(p));
+}
+
+TEST(FilterTest, IntInCondition) {
+  Payload p;
+  p.SetInt("cluster", 3);
+  EXPECT_TRUE(Condition::IntIn("cluster", {1, 3, 5}).Matches(p));
+  EXPECT_FALSE(Condition::IntIn("cluster", {2, 4}).Matches(p));
+}
+
+TEST(FilterTest, IntRangeCondition) {
+  Payload p;
+  p.SetInt("year", 2020);
+  EXPECT_TRUE(Condition::IntRange("year", 2019, 2021).Matches(p));
+  EXPECT_TRUE(Condition::IntRange("year", 2020, 2020).Matches(p));
+  EXPECT_FALSE(Condition::IntRange("year", 2021, 2025).Matches(p));
+}
+
+TEST(FilterTest, ConjunctionSemantics) {
+  Payload p;
+  p.SetInt("rel", 1);
+  p.SetInt("cluster", 2);
+  Filter f;
+  f.must.push_back(Condition::Equals("rel", int64_t{1}));
+  f.must.push_back(Condition::Equals("cluster", int64_t{2}));
+  EXPECT_TRUE(f.Matches(p));
+  f.must.push_back(Condition::Equals("cluster", int64_t{3}));
+  EXPECT_FALSE(f.Matches(p));
+  EXPECT_TRUE(Filter{}.Matches(p));  // empty filter matches all
 }
 
 }  // namespace

@@ -27,12 +27,12 @@
 #include "common/failpoint.h"
 #include "common/retry.h"
 #include "common/threadpool.h"
+#include "discovery/anns_search.h"
 #include "discovery/corpus_embeddings.h"
 #include "discovery/engine.h"
 #include "discovery/exhaustive_search.h"
 #include "discovery/types.h"
 #include "service/discovery_service.h"
-#include "vectordb/collection.h"
 
 namespace mira::discovery {
 namespace {
@@ -624,12 +624,14 @@ TEST_F(CorpusIntegrityTest, PartialWriteNeverClobbersTheTarget) {
 
 TEST(FailpointFrameworkTest, RegistryIsStatic) {
   std::vector<std::string> sites = failpoint::RegisteredSites();
-  ASSERT_EQ(sites.size(), 10u);
+  ASSERT_EQ(sites.size(), 9u);
   EXPECT_EQ(sites[0], "embed.encode");
-  EXPECT_EQ(sites[4], "corpus.save");
-  EXPECT_EQ(sites[7], "service.admit");
-  EXPECT_EQ(sites[8], "service.dispatch");
-  EXPECT_EQ(sites[9], "cts.cluster_probe");
+  EXPECT_EQ(sites[1], "index.build");
+  EXPECT_EQ(sites[2], "corpus.save");
+  EXPECT_EQ(sites[5], "service.admit");
+  EXPECT_EQ(sites[6], "service.dispatch");
+  EXPECT_EQ(sites[7], "cts.cluster_probe");
+  EXPECT_EQ(sites[8], "anns.search");
 }
 
 TEST(FailpointFrameworkTest, ConfigureReflectsBuildMode) {
@@ -659,7 +661,7 @@ TEST(FailpointFrameworkTest, SpecGrammar) {
   }
   FailpointGuard guard;
   EXPECT_TRUE(failpoint::ConfigureFromString(
-                  "corpus.load=error(dataloss,1);vectordb.search=delay(1.5);"
+                  "corpus.load=error(dataloss,1);anns.search=delay(1.5);"
                   "corpus.save.partial=partial(64)")
                   .ok());
   EXPECT_TRUE(failpoint::ConfigureFromString("corpus.load=off").ok());
@@ -727,24 +729,14 @@ Status DriveSite(const std::string& site, const CovidFixture& fx,
   if (site == "embed.encode") {
     return CorpusEmbeddings::Build(fx.federation, encoder).status();
   }
-  if (site == "vectordb.upsert" || site == "index.build" ||
-      site == "vectordb.search") {
-    vectordb::CollectionParams params;
-    params.index_kind = vectordb::IndexKind::kFlat;
-    vectordb::Collection coll("fp_probe", params);
-    auto probe = [](uint64_t id, vecmath::Vec v) {
-      vectordb::Point p;
-      p.id = id;
-      p.vector = std::move(v);
-      return p;
-    };
-    Status status = coll.Upsert(probe(1, {1.f, 0.f}));
-    if (site == "vectordb.upsert" || !status.ok()) return status;
-    status = coll.Upsert(probe(2, {0.f, 1.f}));
-    if (!status.ok()) return status;
-    status = coll.BuildIndex();
-    if (site == "index.build" || !status.ok()) return status;
-    return coll.Search({1.f, 0.f}, 1).status();
+  if (site == "index.build") {
+    // Non-owning handles: the caller's corpus and encoder outlive the build.
+    const std::shared_ptr<const void> unowned;
+    return AnnsSearcher::Build(
+               fx.federation,
+               std::shared_ptr<const CorpusEmbeddings>(unowned, &corpus),
+               std::shared_ptr<const embed::SemanticEncoder>(unowned, &encoder))
+        .status();
   }
   if (site == "corpus.save" || site == "corpus.save.partial") {
     return corpus.Save(scratch_path);
@@ -769,9 +761,11 @@ Status DriveSite(const std::string& site, const CovidFixture& fx,
     svc.Stop();
     return response.status;
   }
-  if (site == "cts.cluster_probe") {
+  if (site == "cts.cluster_probe" || site == "anns.search") {
+    const Method method =
+        site == "anns.search" ? Method::kAnns : Method::kCts;
     return SharedEngine()
-        .engine->searcher(Method::kCts)
+        .engine->searcher(method)
         ->Search("covid vaccine", {})
         .status();
   }

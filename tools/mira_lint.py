@@ -29,11 +29,11 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and triage policy):
                 Instrument the callers (index/discovery layers) instead.
                 One layer further out, the control-plane obs headers
                 (obs/debug_server.h, obs/cpu_profiler.h, obs/slo.h) are
-                additionally banned from the index hot paths (src/index/,
-                src/vectordb/): search code publishes metrics/spans, it
-                never hosts the debugz server, the profiler, or the SLO
-                evaluator — those are wired at the binary level
-                (bench/harness.cc, src/service/monitor.cc).
+                additionally banned from the index hot path (src/index/):
+                search code publishes metrics/spans, it never hosts the
+                debugz server, the profiler, or the SLO evaluator — those
+                are wired at the binary level (bench/harness.cc,
+                src/service/monitor.cc).
   failpoint     MIRA_FAILPOINT macros live only in .cc files outside
                 src/vecmath/ (src/common/failpoint.h, which defines them, is
                 exempt). Headers would leak injection sites into every
@@ -244,9 +244,9 @@ OBS_USE_RE = re.compile(
 OBS_INCLUDE_RE = re.compile(r"#\s*include\s*\"obs/")
 OBS_CONTROL_PLANE_INCLUDE_RE = re.compile(
     r"#\s*include\s*\"obs/(?:debug_server|cpu_profiler|slo)\.h\"")
-# The index hot paths: allowed to publish metrics/spans, but never to pull in
+# The index hot path: allowed to publish metrics/spans, but never to pull in
 # the control-plane surfaces (the debugz server, the SIGPROF profiler).
-HOT_PATH_PREFIXES = ("src/index/", "src/vectordb/")
+HOT_PATH_PREFIXES = ("src/index/",)
 
 
 def check_obs_in_kernels(path: Path, lines: list[str]) -> None:
