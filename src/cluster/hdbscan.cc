@@ -11,15 +11,11 @@
 
 namespace mira::cluster {
 
+using internal::MstEdge;
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-struct MstEdge {
-  double weight;
-  uint32_t a;
-  uint32_t b;
-};
 
 // One row of the condensed tree: `child` is either a cluster id (when
 // child_is_cluster) or a point row index.
@@ -30,73 +26,6 @@ struct CondensedRow {
   double lambda;
   size_t size;
 };
-
-// Distance to the k-th nearest neighbor (excluding self) for every row.
-std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k) {
-  const size_t n = data.rows();
-  const size_t d = data.cols();
-  std::vector<double> core(n, 0.0);
-  if (n <= 1) return core;
-  k = std::min(k, n - 1);
-  std::vector<double> dists;
-  dists.reserve(n - 1);
-  for (size_t i = 0; i < n; ++i) {
-    dists.clear();
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      // Scalar-reference distances: clustering must be bit-reproducible
-      // across SIMD tiers (see vecmath/simd.h).
-      dists.push_back(std::sqrt(static_cast<double>(
-          vecmath::ScalarSquaredL2(data.Row(i), data.Row(j), d))));
-    }
-    std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
-    core[i] = dists[k - 1];
-  }
-  return core;
-}
-
-// Prim's algorithm over the implicit complete graph of mutual reachability
-// distances: d_mr(a, b) = max(core_a, core_b, d(a, b)).
-std::vector<MstEdge> MutualReachabilityMst(const vecmath::Matrix& data,
-                                           const std::vector<double>& core) {
-  const size_t n = data.rows();
-  const size_t d = data.cols();
-  std::vector<MstEdge> edges;
-  if (n <= 1) return edges;
-  edges.reserve(n - 1);
-
-  std::vector<bool> in_tree(n, false);
-  std::vector<double> best(n, kInf);
-  std::vector<uint32_t> from(n, 0);
-  uint32_t current = 0;
-  in_tree[0] = true;
-  for (size_t added = 1; added < n; ++added) {
-    // Relax edges out of `current`.
-    for (size_t j = 0; j < n; ++j) {
-      if (in_tree[j]) continue;
-      double dist = std::sqrt(static_cast<double>(
-          vecmath::ScalarSquaredL2(data.Row(current), data.Row(j), d)));
-      double mr = std::max({core[current], core[j], dist});
-      if (mr < best[j]) {
-        best[j] = mr;
-        from[j] = current;
-      }
-    }
-    // Pick the closest point outside the tree.
-    double min_w = kInf;
-    uint32_t next = 0;
-    for (size_t j = 0; j < n; ++j) {
-      if (!in_tree[j] && best[j] < min_w) {
-        min_w = best[j];
-        next = static_cast<uint32_t>(j);
-      }
-    }
-    edges.push_back({min_w, from[next], next});
-    in_tree[next] = true;
-    current = next;
-  }
-  return edges;
-}
 
 // Single-linkage dendrogram in scipy layout: merge i creates node n+i with
 // two children (points are 0..n-1), a merge weight and a subtree size.
@@ -256,26 +185,105 @@ size_t HdbscanResult::num_noise() const {
   return count;
 }
 
-Result<HdbscanResult> Hdbscan(const vecmath::Matrix& data,
-                              const HdbscanOptions& options) {
-  if (options.min_cluster_size < 2) {
-    return Status::InvalidArgument("hdbscan: min_cluster_size must be >= 2");
-  }
+namespace internal {
+
+std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
+                                  ThreadPool* pool) {
   const size_t n = data.rows();
+  const size_t d = data.cols();
+  std::vector<double> core(n, 0.0);
+  if (n <= 1) return core;
+  k = std::min(k, n - 1);
+  // One scalar-reference batch per row (clustering must be bit-reproducible
+  // across SIMD tiers, see vecmath/simd.h), self dropped by moving the last
+  // distance into its slot. The k-th smallest squared distance is selected
+  // in float and its root taken once: x -> sqrt(double(x)) is monotone, so
+  // this is the k-th smallest of the distances exactly. Rows are
+  // independent; blocks of them run on the pool.
+  constexpr size_t kBlockRows = 64;
+  ParallelFor(pool, 0, (n + kBlockRows - 1) / kBlockRows, [&](size_t block) {
+    std::vector<float> dists(n);
+    const size_t end = std::min(n, (block + 1) * kBlockRows);
+    for (size_t i = block * kBlockRows; i < end; ++i) {
+      vecmath::ScalarSquaredL2Batch(data.Row(i), data.Row(0), n, d,
+                                    dists.data());
+      dists[i] = dists[n - 1];
+      std::nth_element(dists.begin(), dists.begin() + (k - 1),
+                       dists.begin() + (n - 1));
+      core[i] = std::sqrt(static_cast<double>(dists[k - 1]));
+    }
+  });
+  return core;
+}
+
+std::vector<MstEdge> MutualReachabilityMst(const vecmath::Matrix& data,
+                                           const std::vector<double>& core) {
+  const size_t n = data.rows();
+  const size_t d = data.cols();
+  std::vector<MstEdge> edges;
+  if (n <= 1) return edges;
+  edges.reserve(n - 1);
+
+  // The points outside the tree, compacted: slot r holds point id[r], a
+  // copy of its row, its core distance, and its best mutual reachability to
+  // the tree so far with the tree point that gave it. A point that joins
+  // the tree is swap-removed, so each step is one batch over the remaining
+  // rows and one fused relax + argmin pass.
+  size_t remaining = n - 1;
+  std::vector<uint32_t> id(remaining);
+  std::vector<float> rows(remaining * d);
+  std::vector<double> rem_core(remaining);
+  std::vector<double> best(remaining, kInf);
+  std::vector<uint32_t> from(remaining, 0);
+  std::vector<float> dist(remaining);
+  for (size_t r = 0; r < remaining; ++r) {
+    id[r] = static_cast<uint32_t>(r + 1);
+    std::copy(data.Row(r + 1), data.Row(r + 1) + d, rows.data() + r * d);
+    rem_core[r] = core[r + 1];
+  }
+  uint32_t current = 0;
+  while (remaining > 0) {
+    vecmath::ScalarSquaredL2Batch(data.Row(current), rows.data(), remaining,
+                                  d, dist.data());
+    const double core_current = core[current];
+    double min_w = kInf;
+    size_t pick = 0;
+    uint32_t pick_id = std::numeric_limits<uint32_t>::max();
+    for (size_t r = 0; r < remaining; ++r) {
+      const double mr = std::max(
+          {core_current, rem_core[r], std::sqrt(static_cast<double>(dist[r]))});
+      if (mr < best[r]) {
+        best[r] = mr;
+        from[r] = current;
+      }
+      if (best[r] < min_w || (best[r] == min_w && id[r] < pick_id)) {
+        min_w = best[r];
+        pick = r;
+        pick_id = id[r];
+      }
+    }
+    edges.push_back({min_w, from[pick], pick_id});
+    current = pick_id;
+    --remaining;
+    id[pick] = id[remaining];
+    rem_core[pick] = rem_core[remaining];
+    best[pick] = best[remaining];
+    from[pick] = from[remaining];
+    std::copy(rows.data() + remaining * d, rows.data() + (remaining + 1) * d,
+              rows.data() + pick * d);
+  }
+  return edges;
+}
+
+HdbscanResult ClustersFromMst(std::vector<MstEdge> edges, size_t n,
+                              size_t min_cluster_size) {
   HdbscanResult result;
   result.labels.assign(n, kNoise);
-  if (n < options.min_cluster_size) return result;  // everything is noise
-
-  size_t min_samples =
-      options.min_samples == 0 ? options.min_cluster_size : options.min_samples;
-
-  std::vector<double> core = CoreDistances(data, min_samples);
-  std::vector<MstEdge> edges = MutualReachabilityMst(data, core);
   Dendrogram tree = SingleLinkage(std::move(edges), n);
 
   int32_t num_clusters = 0;
   std::vector<CondensedRow> rows =
-      CondenseTree(tree, options.min_cluster_size, &num_clusters);
+      CondenseTree(tree, min_cluster_size, &num_clusters);
 
   // Stability: sum over rows leaving cluster c of (lambda - lambda_birth(c)).
   std::vector<double> birth(num_clusters, 0.0);
@@ -348,6 +356,27 @@ Result<HdbscanResult> Hdbscan(const vecmath::Matrix& data,
     std::sort(cluster.members.begin(), cluster.members.end());
   }
   return result;
+}
+
+}  // namespace internal
+
+Result<HdbscanResult> Hdbscan(const vecmath::Matrix& data,
+                              const HdbscanOptions& options,
+                              ThreadPool* pool) {
+  if (options.min_cluster_size < 2) {
+    return Status::InvalidArgument("hdbscan: min_cluster_size must be >= 2");
+  }
+  const size_t n = data.rows();
+  if (n < options.min_cluster_size) {  // everything is noise
+    HdbscanResult result;
+    result.labels.assign(n, kNoise);
+    return result;
+  }
+  size_t min_samples =
+      options.min_samples == 0 ? options.min_cluster_size : options.min_samples;
+  std::vector<double> core = internal::CoreDistances(data, min_samples, pool);
+  return internal::ClustersFromMst(internal::MutualReachabilityMst(data, core),
+                                   n, options.min_cluster_size);
 }
 
 std::vector<size_t> ComputeMedoids(const vecmath::Matrix& data,

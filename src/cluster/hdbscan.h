@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/threadpool.h"
 #include "vecmath/matrix.h"
 
 namespace mira::cluster {
@@ -46,9 +47,13 @@ struct HdbscanResult {
 /// Pipeline: core distances (min_samples-NN) -> mutual reachability distance
 /// -> MST (Prim, O(n^2) on the implicit complete graph) -> single-linkage
 /// dendrogram -> condensed tree (min_cluster_size) -> excess-of-mass cluster
-/// selection. Deterministic.
+/// selection. Deterministic. With a `pool` the per-row core distances run
+/// in parallel (each row's is independent); everything else is serial, and
+/// the result is bit-identical to a null-pool run. Must not be called from
+/// a task of `pool`.
 [[nodiscard]] Result<HdbscanResult> Hdbscan(const vecmath::Matrix& data,
-                              const HdbscanOptions& options);
+                                            const HdbscanOptions& options,
+                                            ThreadPool* pool = nullptr);
 
 /// Medoid (member minimizing total intra-cluster distance) of each cluster;
 /// returns one row index per cluster, aligned with result.clusters. HDBSCAN
@@ -56,6 +61,33 @@ struct HdbscanResult {
 /// cluster representatives (§4.3) — this is that step.
 std::vector<size_t> ComputeMedoids(const vecmath::Matrix& data,
                                    const HdbscanResult& result);
+
+/// Hdbscan's stages, exposed for tests that check them against a reference.
+namespace internal {
+
+/// One edge of the mutual-reachability MST, in the order Prim added it.
+struct MstEdge {
+  double weight;
+  uint32_t a;  ///< The tree point the edge leaves from.
+  uint32_t b;  ///< The point it adds to the tree.
+};
+
+/// Distance from every row to its k-th nearest other row (Euclidean).
+std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
+                                  ThreadPool* pool);
+
+/// Prim's MST from row 0 over the implicit complete graph of mutual
+/// reachability distances max(core_a, core_b, d(a, b)). Each step adds the
+/// closest point outside the tree; ties go to the lowest point id.
+std::vector<MstEdge> MutualReachabilityMst(const vecmath::Matrix& data,
+                                           const std::vector<double>& core);
+
+/// The flat clustering of `n` points from their MST: single linkage,
+/// condensed tree, excess-of-mass selection.
+HdbscanResult ClustersFromMst(std::vector<MstEdge> edges, size_t n,
+                              size_t min_cluster_size);
+
+}  // namespace internal
 
 }  // namespace mira::cluster
 

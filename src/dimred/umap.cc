@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <limits>
 #include <unordered_map>
 #include <vector>
@@ -137,7 +138,7 @@ void FitAbParams(float min_dist, float spread, float* a, float* b) {
 }
 
 Result<UmapModel> FitUmap(const vecmath::Matrix& data,
-                          const UmapOptions& options) {
+                          const UmapOptions& options, ThreadPool* pool) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   if (n < 4) return Status::InvalidArgument("umap: need at least 4 rows");
@@ -147,6 +148,30 @@ Result<UmapModel> FitUmap(const vecmath::Matrix& data,
                   options.target_dim, d));
   }
   const size_t k = std::min(options.n_neighbors, n - 1);
+
+  // --- 4 & 5. curve parameters and PCA init, scaled to a ~10-unit box ---
+  // Both depend only on `data` and the options, so with a pool they run on
+  // their own thread while this one builds the kNN graph.
+  auto fit_initial_layout = [&data, &options]() -> Result<UmapModel> {
+    UmapModel model;
+    FitAbParams(options.min_dist, options.spread, &model.a, &model.b);
+    PcaOptions pca_opts;
+    pca_opts.target_dim = options.target_dim;
+    pca_opts.seed = options.seed ^ 0xBEEF;
+    MIRA_ASSIGN_OR_RETURN(PcaModel pca, FitPca(data, pca_opts));
+    model.embedding = pca.TransformAll(data);
+    float max_abs = 1e-9f;
+    for (float x : model.embedding.data()) {
+      max_abs = std::max(max_abs, std::fabs(x));
+    }
+    vecmath::ScaleInPlace(model.embedding.data().data(), 10.0f / max_abs,
+                          model.embedding.data().size());
+    return model;
+  };
+  std::future<Result<UmapModel>> initial_layout;
+  if (pool != nullptr) {
+    initial_layout = std::async(std::launch::async, fit_initial_layout);
+  }
 
   // --- 1. approximate kNN graph via HNSW ---
   index::HnswOptions hnsw_opts;
@@ -164,21 +189,26 @@ Result<UmapModel> FitUmap(const vecmath::Matrix& data,
   }
   MIRA_RETURN_NOT_OK(knn_index.Build());
 
+  // Each query reads the finished graph and writes only its own row, so
+  // the queries run on the pool.
   std::vector<std::vector<uint32_t>> knn_ids(n);
   std::vector<std::vector<float>> knn_dists(n);
   index::SearchParams params;
   params.k = k + 1;  // self likely included
   params.ef = std::max<size_t>(64, 2 * (k + 1));
-  for (size_t i = 0; i < n; ++i) {
-    MIRA_ASSIGN_OR_RETURN(auto hits, knn_index.Search(data.RowVec(i), params));
-    for (const auto& hit : hits) {
-      if (hit.id == i) continue;
-      if (knn_ids[i].size() >= k) break;
-      knn_ids[i].push_back(static_cast<uint32_t>(hit.id));
-      // kL2 similarity is the negated squared distance.
-      knn_dists[i].push_back(std::sqrt(std::max(0.f, -hit.score)));
-    }
-  }
+  MIRA_RETURN_NOT_OK(ParallelForCancellable(
+      pool, 0, n, nullptr, [&](size_t i) -> Status {
+        MIRA_ASSIGN_OR_RETURN(auto hits,
+                              knn_index.Search(data.RowVec(i), params));
+        for (const auto& hit : hits) {
+          if (hit.id == i) continue;
+          if (knn_ids[i].size() >= k) break;
+          knn_ids[i].push_back(static_cast<uint32_t>(hit.id));
+          // kL2 similarity is the negated squared distance.
+          knn_dists[i].push_back(std::sqrt(std::max(0.f, -hit.score)));
+        }
+        return Status::OK();
+      }));
 
   // --- 2 & 3. fuzzy simplicial set ---
   // Directed membership strengths, then symmetrize: w = u + v - u*v.
@@ -211,20 +241,9 @@ Result<UmapModel> FitUmap(const vecmath::Matrix& data,
     }
   }
 
-  // --- 4. curve parameters ---
-  UmapModel model;
-  FitAbParams(options.min_dist, options.spread, &model.a, &model.b);
-
-  // --- 5. PCA init, scaled to a ~10-unit box ---
-  PcaOptions pca_opts;
-  pca_opts.target_dim = options.target_dim;
-  pca_opts.seed = options.seed ^ 0xBEEF;
-  MIRA_ASSIGN_OR_RETURN(PcaModel pca, FitPca(data, pca_opts));
-  model.embedding = pca.TransformAll(data);
-  float max_abs = 1e-9f;
-  for (float x : model.embedding.data()) max_abs = std::max(max_abs, std::fabs(x));
-  vecmath::ScaleInPlace(model.embedding.data().data(), 10.0f / max_abs,
-                        model.embedding.data().size());
+  MIRA_ASSIGN_OR_RETURN(UmapModel model, initial_layout.valid()
+                                             ? initial_layout.get()
+                                             : fit_initial_layout());
 
   // --- 6. SGD with negative sampling ---
   float max_w = 0.f;

@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "common/result.h"
+#include "common/threadpool.h"
 #include "vecmath/matrix.h"
 
 namespace mira::dimred {
@@ -43,7 +44,16 @@ struct UmapModel {
 
 /// Reduces the rows of `data`. Requires data.rows() >= 4 and target_dim <=
 /// data.cols().
-[[nodiscard]] Result<UmapModel> FitUmap(const vecmath::Matrix& data, const UmapOptions& options);
+///
+/// With a `pool`, the steps whose result does not depend on execution order
+/// run in parallel: the PCA initialization and a/b fit on a second thread
+/// beside the kNN graph build, and the per-point kNN queries on the pool.
+/// The graph build, the fuzzy-set edge order and the SGD epochs stay serial,
+/// so the layout is bit-identical to a null-pool run. Must not be called
+/// from a task of `pool`.
+[[nodiscard]] Result<UmapModel> FitUmap(const vecmath::Matrix& data,
+                                        const UmapOptions& options,
+                                        ThreadPool* pool = nullptr);
 
 /// Least-squares fit of a, b in phi(x) = 1 / (1 + a x^(2b)) to the target
 /// membership curve defined by (min_dist, spread). Exposed for tests.

@@ -18,7 +18,7 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
     const table::Federation& /*federation*/,
     std::shared_ptr<const CorpusEmbeddings> corpus,
     std::shared_ptr<const embed::SemanticEncoder> encoder,
-    const AnnsOptions& options) {
+    const AnnsOptions& options, ThreadPool* pool) {
   if (corpus == nullptr || encoder == nullptr) {
     return Status::InvalidArgument("anns: null corpus/encoder");
   }
@@ -53,7 +53,7 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
     searcher->cell_relation_.push_back(corpus->refs[i].relation);
   }
   MIRA_FAILPOINT("index.build");
-  MIRA_RETURN_NOT_OK(searcher->index_->Build());
+  MIRA_RETURN_NOT_OK(searcher->index_->Build(pool));
   return searcher;
 }
 
@@ -126,6 +126,8 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
 }
 
 size_t AnnsSearcher::IndexMemoryBytes() const { return index_->MemoryBytes(); }
+
+double AnnsSearcher::pq_ms() const { return index_->pq_build_ms(); }
 
 CollectionMemoryStats AnnsSearcher::MemoryUsage() const {
   CollectionMemoryStats stats;

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/threadpool.h"
 #include "discovery/corpus_embeddings.h"
 #include "discovery/types.h"
 #include "embed/encoder.h"
@@ -45,12 +46,15 @@ struct AnnsOptions {
 /// the average similarity of their retrieved cells.
 class AnnsSearcher final : public Searcher {
  public:
-  /// Builds the index from pre-computed corpus embeddings.
+  /// Builds the index from pre-computed corpus embeddings. A non-null
+  /// `pool` trains and encodes PQ beside the serial graph insertion (see
+  /// index::HnswIndex::Build); the index is the same either way. Must not be
+  /// called from a task of `pool`.
   [[nodiscard]] static Result<std::unique_ptr<AnnsSearcher>> Build(
       const table::Federation& federation,
       std::shared_ptr<const CorpusEmbeddings> corpus,
       std::shared_ptr<const embed::SemanticEncoder> encoder,
-      const AnnsOptions& options = {});
+      const AnnsOptions& options = {}, ThreadPool* pool = nullptr);
 
   [[nodiscard]] Result<Ranking> Search(const std::string& query,
                          const DiscoveryOptions& options) const override;
@@ -64,6 +68,9 @@ class AnnsSearcher final : public Searcher {
   /// map.
   CollectionMemoryStats MemoryUsage() const;
   const AnnsOptions& options() const { return options_; }
+  /// Wall time of PQ training and encoding during Build, on its own thread
+  /// (BuildReport::pq_ms); 0 without PQ.
+  double pq_ms() const;
 
   ~AnnsSearcher() override;
 

@@ -5,6 +5,7 @@
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "obs/trace.h"
@@ -42,7 +43,7 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
     const table::Federation& /*federation*/,
     std::shared_ptr<const CorpusEmbeddings> corpus,
     std::shared_ptr<const embed::SemanticEncoder> encoder,
-    const CtsOptions& options) {
+    const CtsOptions& options, ThreadPool* pool) {
   if (corpus == nullptr || encoder == nullptr) {
     return Status::InvalidArgument("cts: null corpus/encoder");
   }
@@ -61,8 +62,10 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
   size_t num_clusters = 1;
 
   if (n >= min_for_clustering) {
+    WallTimer umap_timer;
     MIRA_ASSIGN_OR_RETURN(dimred::UmapModel umap,
-                          dimred::FitUmap(corpus->vectors, options.umap));
+                          dimred::FitUmap(corpus->vectors, options.umap, pool));
+    searcher->umap_ms_ = umap_timer.ElapsedMillis();
     const vecmath::Matrix& reduced = umap.embedding;
     const size_t rd = reduced.cols();
 
@@ -82,8 +85,10 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
       std::copy(reduced.Row(sample_rows[i]), reduced.Row(sample_rows[i]) + rd,
                 sample.Row(i));
     }
+    WallTimer hdbscan_timer;
     MIRA_ASSIGN_OR_RETURN(cluster::HdbscanResult clustering,
-                          cluster::Hdbscan(sample, options.hdbscan));
+                          cluster::Hdbscan(sample, options.hdbscan, pool));
+    searcher->hdbscan_ms_ = hdbscan_timer.ElapsedMillis();
 
     if (clustering.num_clusters() >= 2) {
       num_clusters = clustering.num_clusters();

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "cluster/hdbscan.h"
+#include "common/threadpool.h"
 #include "dimred/umap.h"
 #include "discovery/corpus_embeddings.h"
 #include "discovery/types.h"
@@ -57,11 +58,14 @@ struct CtsOptions {
 /// to pay for a collection each); clusters of 2048+ cells get an HNSW graph.
 class CtsSearcher final : public Searcher {
  public:
+  /// A non-null `pool` runs the order-independent parts of UMAP and HDBSCAN
+  /// in parallel (see dimred::FitUmap, cluster::Hdbscan); the clustering is
+  /// the same either way. Must not be called from a task of `pool`.
   [[nodiscard]] static Result<std::unique_ptr<CtsSearcher>> Build(
       const table::Federation& federation,
       std::shared_ptr<const CorpusEmbeddings> corpus,
       std::shared_ptr<const embed::SemanticEncoder> encoder,
-      const CtsOptions& options = {});
+      const CtsOptions& options = {}, ThreadPool* pool = nullptr);
 
   [[nodiscard]] Result<Ranking> Search(const std::string& query,
                          const DiscoveryOptions& options) const override;
@@ -75,6 +79,10 @@ class CtsSearcher final : public Searcher {
   /// rows, medoids and graphs, `points_bytes` the row->relation/offsets.
   CollectionMemoryStats MemoryUsage() const;
   const CtsOptions& options() const { return options_; }
+  /// Wall times of Build's UMAP and HDBSCAN stages (BuildReport::umap_ms,
+  /// hdbscan_ms); 0 when the corpus was too small to cluster.
+  double umap_ms() const { return umap_ms_; }
+  double hdbscan_ms() const { return hdbscan_ms_; }
 
   ~CtsSearcher() override;
 
@@ -86,6 +94,8 @@ class CtsSearcher final : public Searcher {
   size_t num_clusters_ = 0;
   size_t num_relations_ = 0;
   double largest_cluster_fraction_ = 0.0;
+  double umap_ms_ = 0.0;
+  double hdbscan_ms_ = 0.0;
   /// Cells ordered by cluster, then cell index; cluster c owns rows
   /// [cluster_begin_[c], cluster_begin_[c + 1]). Medoids: one per cluster.
   vecmath::Matrix rows_, medoids_;

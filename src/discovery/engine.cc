@@ -1,5 +1,7 @@
 #include "discovery/engine.h"
 
+#include <future>
+
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -21,11 +23,13 @@ std::string_view MethodToString(Method method) {
 
 std::string BuildReport::ToString() const {
   return StrFormat(
-      "relations=%zu cells=%zu dim=%zu embed=%.1fms%s anns=%.1fms (%.1f MiB) "
-      "cts=%.1fms (%.1f MiB, %zu clusters) total=%.1fms",
+      "relations=%zu cells=%zu dim=%zu embed=%.1fms%s anns=%.1fms (pq %.1fms, "
+      "%.1f MiB) cts=%.1fms (umap %.1fms, hdbscan %.1fms, %.1f MiB, %zu "
+      "clusters) total=%.1fms",
       num_relations, num_cells, dim, embed_ms,
-      reused_corpus ? " (cached corpus)" : "", anns_build_ms,
+      reused_corpus ? " (cached corpus)" : "", anns_build_ms, pq_ms,
       static_cast<double>(anns_index_bytes) / (1024.0 * 1024.0), cts_build_ms,
+      umap_ms, hdbscan_ms,
       static_cast<double>(cts_index_bytes) / (1024.0 * 1024.0), cts_clusters,
       total_ms);
 }
@@ -34,11 +38,12 @@ std::string BuildReport::ToJson() const {
   return StrFormat(
       "{\"num_relations\": %zu, \"num_cells\": %zu, \"dim\": %zu, "
       "\"reused_corpus\": %s, \"embed_ms\": %.3f, \"anns_build_ms\": %.3f, "
-      "\"cts_build_ms\": %.3f, \"total_ms\": %.3f, \"anns_index_bytes\": %zu, "
+      "\"cts_build_ms\": %.3f, \"pq_ms\": %.3f, \"umap_ms\": %.3f, "
+      "\"hdbscan_ms\": %.3f, \"total_ms\": %.3f, \"anns_index_bytes\": %zu, "
       "\"cts_index_bytes\": %zu, \"cts_clusters\": %zu}",
       num_relations, num_cells, dim, reused_corpus ? "true" : "false",
-      embed_ms, anns_build_ms, cts_build_ms, total_ms, anns_index_bytes,
-      cts_index_bytes, cts_clusters);
+      embed_ms, anns_build_ms, cts_build_ms, pq_ms, umap_ms, hdbscan_ms,
+      total_ms, anns_index_bytes, cts_index_bytes, cts_clusters);
 }
 
 namespace {
@@ -60,6 +65,13 @@ std::shared_ptr<embed::SemanticEncoder> MakeEngineEncoder(
   return encoder;
 }
 
+// The build pool (EngineOptions::embed_threads); null runs every build loop
+// inline on the calling thread.
+std::unique_ptr<ThreadPool> MakeBuildPool(const EngineOptions& options) {
+  if (options.embed_threads == 1) return nullptr;
+  return std::make_unique<ThreadPool>(options.embed_threads);
+}
+
 // Mirrors the build report into registry gauges so a metrics scrape sees the
 // cost of the most recent build alongside the query-time series.
 void PublishBuildMetrics(const BuildReport& report) {
@@ -72,6 +84,9 @@ void PublishBuildMetrics(const BuildReport& report) {
     registry.GetGauge("mira.build.embed_ms").Set(report.embed_ms);
     registry.GetGauge("mira.build.anns_ms").Set(report.anns_build_ms);
     registry.GetGauge("mira.build.cts_ms").Set(report.cts_build_ms);
+    registry.GetGauge("mira.build.pq_ms").Set(report.pq_ms);
+    registry.GetGauge("mira.build.umap_ms").Set(report.umap_ms);
+    registry.GetGauge("mira.build.hdbscan_ms").Set(report.hdbscan_ms);
     registry.GetGauge("mira.build.total_ms").Set(report.total_ms);
     registry.GetGauge("mira.build.anns_index_bytes")
         .Set(static_cast<double>(report.anns_index_bytes));
@@ -96,10 +111,7 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::Build(
   engine->encoder_ =
       MakeEngineEncoder(engine->federation_, std::move(lexicon), options);
 
-  std::unique_ptr<ThreadPool> pool;
-  if (options.embed_threads != 1) {
-    pool = std::make_unique<ThreadPool>(options.embed_threads);
-  }
+  std::unique_ptr<ThreadPool> pool = MakeBuildPool(options);
   WallTimer embed_timer;
   MIRA_ASSIGN_OR_RETURN(
       CorpusEmbeddings corpus,
@@ -107,7 +119,7 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::Build(
                               pool.get()));
   engine->build_report_.embed_ms = embed_timer.ElapsedMillis();
   engine->corpus_ = std::make_shared<const CorpusEmbeddings>(std::move(corpus));
-  MIRA_RETURN_NOT_OK(engine->FinishBuild(options));
+  MIRA_RETURN_NOT_OK(engine->FinishBuild(options, pool.get()));
   engine->build_report_.total_ms = total_timer.ElapsedMillis();
   PublishBuildMetrics(engine->build_report_);
   MIRA_LOG_INFO() << "engine build: " << engine->build_report_.ToString();
@@ -135,14 +147,16 @@ Result<std::unique_ptr<DiscoveryEngine>> DiscoveryEngine::BuildWithCorpus(
       MakeEngineEncoder(engine->federation_, std::move(lexicon), options);
   engine->corpus_ = std::make_shared<const CorpusEmbeddings>(std::move(corpus));
   engine->build_report_.reused_corpus = true;
-  MIRA_RETURN_NOT_OK(engine->FinishBuild(options));
+  std::unique_ptr<ThreadPool> pool = MakeBuildPool(options);
+  MIRA_RETURN_NOT_OK(engine->FinishBuild(options, pool.get()));
   engine->build_report_.total_ms = total_timer.ElapsedMillis();
   PublishBuildMetrics(engine->build_report_);
   MIRA_LOG_INFO() << "engine build: " << engine->build_report_.ToString();
   return engine;
 }
 
-Status DiscoveryEngine::FinishBuild(const EngineOptions& options) {
+Status DiscoveryEngine::FinishBuild(const EngineOptions& options,
+                                    ThreadPool* pool) {
   build_report_.num_relations = federation_.size();
   build_report_.num_cells = corpus_->num_cells();
   build_report_.dim = corpus_->dim();
@@ -154,21 +168,38 @@ Status DiscoveryEngine::FinishBuild(const EngineOptions& options) {
   fallback_exs.allow_partial = true;
   fallback_exs_ = std::make_unique<ExhaustiveSearcher>(&federation_, corpus_,
                                                        encoder_, fallback_exs);
+  // ANNS and CTS only read corpus_. With a pool they build concurrently:
+  // CTS on a thread of its own (not a pool task, so its parallel loops may
+  // wait on the pool), ANNS on this one. Each writes only its own searcher
+  // and report fields.
+  auto build_cts = [this, &options, pool]() -> Status {
+    WallTimer timer;
+    MIRA_ASSIGN_OR_RETURN(cts_, CtsSearcher::Build(federation_, corpus_,
+                                                   encoder_, options.cts, pool));
+    build_report_.cts_build_ms = timer.ElapsedMillis();
+    build_report_.umap_ms = cts_->umap_ms();
+    build_report_.hdbscan_ms = cts_->hdbscan_ms();
+    build_report_.cts_index_bytes = cts_->IndexMemoryBytes();
+    build_report_.cts_clusters = cts_->num_clusters();
+    return Status::OK();
+  };
+  std::future<Status> cts_job;
+  if (options.build_cts && options.build_anns && pool != nullptr) {
+    cts_job = std::async(std::launch::async, build_cts);
+  }
   if (options.build_anns) {
     WallTimer timer;
     MIRA_ASSIGN_OR_RETURN(
         anns_, AnnsSearcher::Build(federation_, corpus_, encoder_,
-                                   options.anns));
+                                   options.anns, pool));
     build_report_.anns_build_ms = timer.ElapsedMillis();
+    build_report_.pq_ms = anns_->pq_ms();
     build_report_.anns_index_bytes = anns_->IndexMemoryBytes();
   }
-  if (options.build_cts) {
-    WallTimer timer;
-    MIRA_ASSIGN_OR_RETURN(
-        cts_, CtsSearcher::Build(federation_, corpus_, encoder_, options.cts));
-    build_report_.cts_build_ms = timer.ElapsedMillis();
-    build_report_.cts_index_bytes = cts_->IndexMemoryBytes();
-    build_report_.cts_clusters = cts_->num_clusters();
+  if (cts_job.valid()) {
+    MIRA_RETURN_NOT_OK(cts_job.get());
+  } else if (options.build_cts) {
+    MIRA_RETURN_NOT_OK(build_cts());
   }
 
   if constexpr (obs::kObsEnabled) {

@@ -32,8 +32,17 @@ struct BuildReport {
   /// True for BuildWithCorpus (the embedding pass was skipped).
   bool reused_corpus = false;
   double embed_ms = 0.0;
+  /// Wall time of each searcher's Build. With a build pool and both
+  /// searchers enabled the two builds overlap, so they can sum to more than
+  /// total_ms.
   double anns_build_ms = 0.0;
   double cts_build_ms = 0.0;
+  /// Inside anns_build_ms: PQ training plus encoding, timed on the thread
+  /// that ran them — beside graph insertion when there is a build pool.
+  double pq_ms = 0.0;
+  /// Inside cts_build_ms: the UMAP reduction and the HDBSCAN clustering.
+  double umap_ms = 0.0;
+  double hdbscan_ms = 0.0;
   double total_ms = 0.0;
   size_t anns_index_bytes = 0;
   size_t cts_index_bytes = 0;
@@ -63,7 +72,11 @@ struct EngineOptions {
   bool build_anns = true;
   /// Build the CTS cluster structures.
   bool build_cts = true;
-  /// Threads for corpus embedding; 0 = hardware concurrency, 1 = serial.
+  /// Threads of the build pool; 0 = hardware concurrency, 1 = serial. The
+  /// pool lives for the whole of Build/BuildWithCorpus: it embeds the corpus,
+  /// trains PQ beside the HNSW insertion, runs UMAP's kNN queries and
+  /// HDBSCAN's core distances, and lets ANNS and CTS build concurrently.
+  /// Every index it builds is bit-identical to a serial build.
   size_t embed_threads = 0;
 };
 
@@ -135,8 +148,10 @@ class DiscoveryEngine {
  private:
   DiscoveryEngine() = default;
 
-  /// Builds the three searchers once corpus embeddings exist.
-  [[nodiscard]] Status FinishBuild(const EngineOptions& options);
+  /// Builds the three searchers once corpus embeddings exist. `pool` is the
+  /// build pool (null = serial); this must run on a non-pool thread.
+  [[nodiscard]] Status FinishBuild(const EngineOptions& options,
+                                   ThreadPool* pool);
 
   /// Search + the deadline fallback ladder; shared by Search/SearchTraced.
   [[nodiscard]] Result<Ranking> SearchWithFallback(

@@ -4,10 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <memory>
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "vecmath/simd.h"
@@ -323,7 +325,7 @@ void HnswIndex::InsertNode(uint32_t node, SearchScratch* scratch) {
   }
 }
 
-Status HnswIndex::Build() {
+Status HnswIndex::Build(ThreadPool* pool) {
   // Hold add_mu_ for the whole build: a contract-violating concurrent Add()
   // blocks here and then fails the built_ check instead of appending into a
   // graph mid-construction.
@@ -332,8 +334,31 @@ Status HnswIndex::Build() {
     return Status::FailedPrecondition("hnsw: Build called twice");
   }
   if (ids_.empty()) return Status::FailedPrecondition("hnsw: no vectors added");
+  const bool quantized = options_.quantization.has_value();
+  if (quantized && options_.metric == vecmath::Metric::kDot) {
+    return Status::NotImplemented("hnsw: quantization requires cosine or l2");
+  }
 
   const size_t n = ids_.size();
+  // PQ reads only vectors_ (frozen under add_mu_) and writes only pq_ and
+  // codes_, which insertion never touches. With a pool it runs on its own
+  // thread beside the insertion loop; its ParallelFor calls then come from
+  // that thread, never from a pool task.
+  auto quantize = [this, pool, n]() -> Status {
+    WallTimer timer;
+    MIRA_ASSIGN_OR_RETURN(
+        auto pq, ProductQuantizer::Train(vectors_, *options_.quantization, pool));
+    pq_ = std::move(pq);
+    codes_.resize(n * pq_->code_bytes());
+    pq_->EncodeBatch(vectors_, codes_.data(), pool);
+    pq_build_ms_ = timer.ElapsedMillis();
+    return Status::OK();
+  };
+  std::future<Status> pq_job;
+  if (quantized && pool != nullptr) {
+    pq_job = std::async(std::launch::async, quantize);
+  }
+
   layer0_stride_ = 1 + MaxDegree(0);
   layer0_.assign(n * layer0_stride_, 0);
   upper_links_.resize(n);
@@ -346,16 +371,10 @@ Status HnswIndex::Build() {
   for (size_t i = 0; i < n; ++i) {
     InsertNode(static_cast<uint32_t>(i), &scratch);
   }
-
-  if (options_.quantization.has_value()) {
-    if (options_.metric == vecmath::Metric::kDot) {
-      return Status::NotImplemented("hnsw: quantization requires cosine or l2");
-    }
-    MIRA_ASSIGN_OR_RETURN(auto pq,
-                          ProductQuantizer::Train(vectors_, *options_.quantization));
-    pq_ = std::move(pq);
-    codes_.resize(n * pq_->code_bytes());
-    pq_->EncodeBatch(vectors_, codes_.data());
+  if (pq_job.valid()) {
+    MIRA_RETURN_NOT_OK(pq_job.get());
+  } else if (quantized) {
+    MIRA_RETURN_NOT_OK(quantize());
   }
 
   // Release store pairs with the acquire load in Search(): observing

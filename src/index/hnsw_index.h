@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/sync.h"
+#include "common/threadpool.h"
 #include "index/product_quantizer.h"
 #include "index/vector_index.h"
 #include "vecmath/matrix.h"
@@ -57,7 +58,14 @@ class HnswIndex final : public VectorIndex {
 
   [[nodiscard]] Status Add(uint64_t id, const vecmath::Vec& vector) override;
   void Reserve(size_t expected_rows) override;
-  [[nodiscard]] Status Build() override;
+  [[nodiscard]] Status Build() override { return Build(nullptr); }
+  /// Build() with a build pool. Graph insertion stays serial on the calling
+  /// thread (its order determines the graph). When quantized, the PQ
+  /// codebooks are trained and the codes encoded on `pool` from a second
+  /// thread *while* the caller inserts: both only read the frozen vectors,
+  /// and insertion never touches the codes, so the index is bit-identical to
+  /// a null-pool build. Must not be called from a task of `pool`.
+  [[nodiscard]] Status Build(ThreadPool* pool);
   [[nodiscard]] Result<std::vector<vecmath::ScoredId>> Search(
       const vecmath::Vec& query, const SearchParams& params) const override;
 
@@ -73,6 +81,10 @@ class HnswIndex final : public VectorIndex {
   int max_level() const { return max_level_; }
   /// Out-degree of a node on a layer (diagnostic/testing).
   size_t Degree(uint32_t node, int level) const;
+  /// Wall time of PQ training plus encoding, measured on the thread that
+  /// ran them (with a build pool, beside graph insertion); 0 when not
+  /// quantized.
+  double pq_build_ms() const { return pq_build_ms_; }
   const HnswOptions& options() const { return options_; }
 
  private:
@@ -224,6 +236,7 @@ class HnswIndex final : public VectorIndex {
 
   std::optional<ProductQuantizer> pq_;
   std::vector<uint8_t> codes_;  // size() * code_bytes when quantized
+  double pq_build_ms_ = 0.0;
 
   mutable Mutex scratch_mu_;
   mutable std::vector<std::unique_ptr<SearchScratch>> scratch_pool_

@@ -11,7 +11,8 @@
 namespace mira::index {
 
 Result<ProductQuantizer> ProductQuantizer::Train(
-    const vecmath::Matrix& training_data, const PqOptions& options) {
+    const vecmath::Matrix& training_data, const PqOptions& options,
+    ThreadPool* pool) {
   if (options.nbits != 4 && options.nbits != 8) {
     return Status::InvalidArgument(
         StrFormat("pq: nbits must be 4 or 8, got %zu", options.nbits));
@@ -59,8 +60,9 @@ Result<ProductQuantizer> ProductQuantizer::Train(
   pq.nbits_ = options.nbits;
   pq.codebooks_.assign(m * ksub * pq.sub_dim_, 0.f);
 
-  for (size_t s = 0; s < m; ++s) {
-    // Slice out subspace s.
+  // One task per subspace: slice it out, run its k-means, and write its
+  // codebook. Tasks share nothing but read-only inputs.
+  auto train_subspace = [&](size_t s) -> Status {
     vecmath::Matrix sub(n, pq.sub_dim_);
     for (size_t i = 0; i < n; ++i) {
       const float* row = training_data.Row(train_rows[i]) + s * pq.sub_dim_;
@@ -83,7 +85,10 @@ Result<ProductQuantizer> ProductQuantizer::Train(
       const float* src = pq.codebooks_.data() + (s * ksub) * pq.sub_dim_;
       std::copy(src, src + pq.sub_dim_, dst);
     }
-  }
+    return Status::OK();
+  };
+  MIRA_RETURN_NOT_OK(
+      ParallelForCancellable(pool, 0, m, nullptr, train_subspace));
   return pq;
 }
 
@@ -117,12 +122,19 @@ std::vector<uint8_t> ProductQuantizer::Encode(const vecmath::Vec& vector) const 
   return codes;
 }
 
-void ProductQuantizer::EncodeBatch(const vecmath::Matrix& data,
-                                   uint8_t* out) const {
-  std::vector<float> dist(ksub_);
-  for (size_t i = 0; i < data.rows(); ++i) {
-    EncodeRow(data.Row(i), dist.data(), out + i * m_);
-  }
+void ProductQuantizer::EncodeBatch(const vecmath::Matrix& data, uint8_t* out,
+                                   ThreadPool* pool) const {
+  // Blocks of rows, one scratch each: a block writes whole code rows, so no
+  // two tasks share a cache line of `out` for long.
+  constexpr size_t kBlockRows = 256;
+  const size_t rows = data.rows();
+  ParallelFor(pool, 0, (rows + kBlockRows - 1) / kBlockRows, [&](size_t b) {
+    std::vector<float> dist(ksub_);
+    const size_t end = std::min(rows, (b + 1) * kBlockRows);
+    for (size_t i = b * kBlockRows; i < end; ++i) {
+      EncodeRow(data.Row(i), dist.data(), out + i * m_);
+    }
+  });
 }
 
 vecmath::Vec ProductQuantizer::Decode(const std::vector<uint8_t>& codes) const {

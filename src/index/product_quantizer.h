@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/threadpool.h"
 #include "vecmath/matrix.h"
 #include "vecmath/vector_ops.h"
 
@@ -52,16 +53,23 @@ class ProductQuantizer {
   };
 
   /// Trains codebooks on the rows of `training_data` (>= 2^nbits rows).
-  [[nodiscard]] static Result<ProductQuantizer> Train(const vecmath::Matrix& training_data,
-                                        const PqOptions& options);
+  /// The m subspace k-means are independent (each has its own seed and
+  /// writes only its own codebook), so with a `pool` they run concurrently;
+  /// the codebooks are bit-identical to a null-pool (inline) run. Must not
+  /// be called from a task of `pool` (see ParallelFor).
+  [[nodiscard]] static Result<ProductQuantizer> Train(
+      const vecmath::Matrix& training_data, const PqOptions& options,
+      ThreadPool* pool = nullptr);
 
   /// Quantizes a vector to m one-byte codes (each < 2^nbits).
   std::vector<uint8_t> Encode(const vecmath::Vec& vector) const;
 
   /// Encodes every row of `data` into `out` (row i's m codes start at
-  /// out + i * code_bytes()). One scratch allocation for the whole batch
-  /// instead of Encode()'s two per call — the index-build hot path.
-  void EncodeBatch(const vecmath::Matrix& data, uint8_t* out) const;
+  /// out + i * code_bytes()) — the index-build hot path. Rows are encoded
+  /// independently, in blocks; with a `pool` the blocks run concurrently
+  /// and the codes are the same. Must not be called from a task of `pool`.
+  void EncodeBatch(const vecmath::Matrix& data, uint8_t* out,
+                   ThreadPool* pool = nullptr) const;
 
   /// Reconstructs the centroid approximation of a code sequence.
   vecmath::Vec Decode(const std::vector<uint8_t>& codes) const;

@@ -31,9 +31,9 @@ struct SearchParams {
 /// `mira.mem.*` resource gauges (see docs/OBSERVABILITY.md); total() is what
 /// the storage-reduction experiments report as MemoryBytes().
 struct MemoryStats {
-  size_t vectors_bytes = 0;   ///< Raw float rows (plus centroids for IVF).
+  size_t vectors_bytes = 0;   ///< Raw float rows.
   size_t ids_bytes = 0;       ///< External id arrays.
-  size_t graph_bytes = 0;     ///< HNSW link lists / IVF posting lists.
+  size_t graph_bytes = 0;     ///< HNSW link lists.
   size_t codes_bytes = 0;     ///< Packed PQ codes (payload: grows with n).
   size_t codebook_bytes = 0;  ///< PQ codebook floats (model: fixed per index).
   size_t total() const {

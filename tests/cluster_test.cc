@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "cluster/hdbscan.h"
 #include "cluster/kmeans.h"
 #include "common/rng.h"
+#include "common/threadpool.h"
+#include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
 
 namespace mira::cluster {
@@ -243,6 +248,161 @@ TEST_P(HdbscanMcsSweep, FourBlobsRecovered) {
 
 INSTANTIATE_TEST_SUITE_P(MinClusterSizes, HdbscanMcsSweep,
                          ::testing::Values(5, 8, 12, 20));
+
+// ---------- HDBSCAN stages against the straightforward reference ----------
+
+// The core distances as first written: every other row's distance as a
+// double root, then nth_element over the doubles.
+std::vector<double> ReferenceCoreDistances(const Matrix& data, size_t k) {
+  const size_t n = data.rows();
+  const size_t d = data.cols();
+  std::vector<double> core(n, 0.0);
+  if (n <= 1) return core;
+  k = std::min(k, n - 1);
+  std::vector<double> dists;
+  for (size_t i = 0; i < n; ++i) {
+    dists.clear();
+    for (size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      dists.push_back(std::sqrt(static_cast<double>(
+          vecmath::ScalarSquaredL2(data.Row(i), data.Row(j), d))));
+    }
+    std::nth_element(dists.begin(), dists.begin() + (k - 1), dists.end());
+    core[i] = dists[k - 1];
+  }
+  return core;
+}
+
+// Prim as first written: an in-tree mask, a relax sweep over all n points,
+// then a separate argmin sweep whose strict `<` gives ties to the lowest id.
+std::vector<internal::MstEdge> ReferenceMst(const Matrix& data,
+                                            const std::vector<double>& core) {
+  const size_t n = data.rows();
+  const size_t d = data.cols();
+  std::vector<internal::MstEdge> edges;
+  if (n <= 1) return edges;
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<bool> in_tree(n, false);
+  std::vector<double> best(n, inf);
+  std::vector<uint32_t> from(n, 0);
+  uint32_t current = 0;
+  in_tree[0] = true;
+  for (size_t added = 1; added < n; ++added) {
+    for (size_t j = 0; j < n; ++j) {
+      if (in_tree[j]) continue;
+      double dist = std::sqrt(static_cast<double>(
+          vecmath::ScalarSquaredL2(data.Row(current), data.Row(j), d)));
+      double mr = std::max({core[current], core[j], dist});
+      if (mr < best[j]) {
+        best[j] = mr;
+        from[j] = current;
+      }
+    }
+    double min_w = inf;
+    uint32_t next = 0;
+    for (size_t j = 0; j < n; ++j) {
+      if (!in_tree[j] && best[j] < min_w) {
+        min_w = best[j];
+        next = static_cast<uint32_t>(j);
+      }
+    }
+    edges.push_back({min_w, from[next], next});
+    in_tree[next] = true;
+    current = next;
+  }
+  return edges;
+}
+
+// Integer lattice points with many repeats: nearly every distance has exact
+// ties, which is where tie-breaking shows.
+Matrix IntegerGrid(size_t n, size_t dim, int side, uint64_t seed) {
+  Rng rng(seed);
+  Matrix data(n, dim);
+  for (auto& x : data.data()) {
+    x = static_cast<float>(rng.NextBounded(static_cast<uint64_t>(side)));
+  }
+  return data;
+}
+
+// A full 2-D lattice in row order, each point twice.
+Matrix DoubledLattice(int side) {
+  Matrix data(static_cast<size_t>(2 * side * side), 2);
+  size_t row = 0;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int x = 0; x < side; ++x) {
+      for (int y = 0; y < side; ++y) {
+        data.At(row, 0) = static_cast<float>(x);
+        data.At(row, 1) = static_cast<float>(y);
+        ++row;
+      }
+    }
+  }
+  return data;
+}
+
+void ExpectSameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a[i]), std::bit_cast<uint64_t>(b[i]))
+        << "row " << i;
+  }
+}
+
+void ExpectSameMst(const std::vector<internal::MstEdge>& want,
+                   const std::vector<internal::MstEdge>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t e = 0; e < want.size(); ++e) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(want[e].weight),
+              std::bit_cast<uint64_t>(got[e].weight))
+        << "edge " << e;
+    EXPECT_EQ(want[e].a, got[e].a) << "edge " << e;
+    EXPECT_EQ(want[e].b, got[e].b) << "edge " << e;
+  }
+}
+
+void CheckAgainstReference(const Matrix& data, size_t min_cluster_size) {
+  ThreadPool pool(4);
+  const std::vector<double> want_core =
+      ReferenceCoreDistances(data, min_cluster_size);
+  ExpectSameBits(want_core,
+                 internal::CoreDistances(data, min_cluster_size, nullptr));
+  ExpectSameBits(want_core,
+                 internal::CoreDistances(data, min_cluster_size, &pool));
+
+  const std::vector<internal::MstEdge> want_mst = ReferenceMst(data, want_core);
+  ExpectSameMst(want_mst, internal::MutualReachabilityMst(data, want_core));
+
+  const HdbscanResult want =
+      internal::ClustersFromMst(want_mst, data.rows(), min_cluster_size);
+  HdbscanOptions options;
+  options.min_cluster_size = min_cluster_size;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto got = Hdbscan(data, options, p);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->labels, want.labels);
+    ASSERT_EQ(got->clusters.size(), want.clusters.size());
+    for (size_t c = 0; c < want.clusters.size(); ++c) {
+      EXPECT_EQ(got->clusters[c].members, want.clusters[c].members);
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->clusters[c].stability),
+                std::bit_cast<uint64_t>(want.clusters[c].stability));
+    }
+  }
+}
+
+TEST(HdbscanReferenceTest, TieHeavyIntegerGridsMatchReference) {
+  CheckAgainstReference(DoubledLattice(12), 8);
+  CheckAgainstReference(IntegerGrid(400, 5, 4, 21), 8);
+  CheckAgainstReference(IntegerGrid(300, 3, 3, 22), 5);
+  CheckAgainstReference(IntegerGrid(257, 2, 6, 23), 12);
+}
+
+TEST(HdbscanReferenceTest, BlobsMatchReference) {
+  CheckAgainstReference(MakeBlobs(4, 60, 5, 0.4, 24), 10);
+  // Blobs snapped to the integer lattice: clusters plus exact ties.
+  Matrix snapped = MakeBlobs(3, 70, 4, 2.0, 25);
+  for (auto& x : snapped.data()) x = std::round(x);
+  CheckAgainstReference(snapped, 8);
+}
 
 // ---------- Medoids ----------
 

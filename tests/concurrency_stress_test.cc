@@ -1,5 +1,6 @@
 // Concurrency stress tests for the parallel substrate: ThreadPool /
-// ParallelFor, and HnswIndex under parallel insert/query. Designed to run
+// ParallelFor, HnswIndex under parallel insert/query, and the engine build
+// on a shared build pool. Designed to run
 // under ThreadSanitizer (the `tsan` preset registers this binary); sizes are
 // chosen so a TSan run on a small machine stays in the seconds range while
 // still crossing well over 10k scheduled tasks.
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -16,6 +18,8 @@
 
 #include "common/rng.h"
 #include "common/threadpool.h"
+#include "datagen/workload.h"
+#include "discovery/engine.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "index/pq_flat_index.h"
@@ -257,6 +261,130 @@ TEST(HnswStressTest, QuantizedParallelQuery) {
     });
     EXPECT_EQ(rejected.load(), (kQueries * 8 + 28) / 29);
   }
+}
+
+// ---------- Engine build on the build pool ----------
+
+// A small generated workload that still clusters (CTS runs UMAP and
+// HDBSCAN) and trains PQ, kept small enough for a TSan run.
+const datagen::Workload& BuildWorkload() {
+  static const datagen::Workload workload = [] {
+    datagen::WorkloadOptions options = datagen::WikiTablesWorkload(40);
+    options.bank.num_topics = 6;
+    options.bank.aspects_per_topic = 2;
+    options.queries.per_class = 3;
+    return datagen::Workload::Generate(options);
+  }();
+  return workload;
+}
+
+discovery::EngineOptions BuildOptions(size_t threads) {
+  discovery::EngineOptions options;
+  options.encoder.dim = 64;
+  options.cts.umap.n_epochs = 30;
+  options.embed_threads = threads;
+  return options;
+}
+
+std::unique_ptr<discovery::DiscoveryEngine> BuildEngine(size_t threads) {
+  const datagen::Workload& workload = BuildWorkload();
+  auto engine = discovery::DiscoveryEngine::Build(
+      workload.corpus.federation, workload.bank.lexicon(),
+      BuildOptions(threads));
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  return engine.ok() ? std::move(engine).MoveValue() : nullptr;
+}
+
+TEST(ParallelBuildStressTest, PooledBuildRanksLikeSerialBuild) {
+  // Embedding, PQ beside the HNSW insert, UMAP kNN, HDBSCAN core distances
+  // and ANNS beside CTS all run on the pool; every ranking must still match
+  // the serial build bit for bit.
+  std::unique_ptr<discovery::DiscoveryEngine> serial = BuildEngine(1);
+  std::unique_ptr<discovery::DiscoveryEngine> pooled = BuildEngine(4);
+  ASSERT_NE(serial, nullptr);
+  ASSERT_NE(pooled, nullptr);
+  ASSERT_GE(serial->build_report().cts_clusters, 2u);
+  EXPECT_EQ(serial->build_report().cts_clusters,
+            pooled->build_report().cts_clusters);
+  EXPECT_GT(pooled->build_report().pq_ms, 0.0);
+  EXPECT_GT(pooled->build_report().umap_ms, 0.0);
+  EXPECT_GT(pooled->build_report().hdbscan_ms, 0.0);
+
+  discovery::DiscoveryOptions options;
+  options.top_k = 50;
+  size_t compared = 0;
+  for (const auto& query : BuildWorkload().queries) {
+    for (discovery::Method method :
+         {discovery::Method::kAnns, discovery::Method::kCts}) {
+      auto want = serial->Search(method, query.text, options);
+      auto got = pooled->Search(method, query.text, options);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(got->size(), want->size()) << query.text;
+      for (size_t i = 0; i < want->size(); ++i) {
+        ASSERT_EQ((*got)[i].relation, (*want)[i].relation) << query.text;
+        ASSERT_EQ(std::bit_cast<uint32_t>((*got)[i].score),
+                  std::bit_cast<uint32_t>((*want)[i].score))
+            << query.text;
+      }
+      compared += want->size();
+    }
+  }
+  EXPECT_GT(compared, 0u);
+}
+
+TEST(ParallelBuildStressTest, ProductQuantizerPoolMatchesInline) {
+  constexpr size_t kDim = 32;
+  constexpr size_t kRows = 1200;
+  Rng rng(77);
+  vecmath::Matrix data(kRows, kDim);
+  for (auto& x : data.data()) x = static_cast<float>(rng.NextGaussian());
+  ThreadPool pool(kPoolThreads);
+  for (size_t nbits : {size_t{8}, size_t{4}}) {
+    index::PqOptions options;
+    options.num_subquantizers = 8;
+    options.nbits = nbits;
+    options.max_training_rows = 1000;
+    auto inline_pq = index::ProductQuantizer::Train(data, options);
+    auto pooled_pq = index::ProductQuantizer::Train(data, options, &pool);
+    ASSERT_TRUE(inline_pq.ok()) << inline_pq.status().ToString();
+    ASSERT_TRUE(pooled_pq.ok()) << pooled_pq.status().ToString();
+    // Codebooks: code c in every subspace decodes to centroid c of each.
+    const size_t m = inline_pq->num_subquantizers();
+    for (size_t c = 0; c < inline_pq->codebook_size(); ++c) {
+      const std::vector<uint8_t> code(m, static_cast<uint8_t>(c));
+      const vecmath::Vec want = inline_pq->Decode(code);
+      const vecmath::Vec got = pooled_pq->Decode(code);
+      for (size_t j = 0; j < kDim; ++j) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(got[j]), std::bit_cast<uint32_t>(want[j]))
+            << "nbits=" << nbits << " centroid " << c;
+      }
+    }
+    std::vector<uint8_t> want_codes(kRows * m), got_codes(kRows * m);
+    inline_pq->EncodeBatch(data, want_codes.data());
+    pooled_pq->EncodeBatch(data, got_codes.data(), &pool);
+    EXPECT_EQ(got_codes, want_codes) << "nbits=" << nbits;
+    for (size_t i = 0; i < kRows; i += 97) {
+      EXPECT_EQ(inline_pq->Encode(data.RowVec(i)),
+                std::vector<uint8_t>(want_codes.begin() + i * m,
+                                     want_codes.begin() + (i + 1) * m));
+    }
+  }
+}
+
+TEST(ParallelBuildStressTest, TwoThreadPoolBuildsBothSearchers) {
+  // The deadlock guard: with two workers, CTS builds on its own thread, the
+  // PQ job on another, and ANNS inserts on the caller, all forking onto the
+  // same small pool. ParallelFor waits without helping, so this finishes
+  // only if no parallel loop is ever started from a pool task.
+  std::unique_ptr<discovery::DiscoveryEngine> engine = BuildEngine(2);
+  ASSERT_NE(engine, nullptr);
+  EXPECT_NE(engine->searcher(discovery::Method::kAnns), nullptr);
+  EXPECT_NE(engine->searcher(discovery::Method::kCts), nullptr);
+  discovery::DiscoveryOptions options;
+  auto ranking = engine->Search(discovery::Method::kCts,
+                                BuildWorkload().queries.front().text, options);
+  EXPECT_TRUE(ranking.ok()) << ranking.status().ToString();
 }
 
 // ---------- Metrics ----------

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "dimred/pca.h"
 #include "dimred/umap.h"
 #include "vecmath/vector_ops.h"
@@ -242,6 +243,21 @@ TEST(UmapTest, DeterministicGivenSeed) {
   auto a = FitUmap(data, options).MoveValue();
   auto b = FitUmap(data, options).MoveValue();
   EXPECT_EQ(a.embedding.data(), b.embedding.data());
+}
+
+TEST(UmapTest, PooledFitMatchesInline) {
+  // The pool runs the kNN queries and overlaps PCA with the graph build;
+  // the layout must not change by a bit.
+  Matrix data = MakeBlobs(4, 60, 12, 13);
+  UmapOptions options;
+  options.n_epochs = 40;
+  options.target_dim = 3;
+  ThreadPool pool(4);
+  auto inline_fit = FitUmap(data, options).MoveValue();
+  auto pooled_fit = FitUmap(data, options, &pool).MoveValue();
+  EXPECT_EQ(pooled_fit.embedding.data(), inline_fit.embedding.data());
+  EXPECT_EQ(pooled_fit.a, inline_fit.a);
+  EXPECT_EQ(pooled_fit.b, inline_fit.b);
 }
 
 class UmapDimSweep : public ::testing::TestWithParam<size_t> {};

@@ -1,21 +1,16 @@
 // Tests for the extension features: multi-relation datasets (§3's
 // generalization), dataset-level ranking aggregation, TREC-format run/qrels
-// I/O, and the IVF-Flat index.
+// I/O.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <unordered_set>
 
-#include "common/rng.h"
 #include "discovery/dataset_ranking.h"
-#include "index/flat_index.h"
-#include "index/ivf_index.h"
 #include "ir/trec_io.h"
 #include "table/relation.h"
-#include "vecmath/vector_ops.h"
 
 namespace mira {
 namespace {
@@ -217,121 +212,6 @@ TEST(TrecIoTest, EvaluateFromRoundTrippedFiles) {
   EXPECT_DOUBLE_EQ(result.map, 1.0);
   std::remove(run_path.c_str());
   std::remove(qrels_path.c_str());
-}
-
-// ---------- IVF index ----------
-
-vecmath::Matrix ClusteredData(size_t n, size_t dim, size_t clusters,
-                              uint64_t seed) {
-  Rng rng(seed);
-  vecmath::Matrix centers(clusters, dim);
-  for (size_t c = 0; c < clusters; ++c) {
-    for (size_t j = 0; j < dim; ++j) {
-      centers.At(c, j) = static_cast<float>(rng.NextGaussian());
-    }
-    vecmath::NormalizeInPlace(centers.Row(c), dim);
-  }
-  vecmath::Matrix data(n, dim);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < dim; ++j) {
-      data.At(i, j) = centers.At(i % clusters, j) +
-                      0.2f * static_cast<float>(rng.NextGaussian());
-    }
-    vecmath::NormalizeInPlace(data.Row(i), dim);
-  }
-  return data;
-}
-
-TEST(IvfIndexTest, LifecycleErrors) {
-  index::IvfIndex index;
-  EXPECT_TRUE(index.Build().IsFailedPrecondition());
-  ASSERT_TRUE(index.Add(0, {1, 0}).ok());
-  EXPECT_TRUE(index.Search({1, 0}, {1, 0}).status().IsFailedPrecondition());
-  ASSERT_TRUE(index.Build().ok());
-  EXPECT_TRUE(index.Build().IsFailedPrecondition());
-  EXPECT_TRUE(index.Add(1, {0, 1}).IsFailedPrecondition());
-}
-
-TEST(IvfIndexTest, DefaultNlistIsSqrtN) {
-  index::IvfIndex index;
-  auto data = ClusteredData(400, 16, 8, 1);
-  for (size_t i = 0; i < 400; ++i) ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
-  ASSERT_TRUE(index.Build().ok());
-  EXPECT_EQ(index.num_lists(), 20u);
-  size_t total = 0;
-  for (size_t s : index.ListSizes()) total += s;
-  EXPECT_EQ(total, 400u);
-}
-
-TEST(IvfIndexTest, FindsExactMatchWithinProbedCells) {
-  index::IvfOptions options;
-  options.nlist = 16;
-  options.nprobe = 4;
-  index::IvfIndex index(options);
-  auto data = ClusteredData(800, 24, 16, 2);
-  for (size_t i = 0; i < 800; ++i) ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
-  ASSERT_TRUE(index.Build().ok());
-  auto hits = index.Search(data.RowVec(123), {5, 0}).MoveValue();
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].id, 123u);
-}
-
-TEST(IvfIndexTest, MoreProbesImproveRecall) {
-  index::FlatIndex exact;
-  index::IvfOptions options;
-  options.nlist = 32;
-  index::IvfIndex ivf(options);
-  auto data = ClusteredData(1200, 24, 32, 3);
-  for (size_t i = 0; i < 1200; ++i) {
-    ASSERT_TRUE(exact.Add(i, data.RowVec(i)).ok());
-    ASSERT_TRUE(ivf.Add(i, data.RowVec(i)).ok());
-  }
-  ASSERT_TRUE(exact.Build().ok());
-  ASSERT_TRUE(ivf.Build().ok());
-
-  Rng rng(4);
-  auto recall = [&](size_t nprobe) {
-    double total = 0;
-    for (int q = 0; q < 20; ++q) {
-      vecmath::Vec query = data.RowVec(rng.NextBounded(1200));
-      auto truth = exact.Search(query, {10, 0}).MoveValue();
-      auto hits = ivf.Search(query, {10, nprobe}).MoveValue();
-      std::unordered_set<uint64_t> expected;
-      for (const auto& t : truth) expected.insert(t.id);
-      size_t found = 0;
-      for (const auto& h : hits) found += expected.count(h.id);
-      total += static_cast<double>(found) / expected.size();
-    }
-    return total / 20;
-  };
-  Rng reset(4);
-  rng = reset;
-  double low = recall(1);
-  rng = reset;
-  double high = recall(16);
-  EXPECT_GE(high + 1e-9, low);
-  EXPECT_GT(high, 0.9);
-}
-
-TEST(IvfIndexTest, NprobeAllEqualsExact) {
-  index::FlatIndex exact;
-  index::IvfOptions options;
-  options.nlist = 10;
-  index::IvfIndex ivf(options);
-  auto data = ClusteredData(300, 16, 10, 5);
-  for (size_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(exact.Add(i, data.RowVec(i)).ok());
-    ASSERT_TRUE(ivf.Add(i, data.RowVec(i)).ok());
-  }
-  ASSERT_TRUE(exact.Build().ok());
-  ASSERT_TRUE(ivf.Build().ok());
-  vecmath::Vec query = data.RowVec(7);
-  auto truth = exact.Search(query, {10, 0}).MoveValue();
-  auto hits = ivf.Search(query, {10, 10}).MoveValue();  // probe all cells
-  ASSERT_EQ(hits.size(), truth.size());
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].id, truth[i].id);
-  }
 }
 
 }  // namespace

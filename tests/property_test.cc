@@ -16,7 +16,6 @@
 #include "embed/encoder.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/ivf_index.h"
 #include "index/product_quantizer.h"
 #include "ir/metrics.h"
 #include "vecmath/vector_ops.h"
@@ -256,30 +255,6 @@ TEST_P(SeededProperty, ApIdealDominatesRandom) {
   EXPECT_NEAR(ideal, 1.0, 1e-9);
   rng.Shuffle(&docs);
   EXPECT_LE(ir::AveragePrecision(docs, qrels, 0), 1.0);
-}
-
-// ---- index: IVF recall equals flat when probing all lists ----
-
-TEST_P(SeededProperty, IvfFullProbeMatchesFlat) {
-  const size_t n = 250;
-  Matrix data = RandomUnitRows(n, 12, GetParam() ^ 0x1BF);
-  index::FlatIndex flat;
-  index::IvfOptions options;
-  options.nlist = 8;
-  options.seed = GetParam();
-  index::IvfIndex ivf(options);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(flat.Add(i, data.RowVec(i)).ok());
-    ASSERT_TRUE(ivf.Add(i, data.RowVec(i)).ok());
-  }
-  ASSERT_TRUE(flat.Build().ok());
-  ASSERT_TRUE(ivf.Build().ok());
-  Rng rng(GetParam());
-  Vec query = data.RowVec(rng.NextBounded(n));
-  auto truth = flat.Search(query, {5, 0}).MoveValue();
-  auto hits = ivf.Search(query, {5, 8}).MoveValue();
-  ASSERT_EQ(hits.size(), truth.size());
-  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].id, truth[i].id);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededProperty,
