@@ -101,12 +101,6 @@ Result<discovery::Ranking> AdhSearcher::Search(
                   (1.0f - options_.pooled_weight) * interaction;
     ranking.push_back({static_cast<table::RelationId>(t), score});
   }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const discovery::DiscoveryHit& a,
-               const discovery::DiscoveryHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.relation < b.relation;
-            });
   discovery::ApplyThresholdAndTopK(&ranking, options);
   return ranking;
 }

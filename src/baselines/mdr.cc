@@ -2,8 +2,6 @@
 
 #include "common/logging.h"
 
-#include <algorithm>
-
 namespace mira::baselines {
 
 MdrSearcher::MdrSearcher(std::shared_ptr<const CorpusFieldStats> stats,
@@ -51,15 +49,9 @@ Result<discovery::Ranking> MdrSearcher::Search(
     ranking.push_back({static_cast<table::RelationId>(t),
                        static_cast<float>(score)});
   }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const discovery::DiscoveryHit& a,
-               const discovery::DiscoveryHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.relation < b.relation;
-            });
   // The threshold h is defined on cosine-like scores; for the lexical
   // baselines only top-k truncation applies.
-  if (ranking.size() > options.top_k) ranking.resize(options.top_k);
+  discovery::SortTopK(&ranking, options.top_k);
   return ranking;
 }
 

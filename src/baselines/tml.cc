@@ -77,12 +77,6 @@ Result<discovery::Ranking> TmlSearcher::Search(
                        options_.pooled_weight * pooled +
                            (1.0f - options_.pooled_weight) * interaction});
   }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const discovery::DiscoveryHit& a,
-               const discovery::DiscoveryHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.relation < b.relation;
-            });
   discovery::ApplyThresholdAndTopK(&ranking, options);
   return ranking;
 }

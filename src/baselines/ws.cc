@@ -82,13 +82,7 @@ Result<discovery::Ranking> WsSearcher::Search(
     ranking.push_back({static_cast<table::RelationId>(t),
                        static_cast<float>(score)});
   }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const discovery::DiscoveryHit& a,
-               const discovery::DiscoveryHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.relation < b.relation;
-            });
-  if (ranking.size() > options.top_k) ranking.resize(options.top_k);
+  discovery::SortTopK(&ranking, options.top_k);
   return ranking;
 }
 

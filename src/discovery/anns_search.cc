@@ -115,11 +115,6 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
     if (count > 0) ranking.push_back({rid, static_cast<float>(sum / count)});
   }
   rank_span.AddCounter("relations", static_cast<int64_t>(ranking.size()));
-  std::sort(ranking.begin(), ranking.end(),
-            [](const DiscoveryHit& a, const DiscoveryHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.relation < b.relation;
-            });
   ApplyThresholdAndTopK(&ranking, options);
   ranking.degraded = degraded;
   return ranking;

@@ -229,19 +229,25 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
   size_t cell_hits = 0;
   size_t clusters_searched = 0;
   bool degraded = false;
-  // The per_cluster best rows of cluster c, best-first: through its graph,
-  // or a flat scan of its row range.
-  auto probe = [&](size_t c) -> Result<std::vector<vecmath::ScoredId>> {
+  // Fills `hits` with the per_cluster best rows of cluster c, best-first:
+  // through its graph, or by selecting from a flat scan of its row range.
+  std::vector<vecmath::ScoredId> hits;
+  auto probe = [&](size_t c) -> Status {
     if (cluster_graphs_[c] != nullptr) {
-      return cluster_graphs_[c]->Search(q, {per_cluster, 0, control_ptr});
+      MIRA_ASSIGN_OR_RETURN(
+          hits, cluster_graphs_[c]->Search(q, {per_cluster, 0, control_ptr}));
+      return Status::OK();
     }
     const size_t first = cluster_begin_[c];
-    vecmath::TopK top(per_cluster);
+    hits.clear();
     MIRA_RETURN_NOT_OK(index::ScanRows(
         scan_q.data(), rows_.Row(first), cluster_begin_[c + 1] - first,
         rows_.cols(), vecmath::Metric::kCosine, control_ptr,
-        [&](size_t offset, float score) { top.Push(first + offset, score); }));
-    return top.Take();
+        [&](size_t offset, float score) {
+          hits.push_back({first + offset, score});
+        }));
+    vecmath::SortTopK(&hits, per_cluster);
+    return Status::OK();
   };
   std::vector<std::pair<double, uint32_t>> grouped(num_relations_);
   for (const auto& medoid_hit : medoid_hits) {
@@ -253,19 +259,19 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
       degraded = true;
       break;
     }
-    auto hits = probe(static_cast<size_t>(medoid_hit.id));
-    if (!hits.ok()) {
+    Status probed = probe(static_cast<size_t>(medoid_hit.id));
+    if (!probed.ok()) {
       // A deadline firing mid-probe degrades to the clusters already
       // covered; cancellation and real errors always propagate.
-      if (hits.status().IsDeadlineExceeded() && cell_hits > 0) {
+      if (probed.IsDeadlineExceeded() && cell_hits > 0) {
         degraded = true;
         break;
       }
-      return hits.status();
+      return probed;
     }
     ++clusters_searched;
-    cell_hits += hits->size();
-    for (const auto& hit : *hits) {
+    cell_hits += hits.size();
+    for (const auto& hit : hits) {
       auto& [sum, count] = grouped[row_relation_[hit.id]];
       sum += hit.score;
       ++count;
@@ -284,11 +290,6 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
   cluster_span.AddCounter("relations", static_cast<int64_t>(ranking.size()));
   cluster_span.Finish();
 
-  std::sort(ranking.begin(), ranking.end(),
-            [](const DiscoveryHit& a, const DiscoveryHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.relation < b.relation;
-            });
   ApplyThresholdAndTopK(&ranking, options);
   ranking.degraded = degraded;
   ranking.partial = degraded;  // skipped clusters = candidates never seen

@@ -1,7 +1,5 @@
 #include "discovery/exhaustive_search.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "vecmath/simd.h"
@@ -183,11 +181,6 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
     if (corpus_->cells_per_relation[rid] == 0) continue;
     ranking.push_back({rid, avg[rid]});
   }
-  std::sort(ranking.begin(), ranking.end(),
-            [](const DiscoveryHit& a, const DiscoveryHit& b) {
-              if (a.score != b.score) return a.score > b.score;
-              return a.relation < b.relation;
-            });
   ApplyThresholdAndTopK(&ranking, options);
   ranking.partial = reached < num_relations;
   ranking.degraded = ranking.partial;

@@ -10,6 +10,7 @@
 #include "common/result.h"
 #include "index/vector_index.h"
 #include "table/relation.h"
+#include "vecmath/top_k.h"
 
 namespace mira::discovery {
 
@@ -100,8 +101,22 @@ class Searcher {
   virtual std::string name() const = 0;
 };
 
-/// Truncates a ranking to entries with score >= threshold and at most k
-/// entries (assumes it is already sorted best-first).
+/// The ranking order of every search path: higher score first, then lower
+/// relation id. Relation ids are unique within a ranking, so this is a
+/// strict total order (-0.0 and +0.0 compare equal and fall to the id).
+inline bool RanksBefore(const DiscoveryHit& a, const DiscoveryHit& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.relation < b.relation;
+}
+
+/// Keeps the k best hits of an unsorted ranking, best-first: the first k of
+/// a full sort, found by selecting before sorting (vecmath::SortTopK).
+inline void SortTopK(Ranking* ranking, size_t k) {
+  vecmath::SortTopK(&ranking->hits, k);
+}
+
+/// Orders an unsorted ranking and truncates it to at most top_k entries
+/// with score >= threshold.
 void ApplyThresholdAndTopK(Ranking* ranking, const DiscoveryOptions& options);
 
 }  // namespace mira::discovery

@@ -72,9 +72,19 @@ class TopK {
   std::priority_queue<ScoredId, std::vector<ScoredId>, WorstFirst> heap_;
 };
 
-/// Sorts hits best-first in place (descending score, ascending id ties).
-inline void SortByScoreDesc(std::vector<ScoredId>* hits) {
-  std::sort(hits->begin(), hits->end(), RanksBefore);
+/// Keeps the k items that rank first under their type's `RanksBefore` (found
+/// by argument), best-first: nth_element, then a sort of only those. Under a
+/// strict total order that is the first k of a full sort, and for ScoredId
+/// what TopK(k) takes after every item is pushed.
+template <typename T>
+void SortTopK(std::vector<T>* items, size_t k) {
+  auto before = [](const T& a, const T& b) { return RanksBefore(a, b); };
+  if (k < items->size()) {
+    const auto kth = items->begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(items->begin(), kth, items->end(), before);
+    items->erase(kth, items->end());
+  }
+  std::sort(items->begin(), items->end(), before);
 }
 
 }  // namespace mira::vecmath

@@ -651,6 +651,75 @@ TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
   }
 }
 
+TEST_F(GeneratedWorkloadTest, AnnsRetrievingEveryCellMatchesExs) {
+  // Metamorphic check of Algorithm 2 against Algorithm 1: once the HNSW
+  // probe returns every cell, ANNS's per-relation mean over the retrieved
+  // cells is the mean over all of them, which cached ExS scores as q·m_r.
+  // The premise needs a graph that reaches every node. At the default
+  // hnsw_m of 16 this corpus leaves 27 of its 5,023 cells unreachable from
+  // the entry point, 24 of them exact copies of another cell (it has 2,434
+  // distinct cell vectors, up to 43 copies of one); hnsw_m = 24 reaches
+  // every cell.
+  const CorpusEmbeddings& corpus = engine_->corpus();
+  std::shared_ptr<const CorpusEmbeddings> shared_corpus(
+      &corpus, [](const CorpusEmbeddings*) {});
+  std::shared_ptr<const embed::SemanticEncoder> encoder(
+      &engine_->encoder(), [](const embed::SemanticEncoder*) {});
+  AnnsOptions anns_options;
+  anns_options.use_pq = false;
+  anns_options.hnsw_m = 24;
+  anns_options.cell_candidates = corpus.num_cells();
+  anns_options.ef_search = corpus.num_cells();
+  auto anns = AnnsSearcher::Build(workload_->corpus.federation, shared_corpus,
+                                  encoder, anns_options)
+                  .MoveValue();
+  ExsOptions exs_options;
+  exs_options.reuse_corpus_embeddings = true;
+  ExhaustiveSearcher exs(nullptr, shared_corpus, encoder, exs_options);
+
+  constexpr float kTolerance = 1e-5f;
+  DiscoveryOptions options;
+  options.top_k = corpus.num_relations;
+  ASSERT_FALSE(workload_->queries.empty());
+  for (const auto& q : workload_->queries) {
+    SCOPED_TRACE(q.text);
+    Ranking approx;
+    {
+      obs::QueryTrace trace;
+      obs::ScopedTrace scope(&trace);
+      approx = anns->Search(q.text, options).MoveValue();
+      // The graph reaches every node (checked where tracing is compiled in;
+      // a missed cell also shows as a score mismatch below).
+      if (scope.armed()) {
+        ASSERT_EQ(trace.CounterValue("anns.hnsw_search", "hits"),
+                  static_cast<int64_t>(corpus.num_cells()));
+      }
+    }
+    const Ranking exact = exs.Search(q.text, options).MoveValue();
+    ASSERT_EQ(approx.size(), exact.size());
+    std::map<table::RelationId, size_t> approx_rank;
+    for (size_t i = 0; i < approx.size(); ++i) {
+      approx_rank[approx[i].relation] = i;
+    }
+    ASSERT_EQ(approx_rank.size(), approx.size());
+    for (const DiscoveryHit& hit : exact) {
+      auto it = approx_rank.find(hit.relation);
+      ASSERT_NE(it, approx_rank.end()) << "relation " << hit.relation;
+      EXPECT_NEAR(approx[it->second].score, hit.score, kTolerance)
+          << "relation " << hit.relation;
+    }
+    // Each score may be off by the tolerance, so only neighbours whose ExS
+    // scores are further apart than twice that have a fixed order.
+    for (size_t i = 0; i + 1 < exact.size(); ++i) {
+      if (exact[i].score - exact[i + 1].score > 2 * kTolerance) {
+        EXPECT_LT(approx_rank[exact[i].relation],
+                  approx_rank[exact[i + 1].relation])
+            << "ExS ranks " << i << " and " << i + 1;
+      }
+    }
+  }
+}
+
 // ---------- Observability integration ----------
 
 TEST_F(GeneratedWorkloadTest, BuildReportPopulated) {
@@ -1106,9 +1175,9 @@ TEST(MatchScoreTest, EmptyRelationScoresZero) {
   EXPECT_EQ(MatchScore(empty, "anything", encoder), 0.f);
 }
 
-// ---------- ApplyThresholdAndTopK ----------
+// ---------- Ranking selection: SortTopK / ApplyThresholdAndTopK ----------
 
-TEST(ThresholdTest, AppliesBothLimits) {
+TEST(RankingSelectionTest, AppliesBothLimits) {
   Ranking ranking = {{0, 0.9f}, {1, 0.7f}, {2, 0.5f}, {3, 0.3f}};
   DiscoveryOptions options;
   options.top_k = 3;
@@ -1121,6 +1190,78 @@ TEST(ThresholdTest, AppliesBothLimits) {
   options.threshold = 0.95f;
   ApplyThresholdAndTopK(&tight, options);
   EXPECT_TRUE(tight.empty());
+}
+
+// The selection paths against a full sort with the order written out here,
+// followed by the prefix cut: element for element, float bits included.
+TEST(RankingSelectionTest, MatchesFullSortThenCut) {
+  auto full_sort = [](Ranking ranking) {
+    std::sort(ranking.begin(), ranking.end(),
+              [](const DiscoveryHit& a, const DiscoveryHit& b) {
+                if (a.score != b.score) return a.score > b.score;
+                return a.relation < b.relation;
+              });
+    return ranking;
+  };
+  auto cut = [](Ranking ranking, size_t top_k, float threshold) {
+    size_t keep = 0;
+    for (const DiscoveryHit& hit : ranking) {
+      if (hit.score < threshold || keep >= top_k) break;
+      ++keep;
+    }
+    ranking.resize(keep);
+    return ranking;
+  };
+  auto expect_same = [](const Ranking& got, const Ranking& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].relation, want[i].relation) << "at " << i;
+      EXPECT_EQ(std::bit_cast<uint32_t>(got[i].score),
+                std::bit_cast<uint32_t>(want[i].score))
+          << "at " << i;
+    }
+  };
+  // A small score set with both zeros makes exact ties common, including
+  // -0.0 against +0.0, so the relation tie-break decides most positions.
+  const float kScores[] = {-0.25f, -0.0f, 0.0f, 0.125f, 0.5f, 0.5f, 0.875f};
+  Rng rng(20);
+  for (size_t n : {0u, 1u, 5u, 150u, 1500u}) {
+    // Unique relation ids in shuffled order.
+    std::vector<table::RelationId> ids(n);
+    for (size_t i = 0; i < n; ++i) ids[i] = static_cast<table::RelationId>(i);
+    for (size_t i = n; i > 1; --i) {
+      std::swap(ids[i - 1], ids[rng.NextBounded(i)]);
+    }
+    Ranking unsorted;
+    for (table::RelationId id : ids) {
+      unsorted.push_back({id, kScores[rng.NextBounded(std::size(kScores))]});
+    }
+    const Ranking sorted = full_sort(unsorted);
+    for (size_t k : {size_t{0}, size_t{1}, n / 2, n == 0 ? 0 : n - 1, n,
+                     n + 7}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " top_k=" << k);
+      Ranking selected = unsorted;
+      SortTopK(&selected, k);
+      expect_same(selected, cut(sorted, k, -1.0f));
+
+      // Thresholds below, at each score inside, and above the kept prefix.
+      const size_t kept = std::min(k, n);
+      std::vector<float> thresholds = {-1.0f, 2.0f};
+      for (size_t i = 0; i < kept; i += std::max<size_t>(1, kept / 4)) {
+        thresholds.push_back(sorted[i].score);
+      }
+      if (kept > 0) thresholds.push_back(sorted[kept - 1].score);
+      for (float threshold : thresholds) {
+        SCOPED_TRACE(testing::Message() << "threshold=" << threshold);
+        DiscoveryOptions options;
+        options.top_k = k;
+        options.threshold = threshold;
+        Ranking ranking = unsorted;
+        ApplyThresholdAndTopK(&ranking, options);
+        expect_same(ranking, cut(sorted, k, threshold));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.h"
 #include "vecmath/distance.h"
@@ -173,13 +176,53 @@ TEST(TopKTest, MatchesFullSortOnRandomData) {
     all.push_back({i, score});
     top.Push(i, score);
   }
-  SortByScoreDesc(&all);
+  std::sort(all.begin(), all.end(), RanksBefore);
   all.resize(10);
   auto hits = top.Take();
   ASSERT_EQ(hits.size(), 10u);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(hits[i].id, all[i].id);
     EXPECT_EQ(hits[i].score, all[i].score);
+  }
+}
+
+TEST(TopKTest, SortTopKMatchesTake) {
+  // Scores come from a small set with both zeros, so exact ties (and ties
+  // between -0.0 and +0.0) are common and only the id decides their order.
+  const float kScores[] = {-0.5f, -0.0f, 0.0f, 0.25f, 0.25f, 0.75f};
+  // The order written out here, independent of RanksBefore.
+  auto before = [](const ScoredId& a, const ScoredId& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.id < b.id;
+  };
+  Rng rng(2024);
+  for (size_t n : {0u, 1u, 5u, 150u, 1500u}) {
+    std::vector<ScoredId> items;
+    for (size_t i = 0; i < n; ++i) {
+      items.push_back({rng.NextBounded(1u << 20) * n + i,
+                       kScores[rng.NextBounded(std::size(kScores))]});
+    }
+    std::vector<ScoredId> sorted = items;
+    std::sort(sorted.begin(), sorted.end(), before);
+    for (size_t k : {size_t{0}, size_t{1}, n / 2, n == 0 ? 0 : n - 1, n,
+                     n + 7}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " k=" << k);
+      TopK top(k);
+      for (const ScoredId& item : items) top.Push(item.id, item.score);
+      const std::vector<ScoredId> taken = top.Take();
+      std::vector<ScoredId> selected = items;
+      SortTopK(&selected, k);
+      ASSERT_EQ(selected.size(), std::min(k, n));
+      ASSERT_EQ(taken.size(), selected.size());
+      for (size_t i = 0; i < selected.size(); ++i) {
+        EXPECT_EQ(selected[i].id, sorted[i].id);
+        EXPECT_EQ(std::bit_cast<uint32_t>(selected[i].score),
+                  std::bit_cast<uint32_t>(sorted[i].score));
+        EXPECT_EQ(taken[i].id, selected[i].id);
+        EXPECT_EQ(std::bit_cast<uint32_t>(taken[i].score),
+                  std::bit_cast<uint32_t>(selected[i].score));
+      }
+    }
   }
 }
 
@@ -212,6 +255,24 @@ TEST(MatrixTest, AppendRowGrowsAndSetsCols) {
   EXPECT_EQ(m.rows(), 2u);
   EXPECT_EQ(m.cols(), 3u);
   EXPECT_FLOAT_EQ(m.At(1, 0), 4.f);
+}
+
+TEST(MatrixTest, RowsStartOnACacheLine) {
+  auto aligned = [](const Matrix& m) {
+    return reinterpret_cast<uintptr_t>(m.Row(0)) % 64 == 0;
+  };
+  EXPECT_TRUE(aligned(Matrix(3, 5)));
+  Matrix reserved;
+  reserved.Reserve(40);
+  Matrix grown;
+  for (size_t r = 0; r < 100; ++r) {
+    reserved.AppendRow(Vec(7, static_cast<float>(r)));
+    grown.AppendRow(Vec(7, static_cast<float>(r)));
+    ASSERT_TRUE(aligned(reserved)) << "row " << r;
+    ASSERT_TRUE(aligned(grown)) << "row " << r;
+  }
+  EXPECT_FLOAT_EQ(grown.At(99, 6), 99.f);
+  EXPECT_FLOAT_EQ(reserved.At(42, 0), 42.f);
 }
 
 TEST(MatrixTest, RowVecAndSetRowRoundTrip) {
