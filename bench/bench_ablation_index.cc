@@ -1,6 +1,6 @@
 // Ablation microbenchmarks for the index substrate: HNSW parameter sweeps
-// (M, efSearch) and Product Quantization subvector counts — search latency
-// plus recall@10 against the exact oracle, and the PQ storage footprint.
+// (M, efSearch) — search latency plus recall@10 against the exact oracle,
+// and the index footprint.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +15,6 @@
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/pq_flat_index.h"
 #include "vecmath/vector_ops.h"
 
 namespace {
@@ -81,7 +80,7 @@ void BM_FlatSearch(benchmark::State& state) {
   }
   state.counters["recall@10"] = 1.0;
   state.counters["MiB"] =
-      static_cast<double>(Oracle().MemoryBytes()) / (1 << 20);
+      static_cast<double>(Oracle().MemoryUsage().total()) / (1 << 20);
 }
 BENCHMARK(BM_FlatSearch)->Unit(benchmark::kMicrosecond);
 
@@ -117,7 +116,8 @@ void BM_HnswSearch(benchmark::State& state) {
     state.ResumeTiming();
   }
   state.counters["recall@10"] = recall / static_cast<double>(queries);
-  state.counters["MiB"] = static_cast<double>(idx.MemoryBytes()) / (1 << 20);
+  state.counters["MiB"] =
+      static_cast<double>(idx.MemoryUsage().total()) / (1 << 20);
 }
 BENCHMARK(BM_HnswSearch)
     ->Args({16, 16})
@@ -125,41 +125,6 @@ BENCHMARK(BM_HnswSearch)
     ->Args({16, 256})
     ->Args({8, 64})
     ->Args({32, 64})
-    ->Unit(benchmark::kMicrosecond);
-
-// PQ subquantizer sweep: latency, recall and compressed footprint.
-void BM_PqFlatSearch(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  static std::map<size_t, std::unique_ptr<index::PqFlatIndex>> cache;
-  auto it = cache.find(m);
-  if (it == cache.end()) {
-    index::PqFlatOptions options;
-    options.pq.num_subquantizers = m;
-    auto idx = std::make_unique<index::PqFlatIndex>(options);
-    for (size_t i = 0; i < kN; ++i) {
-      idx->Add(i, Data().RowVec(i)).Abort("pq add");
-    }
-    idx->Build().Abort("pq build");
-    it = cache.emplace(m, std::move(idx)).first;
-  }
-  index::PqFlatIndex& idx = *it->second;
-
-  Rng rng(11);
-  double recall = 0;
-  size_t queries = 0;
-  for (auto _ : state) {
-    vecmath::Vec q = Data().RowVec(rng.NextBounded(kN));
-    auto hits = idx.Search(q, {kK, 0}).MoveValue();
-    benchmark::DoNotOptimize(hits);
-    state.PauseTiming();
-    recall += RecallOf(hits, Oracle().Search(q, {kK, 0}).MoveValue());
-    ++queries;
-    state.ResumeTiming();
-  }
-  state.counters["recall@10"] = recall / static_cast<double>(queries);
-  state.counters["MiB"] = static_cast<double>(idx.MemoryBytes()) / (1 << 20);
-}
-BENCHMARK(BM_PqFlatSearch)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -6,7 +6,7 @@
 // `--quick` shrinks the workload for CI smoke runs (one dim, fewer rows,
 // shorter timing windows); results stay directionally meaningful.
 // `--filter <op>` runs only the measurements with that op name (e.g.
-// `--filter adc4_batch`), so CI gates can target one kernel cheaply.
+// `--filter adc_batch`), to time or parity-check one kernel alone.
 
 #include <cmath>
 #include <cstdio>
@@ -233,7 +233,8 @@ int main(int argc, char** argv) {
       const size_t bytes = pq.code_bytes();
       std::vector<uint8_t> codes(num_codes * bytes);
       for (uint8_t& c : codes) {
-        c = static_cast<uint8_t>(rng.NextBounded(pq.codebook_size()));
+        c = static_cast<uint8_t>(
+            rng.NextBounded(index::ProductQuantizer::kCodebookSize));
       }
       std::vector<float> table;
       pq.ComputeDistanceTable(q, &table);
@@ -259,40 +260,6 @@ int main(int argc, char** argv) {
       results.push_back(m);
     }
 
-    // --- 4-bit fast-scan ADC: register-resident quantized LUTs over packed
-    // codes. Integer kernel, so active-vs-scalar parity must be *exact*.
-    // GB/s is over the packed code bytes actually streamed (m/2 per code).
-    if (should_run("adc4_batch")) {
-      const size_t m_sub = dim % 16 == 0 ? 16 : 8;
-      const size_t num_codes = cfg.adc_codes;
-      const size_t num_blocks = (num_codes + 31) / 32;
-      std::vector<uint8_t> lut(m_sub * 16);
-      for (uint8_t& x : lut) x = static_cast<uint8_t>(rng.NextBounded(256));
-      std::vector<uint8_t> packed(num_blocks * m_sub * 16);
-      for (uint8_t& x : packed) x = static_cast<uint8_t>(rng.NextBounded(256));
-      std::vector<uint16_t> out4_scalar(num_blocks * 32, 0);
-      std::vector<uint16_t> out4_active(num_blocks * 32, 0);
-
-      Measurement m{"adc4_batch", dim, num_codes, 0, 0,
-                    static_cast<double>(packed.size()), 0};
-      m.scalar_ns = TimeNs(cfg.min_seconds, [&] {
-        scalar.adc4_batch(lut.data(), packed.data(), num_blocks, m_sub,
-                          out4_scalar.data());
-      });
-      m.active_ns = TimeNs(cfg.min_seconds, [&] {
-        active.adc4_batch(lut.data(), packed.data(), num_blocks, m_sub,
-                          out4_active.data());
-      });
-      for (size_t i = 0; i < out4_scalar.size(); ++i) {
-        const double err =
-            std::fabs(static_cast<double>(out4_active[i]) -
-                      static_cast<double>(out4_scalar[i]));
-        if (err > m.max_abs_err) m.max_abs_err = err;
-      }
-      parity_ok = parity_ok && m.max_abs_err == 0.0;
-      PrintRow(m, tier_name);
-      results.push_back(m);
-    }
     std::printf("\n");
   }
 

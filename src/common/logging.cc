@@ -101,7 +101,8 @@ std::string WallClockIso8601() {
                       1000;
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  char buf[32];
+  // Sized for any int fields, so -Wformat-truncation has nothing to flag.
+  char buf[80];
   std::snprintf(buf, sizeof(buf), "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(millis));

@@ -40,7 +40,6 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
     size_t m = options.pq_subquantizers;
     while (m > 1 && corpus->dim() % m != 0) --m;
     pq.num_subquantizers = m;
-    pq.nbits = options.pq_nbits;
     hnsw.quantization = pq;
   }
   searcher->index_ = std::make_unique<index::HnswIndex>(hnsw);
@@ -120,7 +119,9 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
   return ranking;
 }
 
-size_t AnnsSearcher::IndexMemoryBytes() const { return index_->MemoryBytes(); }
+size_t AnnsSearcher::IndexMemoryBytes() const {
+  return index_->MemoryUsage().total();
+}
 
 double AnnsSearcher::pq_ms() const { return index_->pq_build_ms(); }
 

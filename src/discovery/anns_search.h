@@ -30,9 +30,6 @@ struct AnnsOptions {
   size_t hnsw_ef_construction = 200;
   /// PQ subquantizers (auto-adjusted to divide the dimension).
   size_t pq_subquantizers = 16;
-  /// PQ code width in bits: 8 (default) or 4 (fast-scan codebooks, half the
-  /// code storage at somewhat coarser quantization).
-  size_t pq_nbits = 8;
   /// Disable PQ compression (ablation knob; the paper's method uses PQ).
   bool use_pq = true;
   uint64_t seed = 7;

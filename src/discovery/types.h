@@ -8,7 +8,7 @@
 
 #include "common/deadline.h"
 #include "common/result.h"
-#include "index/vector_index.h"
+#include "index/types.h"
 #include "table/relation.h"
 #include "vecmath/top_k.h"
 

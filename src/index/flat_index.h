@@ -2,13 +2,19 @@
 #define MIRA_INDEX_FLAT_INDEX_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "index/vector_index.h"
+#include "common/result.h"
+#include "common/status.h"
+#include "index/types.h"
 #include "obs/trace.h"
+#include "vecmath/distance.h"
 #include "vecmath/matrix.h"
 #include "vecmath/simd.h"
+#include "vecmath/top_k.h"
+#include "vecmath/vector_ops.h"
 
 namespace mira::index {
 
@@ -49,21 +55,25 @@ template <typename Push>
 
 /// Exact brute-force index: the storage backend of Exhaustive Search (§4.1)
 /// and the ground-truth oracle for ANN recall tests.
-class FlatIndex final : public VectorIndex {
+class FlatIndex {
  public:
   explicit FlatIndex(vecmath::Metric metric = vecmath::Metric::kCosine);
 
-  [[nodiscard]] Status Add(uint64_t id, const vecmath::Vec& vector) override;
-  void Reserve(size_t expected_rows) override;
-  [[nodiscard]] Status Build() override;
+  /// Registers a vector under an external id. Ids must be unique; dimensions
+  /// must agree across calls. Fails after Build().
+  [[nodiscard]] Status Add(uint64_t id, const vecmath::Vec& vector);
+  /// Capacity hint: pre-sizes storage for about this many Add() calls.
+  void Reserve(size_t expected_rows);
+  [[nodiscard]] Status Build();
+  /// Exact k-nearest search. Fails before Build().
   [[nodiscard]] Result<std::vector<vecmath::ScoredId>> Search(
-      const vecmath::Vec& query, const SearchParams& params) const override;
+      const vecmath::Vec& query, const SearchParams& params) const;
 
-  size_t size() const override { return ids_.size(); }
-  size_t dim() const override { return vectors_.cols(); }
-  vecmath::Metric metric() const override { return metric_; }
-  std::string name() const override { return "flat"; }
-  MemoryStats MemoryUsage() const override;
+  size_t size() const { return ids_.size(); }
+  size_t dim() const { return vectors_.cols(); }
+  vecmath::Metric metric() const { return metric_; }
+  std::string name() const { return "flat"; }
+  MemoryStats MemoryUsage() const;
 
  private:
   vecmath::Metric metric_;

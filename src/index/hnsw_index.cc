@@ -497,6 +497,7 @@ MemoryStats HnswIndex::MemoryUsage() const {
   stats.vectors_bytes = vectors_.data().size() * sizeof(float);
   stats.ids_bytes = ids_.size() * sizeof(uint64_t);
   stats.codes_bytes = codes_.size();
+  if (pq_) stats.codebook_bytes = pq_->codebook_bytes();
   stats.graph_bytes = layer0_.size() * sizeof(uint32_t);
   for (const auto& node : upper_links_) {
     for (const auto& level : node) {

@@ -9,11 +9,16 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
+#include "common/status.h"
 #include "common/sync.h"
 #include "common/threadpool.h"
 #include "index/product_quantizer.h"
-#include "index/vector_index.h"
+#include "index/types.h"
+#include "vecmath/distance.h"
 #include "vecmath/matrix.h"
+#include "vecmath/top_k.h"
+#include "vecmath/vector_ops.h"
 
 namespace mira::index {
 
@@ -52,13 +57,16 @@ struct HnswOptions {
 /// completed — the caller provides that ordering. After Build() returns,
 /// Search() and the const accessors may be called concurrently; nothing
 /// mutates post-build state.
-class HnswIndex final : public VectorIndex {
+class HnswIndex {
  public:
   explicit HnswIndex(HnswOptions options = {});
 
-  [[nodiscard]] Status Add(uint64_t id, const vecmath::Vec& vector) override;
-  void Reserve(size_t expected_rows) override;
-  [[nodiscard]] Status Build() override { return Build(nullptr); }
+  /// Registers a vector under an external id. Ids must be unique; dimensions
+  /// must agree across calls. Fails after Build().
+  [[nodiscard]] Status Add(uint64_t id, const vecmath::Vec& vector);
+  /// Capacity hint: pre-sizes storage for about this many Add() calls.
+  void Reserve(size_t expected_rows);
+  [[nodiscard]] Status Build() { return Build(nullptr); }
   /// Build() with a build pool. Graph insertion stays serial on the calling
   /// thread (its order determines the graph). When quantized, the PQ
   /// codebooks are trained and the codes encoded on `pool` from a second
@@ -66,16 +74,19 @@ class HnswIndex final : public VectorIndex {
   /// and insertion never touches the codes, so the index is bit-identical to
   /// a null-pool build. Must not be called from a task of `pool`.
   [[nodiscard]] Status Build(ThreadPool* pool);
+  /// Approximate k-nearest search. Fails before Build().
   [[nodiscard]] Result<std::vector<vecmath::ScoredId>> Search(
-      const vecmath::Vec& query, const SearchParams& params) const override;
+      const vecmath::Vec& query, const SearchParams& params) const;
 
-  size_t size() const override { return ids_.size(); }
-  size_t dim() const override { return vectors_.cols(); }
-  vecmath::Metric metric() const override { return options_.metric; }
-  std::string name() const override {
+  size_t size() const { return ids_.size(); }
+  size_t dim() const { return vectors_.cols(); }
+  vecmath::Metric metric() const { return options_.metric; }
+  std::string name() const {
     return options_.quantization ? "hnsw+pq" : "hnsw";
   }
-  MemoryStats MemoryUsage() const override;
+  /// Resident bytes of the search structures, by what holds them (the
+  /// resource-accounting gauges read this).
+  MemoryStats MemoryUsage() const;
 
   /// Max layer of the built graph (diagnostic).
   int max_level() const { return max_level_; }

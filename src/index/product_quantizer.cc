@@ -13,24 +13,13 @@ namespace mira::index {
 Result<ProductQuantizer> ProductQuantizer::Train(
     const vecmath::Matrix& training_data, const PqOptions& options,
     ThreadPool* pool) {
-  if (options.nbits != 4 && options.nbits != 8) {
-    return Status::InvalidArgument(
-        StrFormat("pq: nbits must be 4 or 8, got %zu", options.nbits));
-  }
   const size_t dim = training_data.cols();
   const size_t m = options.num_subquantizers;
   if (m == 0 || dim % m != 0) {
     return Status::InvalidArgument(
         StrFormat("pq: %zu subquantizers do not divide dim %zu", m, dim));
   }
-  if (options.nbits == 4 && m > 257) {
-    // The fast-scan kernels accumulate uint8 LUT entries in uint16 lanes;
-    // m * 255 must stay below 65536.
-    return Status::InvalidArgument(
-        StrFormat("pq: nbits=4 supports at most 257 subquantizers, got %zu",
-                  m));
-  }
-  const size_t ksub = 1u << options.nbits;
+  constexpr size_t ksub = kCodebookSize;
   size_t n = training_data.rows();
 
   // Optional training-row subsample.
@@ -56,8 +45,6 @@ Result<ProductQuantizer> ProductQuantizer::Train(
   pq.dim_ = dim;
   pq.m_ = m;
   pq.sub_dim_ = dim / m;
-  pq.ksub_ = ksub;
-  pq.nbits_ = options.nbits;
   pq.codebooks_.assign(m * ksub * pq.sub_dim_, 0.f);
 
   // One task per subspace: slice it out, run its k-means, and write its
@@ -94,18 +81,18 @@ Result<ProductQuantizer> ProductQuantizer::Train(
 
 void ProductQuantizer::EncodeRow(const float* vector, float* dist,
                                  uint8_t* out) const {
-  // The ksub_ centroids of each subquantizer are contiguous, so nearest-
-  // centroid search is one batched distance sweep per subspace.
+  // The centroids of each subquantizer are contiguous, so nearest-centroid
+  // search is one batched distance sweep per subspace.
   for (size_t s = 0; s < m_; ++s) {
     const float* sub = vector + s * sub_dim_;
-    const float* base = codebooks_.data() + (s * ksub_) * sub_dim_;
+    const float* base = codebooks_.data() + (s * kCodebookSize) * sub_dim_;
     // Scalar-reference sweep: stored codes must be machine-independent
     // (see vecmath/simd.h); the query-time distance table stays on the
     // active tier.
-    vecmath::ScalarSquaredL2Batch(sub, base, ksub_, sub_dim_, dist);
+    vecmath::ScalarSquaredL2Batch(sub, base, kCodebookSize, sub_dim_, dist);
     float best = std::numeric_limits<float>::max();
     size_t best_c = 0;
-    for (size_t c = 0; c < ksub_; ++c) {
+    for (size_t c = 0; c < kCodebookSize; ++c) {
       if (dist[c] < best) {
         best = dist[c];
         best_c = c;
@@ -117,7 +104,7 @@ void ProductQuantizer::EncodeRow(const float* vector, float* dist,
 
 std::vector<uint8_t> ProductQuantizer::Encode(const vecmath::Vec& vector) const {
   std::vector<uint8_t> codes(m_);
-  std::vector<float> dist(ksub_);
+  std::vector<float> dist(kCodebookSize);
   EncodeRow(vector.data(), dist.data(), codes.data());
   return codes;
 }
@@ -129,7 +116,7 @@ void ProductQuantizer::EncodeBatch(const vecmath::Matrix& data, uint8_t* out,
   constexpr size_t kBlockRows = 256;
   const size_t rows = data.rows();
   ParallelFor(pool, 0, (rows + kBlockRows - 1) / kBlockRows, [&](size_t b) {
-    std::vector<float> dist(ksub_);
+    std::vector<float> dist(kCodebookSize);
     const size_t end = std::min(rows, (b + 1) * kBlockRows);
     for (size_t i = b * kBlockRows; i < end; ++i) {
       EncodeRow(data.Row(i), dist.data(), out + i * m_);
@@ -141,7 +128,7 @@ vecmath::Vec ProductQuantizer::Decode(const std::vector<uint8_t>& codes) const {
   vecmath::Vec out(dim_, 0.f);
   for (size_t s = 0; s < m_; ++s) {
     const float* centroid =
-        codebooks_.data() + ((s * ksub_) + codes[s]) * sub_dim_;
+        codebooks_.data() + ((s * kCodebookSize) + codes[s]) * sub_dim_;
     std::copy(centroid, centroid + sub_dim_, out.data() + s * sub_dim_);
   }
   return out;
@@ -156,66 +143,12 @@ std::vector<float> ProductQuantizer::ComputeDistanceTable(
 
 void ProductQuantizer::ComputeDistanceTable(const vecmath::Vec& query,
                                             std::vector<float>* table) const {
-  table->resize(m_ * ksub_);
+  table->resize(m_ * kCodebookSize);
   for (size_t s = 0; s < m_; ++s) {
     const float* sub = query.data() + s * sub_dim_;
-    const float* base = codebooks_.data() + (s * ksub_) * sub_dim_;
-    vecmath::SquaredL2Batch(sub, base, ksub_, sub_dim_,
-                            table->data() + s * ksub_);
-  }
-}
-
-void ProductQuantizer::QuantizeDistanceTable(const std::vector<float>& table,
-                                             QuantizedLut* out) const {
-  out->lut.resize(m_ * ksub_);
-  // Per-subspace minima fold into one additive bias, so each uint8 entry
-  // only spends its range on the subspace's residual spread; one shared
-  // scale (from the widest subspace) keeps the lookup sums additive.
-  float bias = 0.f;
-  float max_residual = 0.f;
-  for (size_t s = 0; s < m_; ++s) {
-    const float* row = table.data() + s * ksub_;
-    float lo = row[0];
-    float hi = row[0];
-    for (size_t c = 1; c < ksub_; ++c) {
-      lo = std::min(lo, row[c]);
-      hi = std::max(hi, row[c]);
-    }
-    bias += lo;
-    max_residual = std::max(max_residual, hi - lo);
-  }
-  const float scale = max_residual > 0.f ? max_residual / 255.f : 0.f;
-  const float inv_scale = scale > 0.f ? 1.f / scale : 0.f;
-  for (size_t s = 0; s < m_; ++s) {
-    const float* row = table.data() + s * ksub_;
-    float lo = row[0];
-    for (size_t c = 1; c < ksub_; ++c) lo = std::min(lo, row[c]);
-    uint8_t* qrow = out->lut.data() + s * ksub_;
-    for (size_t c = 0; c < ksub_; ++c) {
-      const float q = (row[c] - lo) * inv_scale + 0.5f;
-      qrow[c] = static_cast<uint8_t>(q < 255.f ? q : 255.f);
-    }
-  }
-  out->scale = scale;
-  out->bias = bias;
-}
-
-void Pack4BitCodesBlocked(const uint8_t* codes, size_t n, size_t m,
-                          std::vector<uint8_t>* packed) {
-  const size_t num_blocks = (n + 31) / 32;
-  packed->assign(num_blocks * m * 16, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t block = i / 32;
-    const size_t j = i % 32;
-    const uint8_t* row = codes + i * m;
-    for (size_t s = 0; s < m; ++s) {
-      uint8_t& slot = (*packed)[(block * m + s) * 16 + (j % 16)];
-      if (j < 16) {
-        slot = static_cast<uint8_t>(slot | (row[s] & 0x0F));
-      } else {
-        slot = static_cast<uint8_t>(slot | (row[s] << 4));
-      }
-    }
+    const float* base = codebooks_.data() + (s * kCodebookSize) * sub_dim_;
+    vecmath::SquaredL2Batch(sub, base, kCodebookSize, sub_dim_,
+                            table->data() + s * kCodebookSize);
   }
 }
 
@@ -223,7 +156,7 @@ float ProductQuantizer::AdcDistance(const std::vector<float>& table,
                                     const uint8_t* codes) const {
   float sum = 0.f;
   for (size_t s = 0; s < m_; ++s) {
-    sum += table[s * ksub_ + codes[s]];
+    sum += table[s * kCodebookSize + codes[s]];
   }
   return sum;
 }
@@ -258,7 +191,7 @@ void ProductQuantizer::AdcDistanceBatch(const std::vector<float>& table,
     float s0 = 0.f, s1 = 0.f, s2 = 0.f, s3 = 0.f;
     float s4 = 0.f, s5 = 0.f, s6 = 0.f, s7 = 0.f;
     const float* ts = t;
-    for (size_t s = 0; s < m_; ++s, ts += ksub_) {
+    for (size_t s = 0; s < m_; ++s, ts += kCodebookSize) {
       s0 += ts[c0[s]];
       s1 += ts[c1[s]];
       s2 += ts[c2[s]];

@@ -115,28 +115,6 @@ void SquaredL2Batch(const float* query, const float* rows, size_t num_rows,
   }
 }
 
-// Portable reference for the 4-bit fast-scan layout (see simd.h for the
-// block format). All-integer arithmetic: the SIMD tiers must reproduce these
-// sums bit for bit, so this is the parity anchor and what a forced-scalar
-// (offline / pinned) run executes.
-void Adc4Batch(const uint8_t* lut, const uint8_t* codes, size_t num_blocks,
-               size_t num_sub, uint16_t* out) {
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const uint8_t* block = codes + b * num_sub * 16;
-    uint16_t acc[32] = {0};
-    const uint8_t* t = lut;
-    for (size_t s = 0; s < num_sub; ++s, t += 16) {
-      const uint8_t* group = block + s * 16;
-      for (size_t j = 0; j < 16; ++j) {
-        acc[j] += t[group[j] & 0x0F];
-        acc[16 + j] += t[group[j] >> 4];
-      }
-    }
-    uint16_t* o = out + b * 32;
-    for (size_t j = 0; j < 32; ++j) o[j] = acc[j];
-  }
-}
-
 }  // namespace scalar
 
 #if defined(MIRA_SIMD_X86)
@@ -402,55 +380,6 @@ __attribute__((target("avx2,fma"))) void SquaredL2Batch(const float* query,
   for (; r < num_rows; ++r) out[r] = SquaredL2(query, rows + r * dim, dim);
 }
 
-// The register-resident LUT kernel of the 4-bit fast-scan: each
-// sub-quantizer's 16 uint8 LUT entries are broadcast into both 128-bit lanes
-// of a YMM register, the 16 packed code bytes of a 32-vector block are split
-// into low/high nibbles (32 byte-indexes), and one vpshufb resolves all 32
-// lookups — versus 32 serial L1 gathers in the 8-bit float path. Sums
-// accumulate in uint16 lanes (two accumulators; num_sub <= 257 cannot
-// overflow), and two permutes restore vector order before the store.
-// Integer arithmetic throughout: results are bit-identical to the scalar
-// reference.
-__attribute__((target("avx2"))) void Adc4Batch(const uint8_t* lut,
-                                               const uint8_t* codes,
-                                               size_t num_blocks,
-                                               size_t num_sub, uint16_t* out) {
-  const __m128i low_mask = _mm_set1_epi8(0x0F);
-  const __m256i zero = _mm256_setzero_si256();
-  const size_t block_bytes = num_sub * 16;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const uint8_t* block = codes + b * block_bytes;
-    if (b + 1 < num_blocks) {
-      const uint8_t* next = block + block_bytes;
-      for (size_t p = 0; p < block_bytes; p += 64) {
-        _mm_prefetch(reinterpret_cast<const char*>(next + p), _MM_HINT_T0);
-      }
-    }
-    // acc_lo: vectors 0..7 (lane 0) and 16..23 (lane 1);
-    // acc_hi: vectors 8..15 and 24..31 — the in-lane interleave of
-    // unpack{lo,hi}_epi8, undone by the permutes at the end of the block.
-    __m256i acc_lo = _mm256_setzero_si256();
-    __m256i acc_hi = _mm256_setzero_si256();
-    for (size_t s = 0; s < num_sub; ++s) {
-      __m128i packed = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(block + s * 16));
-      __m128i lo = _mm_and_si128(packed, low_mask);
-      __m128i hi = _mm_and_si128(_mm_srli_epi16(packed, 4), low_mask);
-      // Lane 0 indexes vectors 0..15, lane 1 vectors 16..31.
-      __m256i idx = _mm256_set_m128i(hi, lo);
-      __m256i table = _mm256_broadcastsi128_si256(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(lut + s * 16)));
-      __m256i vals = _mm256_shuffle_epi8(table, idx);
-      acc_lo = _mm256_add_epi16(acc_lo, _mm256_unpacklo_epi8(vals, zero));
-      acc_hi = _mm256_add_epi16(acc_hi, _mm256_unpackhi_epi8(vals, zero));
-    }
-    __m256i first = _mm256_permute2x128_si256(acc_lo, acc_hi, 0x20);
-    __m256i second = _mm256_permute2x128_si256(acc_lo, acc_hi, 0x31);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + b * 32), first);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + b * 32 + 16), second);
-  }
-}
-
 }  // namespace avx2
 
 #elif defined(MIRA_SIMD_NEON)
@@ -632,46 +561,6 @@ void SquaredL2Batch(const float* query, const float* rows, size_t num_rows,
   for (; r < num_rows; ++r) out[r] = SquaredL2(query, rows + r * dim, dim);
 }
 
-// NEON variant of the 4-bit fast-scan: vqtbl1q_u8 is the 16-way table
-// shuffle (16 lookups per instruction); low/high nibbles of the packed
-// block feed two shuffles, and vaddw_u8 widens into four uint16x8
-// accumulators that already sit in vector order — no final permute needed.
-// Integer arithmetic: bit-identical to the scalar reference.
-void Adc4Batch(const uint8_t* lut, const uint8_t* codes, size_t num_blocks,
-               size_t num_sub, uint16_t* out) {
-  const uint8x16_t low_mask = vdupq_n_u8(0x0F);
-  const size_t block_bytes = num_sub * 16;
-  for (size_t b = 0; b < num_blocks; ++b) {
-    const uint8_t* block = codes + b * block_bytes;
-    if (b + 1 < num_blocks) {
-      const uint8_t* next = block + block_bytes;
-      for (size_t p = 0; p < block_bytes; p += 64) {
-        __builtin_prefetch(next + p);
-      }
-    }
-    uint16x8_t acc0 = vdupq_n_u16(0);  // vectors 0..7
-    uint16x8_t acc1 = vdupq_n_u16(0);  // vectors 8..15
-    uint16x8_t acc2 = vdupq_n_u16(0);  // vectors 16..23
-    uint16x8_t acc3 = vdupq_n_u16(0);  // vectors 24..31
-    for (size_t s = 0; s < num_sub; ++s) {
-      uint8x16_t packed = vld1q_u8(block + s * 16);
-      uint8x16_t lo = vandq_u8(packed, low_mask);  // vectors 0..15
-      uint8x16_t hi = vshrq_n_u8(packed, 4);       // vectors 16..31
-      uint8x16_t table = vld1q_u8(lut + s * 16);
-      uint8x16_t vals_lo = vqtbl1q_u8(table, lo);
-      uint8x16_t vals_hi = vqtbl1q_u8(table, hi);
-      acc0 = vaddw_u8(acc0, vget_low_u8(vals_lo));
-      acc1 = vaddw_u8(acc1, vget_high_u8(vals_lo));
-      acc2 = vaddw_u8(acc2, vget_low_u8(vals_hi));
-      acc3 = vaddw_u8(acc3, vget_high_u8(vals_hi));
-    }
-    vst1q_u16(out + b * 32, acc0);
-    vst1q_u16(out + b * 32 + 8, acc1);
-    vst1q_u16(out + b * 32 + 16, acc2);
-    vst1q_u16(out + b * 32 + 24, acc3);
-  }
-}
-
 }  // namespace neon
 
 #endif  // MIRA_SIMD_X86 / MIRA_SIMD_NEON
@@ -695,7 +584,6 @@ const KernelTable& ScalarKernels() {
   static const KernelTable kTable = {
       scalar::Dot,      scalar::SquaredL2,      scalar::CosineSimilarity,
       scalar::Axpy,     scalar::DotBatch,       scalar::SquaredL2Batch,
-      scalar::Adc4Batch,
   };
   return kTable;
 }
@@ -706,7 +594,6 @@ const KernelTable& KernelsForTier(SimdTier tier) {
     static const KernelTable kTable = {
         avx2::Dot,  avx2::SquaredL2, avx2::CosineSimilarity,
         avx2::Axpy, avx2::DotBatch,  avx2::SquaredL2Batch,
-        avx2::Adc4Batch,
     };
     return kTable;
   }
@@ -715,7 +602,6 @@ const KernelTable& KernelsForTier(SimdTier tier) {
     static const KernelTable kTable = {
         neon::Dot,  neon::SquaredL2, neon::CosineSimilarity,
         neon::Axpy, neon::DotBatch,  neon::SquaredL2Batch,
-        neon::Adc4Batch,
     };
     return kTable;
   }
@@ -758,12 +644,6 @@ void SquaredL2Batch(const float* query, const float* rows, size_t num_rows,
                     size_t dim, float* out) {
   simd_internal::ActiveKernels().squared_l2_batch(query, rows, num_rows, dim,
                                                   out);
-}
-
-void Adc4Batch(const uint8_t* lut, const uint8_t* codes, size_t num_blocks,
-               size_t num_sub, uint16_t* out) {
-  simd_internal::ActiveKernels().adc4_batch(lut, codes, num_blocks, num_sub,
-                                            out);
 }
 
 float ScalarDot(const float* a, const float* b, size_t n) {

@@ -2,7 +2,6 @@
 #define MIRA_VECMATH_SIMD_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string_view>
 
 namespace mira::vecmath {
@@ -33,34 +32,6 @@ void DotBatch(const float* query, const float* rows, size_t num_rows,
 void SquaredL2Batch(const float* query, const float* rows, size_t num_rows,
                     size_t dim, float* out);
 
-/// 4-bit PQ fast-scan ADC (FAISS-style): sums quantized 16-entry lookup
-/// tables over blocked 4-bit codes entirely in registers.
-///
-/// Layout contract (the "pq4 blocked" format, produced by
-/// index::Pack4BitCodesBlocked):
-///   - Codes are grouped in blocks of 32 vectors. `codes` holds
-///     `num_blocks * num_sub * 16` bytes.
-///   - Within a block, bytes are sub-quantizer-major: sub-quantizer `s`
-///     owns the 16 bytes at `block + s * 16`.
-///   - Byte `j` of a sub-quantizer's group packs two codes: the low nibble
-///     is the code of vector `j`, the high nibble the code of vector
-///     `j + 16` (vector indexes within the block).
-///
-/// `lut` is `num_sub * 16` uint8 entries — the per-query float distance
-/// table quantized to uint8 (see ProductQuantizer::QuantizeDistanceTable).
-/// One 16-entry row fits a SIMD register, so AVX2 `vpshufb` / NEON `tbl`
-/// resolve 32 (resp. 16) lookups per instruction instead of one gather
-/// each. `out[b * 32 + j]` is the uint16 sum of the `num_sub` lookups of
-/// vector `j` of block `b`.
-///
-/// Arithmetic is integral, so every tier returns bit-identical sums —
-/// unlike the float kernels there is no reassociation tolerance; parity
-/// tests compare with EXPECT_EQ. Callers must keep
-/// `num_sub * 255 <= 65535` (num_sub <= 257) to avoid uint16 overflow;
-/// ProductQuantizer::Train enforces this for nbits=4.
-void Adc4Batch(const uint8_t* lut, const uint8_t* codes, size_t num_blocks,
-               size_t num_sub, uint16_t* out);
-
 /// Bit-reproducible forms of the kernels above: always the portable scalar
 /// reference, regardless of the active tier. The offline build pipeline
 /// (PCA projection, UMAP layout, HDBSCAN, k-means, medoid selection, PQ
@@ -86,8 +57,6 @@ struct KernelTable {
                     size_t dim, float* out);
   void (*squared_l2_batch)(const float* query, const float* rows,
                            size_t num_rows, size_t dim, float* out);
-  void (*adc4_batch)(const uint8_t* lut, const uint8_t* codes,
-                     size_t num_blocks, size_t num_sub, uint16_t* out);
 };
 
 /// Kernels of the tier reported by ActiveSimdTier().

@@ -22,7 +22,6 @@
 #include "discovery/engine.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/pq_flat_index.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
@@ -210,57 +209,54 @@ TEST(HnswStressTest, QuantizedParallelQuery) {
   constexpr size_t kK = 10;
   constexpr size_t kEf = 160;  // > kControlPopStride pops: the check runs
 
-  for (size_t nbits : {size_t{8}, size_t{4}}) {
-    index::HnswOptions options;
-    options.M = 8;
-    options.ef_construction = 40;
-    index::PqOptions pq;
-    pq.num_subquantizers = 8;
-    pq.nbits = nbits;
-    options.quantization = pq;
-    index::HnswIndex index(options);
-    Rng rng(31 + nbits);
-    for (size_t i = 0; i < kVectors; ++i) {
-      ASSERT_TRUE(index.Add(i, RandomVec(&rng, kDim)).ok());
-    }
-    ASSERT_TRUE(index.Build().ok());
-
-    std::vector<vecmath::Vec> queries;
-    for (size_t q = 0; q < kQueries; ++q) {
-      queries.push_back(RandomVec(&rng, kDim));
-    }
-    std::vector<std::vector<vecmath::ScoredId>> reference;
-    for (const auto& q : queries) {
-      reference.push_back(index.Search(q, {kK, kEf}).MoveValue());
-    }
-
-    QueryControl live;
-    live.cancel = CancellationToken::Make();
-    QueryControl cancelled;
-    cancelled.cancel = CancellationToken::Make();
-    cancelled.cancel.RequestCancel();
-    std::atomic<size_t> rejected{0};
-    ThreadPool pool(kPoolThreads);
-    ParallelFor(&pool, 0, kQueries * 8, [&](size_t task) {
-      const size_t qi = task % kQueries;
-      const QueryControl* control = nullptr;
-      if (task % 3 == 1) control = &live;
-      if (task % 29 == 0) control = &cancelled;
-      auto hits = index.Search(queries[qi], {kK, kEf, control});
-      if (control == &cancelled) {
-        ASSERT_TRUE(hits.status().IsCancelled()) << hits.status().ToString();
-        rejected.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-      ASSERT_EQ(hits->size(), reference[qi].size());
-      for (size_t i = 0; i < hits->size(); ++i) {
-        ASSERT_EQ((*hits)[i].id, reference[qi][i].id) << "query " << qi;
-        ASSERT_EQ((*hits)[i].score, reference[qi][i].score) << "query " << qi;
-      }
-    });
-    EXPECT_EQ(rejected.load(), (kQueries * 8 + 28) / 29);
+  index::HnswOptions options;
+  options.M = 8;
+  options.ef_construction = 40;
+  index::PqOptions pq;
+  pq.num_subquantizers = 8;
+  options.quantization = pq;
+  index::HnswIndex index(options);
+  Rng rng(39);
+  for (size_t i = 0; i < kVectors; ++i) {
+    ASSERT_TRUE(index.Add(i, RandomVec(&rng, kDim)).ok());
   }
+  ASSERT_TRUE(index.Build().ok());
+
+  std::vector<vecmath::Vec> queries;
+  for (size_t q = 0; q < kQueries; ++q) {
+    queries.push_back(RandomVec(&rng, kDim));
+  }
+  std::vector<std::vector<vecmath::ScoredId>> reference;
+  for (const auto& q : queries) {
+    reference.push_back(index.Search(q, {kK, kEf}).MoveValue());
+  }
+
+  QueryControl live;
+  live.cancel = CancellationToken::Make();
+  QueryControl cancelled;
+  cancelled.cancel = CancellationToken::Make();
+  cancelled.cancel.RequestCancel();
+  std::atomic<size_t> rejected{0};
+  ThreadPool pool(kPoolThreads);
+  ParallelFor(&pool, 0, kQueries * 8, [&](size_t task) {
+    const size_t qi = task % kQueries;
+    const QueryControl* control = nullptr;
+    if (task % 3 == 1) control = &live;
+    if (task % 29 == 0) control = &cancelled;
+    auto hits = index.Search(queries[qi], {kK, kEf, control});
+    if (control == &cancelled) {
+      ASSERT_TRUE(hits.status().IsCancelled()) << hits.status().ToString();
+      rejected.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
+    ASSERT_EQ(hits->size(), reference[qi].size());
+    for (size_t i = 0; i < hits->size(); ++i) {
+      ASSERT_EQ((*hits)[i].id, reference[qi][i].id) << "query " << qi;
+      ASSERT_EQ((*hits)[i].score, reference[qi][i].score) << "query " << qi;
+    }
+  });
+  EXPECT_EQ(rejected.load(), (kQueries * 8 + 28) / 29);
 }
 
 // ---------- Engine build on the build pool ----------
@@ -340,35 +336,33 @@ TEST(ParallelBuildStressTest, ProductQuantizerPoolMatchesInline) {
   vecmath::Matrix data(kRows, kDim);
   for (auto& x : data.data()) x = static_cast<float>(rng.NextGaussian());
   ThreadPool pool(kPoolThreads);
-  for (size_t nbits : {size_t{8}, size_t{4}}) {
-    index::PqOptions options;
-    options.num_subquantizers = 8;
-    options.nbits = nbits;
-    options.max_training_rows = 1000;
-    auto inline_pq = index::ProductQuantizer::Train(data, options);
-    auto pooled_pq = index::ProductQuantizer::Train(data, options, &pool);
-    ASSERT_TRUE(inline_pq.ok()) << inline_pq.status().ToString();
-    ASSERT_TRUE(pooled_pq.ok()) << pooled_pq.status().ToString();
-    // Codebooks: code c in every subspace decodes to centroid c of each.
-    const size_t m = inline_pq->num_subquantizers();
-    for (size_t c = 0; c < inline_pq->codebook_size(); ++c) {
-      const std::vector<uint8_t> code(m, static_cast<uint8_t>(c));
-      const vecmath::Vec want = inline_pq->Decode(code);
-      const vecmath::Vec got = pooled_pq->Decode(code);
-      for (size_t j = 0; j < kDim; ++j) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(got[j]), std::bit_cast<uint32_t>(want[j]))
-            << "nbits=" << nbits << " centroid " << c;
-      }
+  index::PqOptions options;
+  options.num_subquantizers = 8;
+  options.max_training_rows = 1000;
+  auto inline_pq = index::ProductQuantizer::Train(data, options);
+  auto pooled_pq = index::ProductQuantizer::Train(data, options, &pool);
+  ASSERT_TRUE(inline_pq.ok()) << inline_pq.status().ToString();
+  ASSERT_TRUE(pooled_pq.ok()) << pooled_pq.status().ToString();
+  // Codebooks: code c in every subspace decodes to centroid c of each.
+  const size_t m = inline_pq->num_subquantizers();
+  for (size_t c = 0; c < index::ProductQuantizer::kCodebookSize; ++c) {
+    const std::vector<uint8_t> code(m, static_cast<uint8_t>(c));
+    const vecmath::Vec want = inline_pq->Decode(code);
+    const vecmath::Vec got = pooled_pq->Decode(code);
+    for (size_t j = 0; j < kDim; ++j) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(got[j]),
+                std::bit_cast<uint32_t>(want[j]))
+          << "centroid " << c;
     }
-    std::vector<uint8_t> want_codes(kRows * m), got_codes(kRows * m);
-    inline_pq->EncodeBatch(data, want_codes.data());
-    pooled_pq->EncodeBatch(data, got_codes.data(), &pool);
-    EXPECT_EQ(got_codes, want_codes) << "nbits=" << nbits;
-    for (size_t i = 0; i < kRows; i += 97) {
-      EXPECT_EQ(inline_pq->Encode(data.RowVec(i)),
-                std::vector<uint8_t>(want_codes.begin() + i * m,
-                                     want_codes.begin() + (i + 1) * m));
-    }
+  }
+  std::vector<uint8_t> want_codes(kRows * m), got_codes(kRows * m);
+  inline_pq->EncodeBatch(data, want_codes.data());
+  pooled_pq->EncodeBatch(data, got_codes.data(), &pool);
+  EXPECT_EQ(got_codes, want_codes);
+  for (size_t i = 0; i < kRows; i += 97) {
+    EXPECT_EQ(inline_pq->Encode(data.RowVec(i)),
+              std::vector<uint8_t>(want_codes.begin() + i * m,
+                                   want_codes.begin() + (i + 1) * m));
   }
 }
 
@@ -639,53 +633,6 @@ TEST(BatchedScanStressTest, ConcurrentHnswSearchesMatchSerialReference) {
   std::vector<vecmath::Vec> queries;
   Rng qrng(77);
   for (size_t q = 0; q < kQueries; ++q) queries.push_back(RandomVec(&qrng, kDim));
-
-  std::vector<std::vector<vecmath::ScoredId>> reference;
-  reference.reserve(kQueries);
-  for (const auto& q : queries) {
-    reference.push_back(index.Search(q, {10, 0}).MoveValue());
-  }
-
-  ThreadPool pool(kPoolThreads);
-  ParallelFor(&pool, 0, kQueries * 8, [&](size_t task) {
-    const size_t qi = task % kQueries;
-    auto hits = index.Search(queries[qi], {10, 0});
-    ASSERT_TRUE(hits.ok()) << hits.status().ToString();
-    ASSERT_EQ(hits->size(), reference[qi].size());
-    for (size_t i = 0; i < hits->size(); ++i) {
-      ASSERT_EQ((*hits)[i].id, reference[qi][i].id) << "query " << qi;
-      ASSERT_EQ((*hits)[i].score, reference[qi][i].score) << "query " << qi;
-    }
-  });
-}
-
-TEST(PqFastScanStressTest, ConcurrentFourBitSearchesMatchSerialReference) {
-  // The 4-bit fast-scan path quantizes a per-query LUT and scans shared
-  // immutable packed codes; concurrent const searches must be race-free and
-  // bit-identical to a single-threaded run (the kernels are integer, so the
-  // scores admit exact comparison).
-  constexpr size_t kDim = 32;
-  constexpr size_t kVectors = 2000;
-  constexpr size_t kQueries = 32;
-
-  index::PqFlatOptions options;
-  options.pq.num_subquantizers = 8;
-  options.pq.nbits = 4;
-  index::PqFlatIndex index(options);
-  index.Reserve(kVectors);
-  {
-    Rng rng(19);
-    for (size_t i = 0; i < kVectors; ++i) {
-      ASSERT_TRUE(index.Add(i, RandomVec(&rng, kDim)).ok());
-    }
-  }
-  ASSERT_TRUE(index.Build().ok());
-
-  std::vector<vecmath::Vec> queries;
-  Rng qrng(1919);
-  for (size_t q = 0; q < kQueries; ++q) {
-    queries.push_back(RandomVec(&qrng, kDim));
-  }
 
   std::vector<std::vector<vecmath::ScoredId>> reference;
   reference.reserve(kQueries);

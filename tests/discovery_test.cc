@@ -202,7 +202,11 @@ TEST(AnnsSearcherTest, PqSubquantizersAutoAdjustToDim) {
       CorpusEmbeddings::Build(fx.federation, *encoder).MoveValue());
   auto anns = AnnsSearcher::Build(fx.federation, corpus, encoder);
   ASSERT_TRUE(anns.ok()) << anns.status().ToString();
-  EXPECT_GT((*anns)->MemoryUsage().index.codes_bytes, 0u);
+  // m = 12, the largest divisor of 24 not above 16: one code byte per
+  // subquantizer per cell, and 12 codebooks of 256 centroids of 2 floats.
+  const index::MemoryStats stats = (*anns)->MemoryUsage().index;
+  EXPECT_EQ(stats.codes_bytes, corpus->num_cells() * 12);
+  EXPECT_EQ(stats.codebook_bytes, 12 * 256 * 2 * sizeof(float));
   EXPECT_FALSE((*anns)->Search("covid vaccine", {}).MoveValue().empty());
 }
 
@@ -605,7 +609,6 @@ TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
     index::PqOptions pq;
     pq.num_subquantizers = anns_options.pq_subquantizers;
     while (corpus.dim() % pq.num_subquantizers != 0) --pq.num_subquantizers;
-    pq.nbits = anns_options.pq_nbits;
     hnsw.quantization = pq;
   }
   index::HnswIndex cells(hnsw);

@@ -1,19 +1,17 @@
 // Unit + property tests for src/index: flat, HNSW (recall vs exact oracle),
-// product quantization, PQ-flat.
+// product quantization.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <unordered_set>
 
 #include "common/rng.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
-#include "index/pq_flat_index.h"
 #include "index/product_quantizer.h"
 #include "obs/trace.h"
 #include "vecmath/simd.h"
@@ -122,7 +120,7 @@ TEST(FlatIndexTest, MemoryBytesPositive) {
   FlatIndex index;
   ASSERT_TRUE(index.Add(1, Vec(16, 0.5f)).ok());
   ASSERT_TRUE(index.Build().ok());
-  EXPECT_GE(index.MemoryBytes(), 16 * sizeof(float));
+  EXPECT_GE(index.MemoryUsage().total(), 16 * sizeof(float));
 }
 
 // ---------- ProductQuantizer ----------
@@ -198,132 +196,20 @@ TEST(ProductQuantizerTest, TrainingSampleCapStillAccurate) {
   EXPECT_LT(pq.ReconstructionError(data), 0.3);
 }
 
-TEST(ProductQuantizerTest, TrainValidatesNbits) {
-  Matrix data = MakeClusteredData(300, 32, 4, 7);
-  PqOptions options;
-  options.num_subquantizers = 8;
-  options.nbits = 3;
-  auto status = ProductQuantizer::Train(data, options).status();
-  EXPECT_TRUE(status.IsInvalidArgument());
-  EXPECT_NE(status.message().find("nbits must be 4 or 8"), std::string::npos)
-      << status.message();
-
-  options.nbits = 4;
-  auto pq = ProductQuantizer::Train(data, options).MoveValue();
-  EXPECT_EQ(pq.nbits(), 4u);
-  EXPECT_EQ(pq.codebook_size(), 16u);
-}
-
-TEST(ProductQuantizerTest, FourBitEncodeDecodeRoundTrip) {
-  Matrix data = MakeClusteredData(600, 32, 8, 8);
-  PqOptions options;
-  options.num_subquantizers = 8;
-  options.nbits = 4;
-  auto pq = ProductQuantizer::Train(data, options).MoveValue();
-  EXPECT_EQ(pq.code_bytes(), 8u);  // unpacked: one byte per subquantizer
-
-  for (size_t i = 0; i < 40; ++i) {
-    Vec original = data.RowVec(i);
-    std::vector<uint8_t> codes = pq.Encode(original);
-    ASSERT_EQ(codes.size(), 8u);
-    for (uint8_t c : codes) EXPECT_LT(c, 16u);
-    // 16-centroid codebooks are coarser than 256-centroid ones, but the
-    // reconstruction must still be recognizably the input.
-    EXPECT_LT(vecmath::SquaredL2(original, pq.Decode(codes)), 0.9f);
-  }
-}
-
 TEST(ProductQuantizerTest, EncodeBatchMatchesEncode) {
   Matrix data = MakeClusteredData(200, 32, 4, 9);
-  for (size_t nbits : {4u, 8u}) {
-    PqOptions options;
-    options.num_subquantizers = 8;
-    options.nbits = nbits;
-    auto pq = ProductQuantizer::Train(data, options).MoveValue();
-    std::vector<uint8_t> batch(data.rows() * pq.code_bytes());
-    pq.EncodeBatch(data, batch.data());
-    for (size_t i = 0; i < data.rows(); ++i) {
-      std::vector<uint8_t> one = pq.Encode(data.RowVec(i));
-      for (size_t s = 0; s < pq.code_bytes(); ++s) {
-        ASSERT_EQ(batch[i * pq.code_bytes() + s], one[s])
-            << "nbits=" << nbits << " row=" << i << " s=" << s;
-      }
-    }
-  }
-}
-
-TEST(ProductQuantizerTest, PackedLayoutInvariants) {
-  // 45 vectors of 3 subquantizers: one full block + a ragged tail.
-  const size_t n = 45, m = 3;
-  Rng rng(11);
-  std::vector<uint8_t> codes(n * m);
-  for (uint8_t& c : codes) c = static_cast<uint8_t>(rng.NextBounded(16));
-  std::vector<uint8_t> packed;
-  Pack4BitCodesBlocked(codes.data(), n, m, &packed);
-
-  // ceil(45 / 32) = 2 blocks, m * 16 bytes per block.
-  ASSERT_EQ(packed.size(), 2 * m * 16);
-  // Every code survives the round trip through the nibble layout.
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t s = 0; s < m; ++s) {
-      EXPECT_EQ(Packed4Code(packed.data(), m, i, s), codes[i * m + s])
-          << "i=" << i << " s=" << s;
-    }
-  }
-  // Spot-check the physical layout: byte j of subquantizer s's group holds
-  // vector j's code in the low nibble, vector j+16's in the high nibble.
-  EXPECT_EQ(packed[0] & 0x0F, codes[0]);
-  EXPECT_EQ(packed[0] >> 4, codes[16 * m]);
-  EXPECT_EQ(packed[1 * 16 + 2] & 0x0F, codes[2 * m + 1]);  // s=1, vector 2
-  // Tail padding stays zero: block 1 holds vectors 32..44, so lanes 13..15
-  // (vectors 45..47) and every high nibble (vectors 48..63) are empty.
-  for (size_t s = 0; s < m; ++s) {
-    for (size_t j = 0; j < 16; ++j) {
-      if (j >= 13) {
-        EXPECT_EQ(packed[(m + s) * 16 + j] & 0x0F, 0)
-            << "s=" << s << " j=" << j;
-      }
-      EXPECT_EQ(packed[(m + s) * 16 + j] >> 4, 0) << "s=" << s << " j=" << j;
-    }
-  }
-}
-
-TEST(ProductQuantizerTest, QuantizedLutDequantizesWithinHalfStep) {
-  Matrix data = MakeClusteredData(500, 32, 6, 12);
   PqOptions options;
   options.num_subquantizers = 8;
-  options.nbits = 4;
   auto pq = ProductQuantizer::Train(data, options).MoveValue();
-
-  Rng rng(13);
-  Vec query(32);
-  for (auto& x : query) x = static_cast<float>(rng.NextGaussian());
-  vecmath::NormalizeInPlace(&query);
-  std::vector<float> table = pq.ComputeDistanceTable(query);
-  ProductQuantizer::QuantizedLut qlut;
-  pq.QuantizeDistanceTable(table, &qlut);
-  ASSERT_EQ(qlut.lut.size(), table.size());
-  ASSERT_GT(qlut.scale, 0.f);
-
-  // Summing one LUT entry per subspace and dequantizing must land within
-  // half a quantization step per subspace of the float ADC sum — for every
-  // possible code, since each entry is independently rounded.
-  const size_t m = pq.num_subquantizers();
-  float per_subspace_min_sum = 0.f;
-  for (size_t s = 0; s < m; ++s) {
-    for (size_t c = 0; c < 16; ++c) {
-      const float dequant =
-          qlut.scale * static_cast<float>(qlut.lut[s * 16 + c]);
-      float lo = table[s * 16];
-      for (size_t k = 1; k < 16; ++k) lo = std::min(lo, table[s * 16 + k]);
-      EXPECT_NEAR(dequant, table[s * 16 + c] - lo, qlut.scale / 2 + 1e-5f)
-          << "s=" << s << " c=" << c;
+  std::vector<uint8_t> batch(data.rows() * pq.code_bytes());
+  pq.EncodeBatch(data, batch.data());
+  for (size_t i = 0; i < data.rows(); ++i) {
+    std::vector<uint8_t> one = pq.Encode(data.RowVec(i));
+    for (size_t s = 0; s < pq.code_bytes(); ++s) {
+      ASSERT_EQ(batch[i * pq.code_bytes() + s], one[s])
+          << "row=" << i << " s=" << s;
     }
-    float lo = table[s * 16];
-    for (size_t k = 1; k < 16; ++k) lo = std::min(lo, table[s * 16 + k]);
-    per_subspace_min_sum += lo;
   }
-  EXPECT_NEAR(qlut.bias, per_subspace_min_sum, 1e-5f);
 }
 
 // ---------- HNSW ----------
@@ -501,23 +387,22 @@ TEST(HnswIndexTest, QuantizedSearchWithRescoringKeepsRecall) {
   EXPECT_GT(recall / kQueries, 0.75);
 }
 
-// Differential check against brute force: exact, PQ 8-bit and PQ 4-bit
-// HNSW on seeded clustered corpora, scored by mean recall@10 against a
-// FlatIndex oracle. Queries are perturbed corpus rows, not corpus rows, so
-// the nearest neighbour is not simply the query itself. Each floor sits a
+// Differential check against brute force: exact and PQ 8-bit HNSW on
+// seeded clustered corpora, scored by mean recall@10 against a FlatIndex
+// oracle. Queries are perturbed corpus rows, not corpus rows, so the
+// nearest neighbour is not simply the query itself. Each floor sits a
 // margin below the recall measured when the test was written (in the
 // comments); a traversal or quantizer change that loses neighbours fails.
 TEST(HnswIndexTest, RecallVsBruteForce) {
   constexpr size_t kN = 2000, kDim = 32, kK = 10, kEf = 64, kQueries = 60;
   struct Config {
     const char* name;
-    size_t pq_nbits;  // 0 = exact traversal
+    bool quantized;
     double floor;
   };
   // Measured recall@10 per seed (101 / 202 / 303): exact 1.000 / 1.000 /
-  // 0.998, PQ 8-bit 0.992 / 0.995 / 0.997, PQ 4-bit 0.842 / 0.822 / 0.873.
-  const Config configs[] = {
-      {"exact", 0, 0.97}, {"pq8", 8, 0.95}, {"pq4", 4, 0.78}};
+  // 0.998, PQ 8-bit 0.992 / 0.995 / 0.997.
+  const Config configs[] = {{"exact", false, 0.97}, {"pq8", true, 0.95}};
   for (uint64_t seed : {101u, 202u, 303u}) {
     Matrix data = MakeClusteredData(kN, kDim, 25, seed);
     FlatIndex oracle(Metric::kCosine);
@@ -535,10 +420,9 @@ TEST(HnswIndexTest, RecallVsBruteForce) {
     for (const Config& config : configs) {
       HnswOptions options;
       options.seed = seed;
-      if (config.pq_nbits != 0) {
+      if (config.quantized) {
         PqOptions pq;
         pq.num_subquantizers = 8;
-        pq.nbits = config.pq_nbits;
         options.quantization = pq;
       }
       HnswIndex index(options);
@@ -597,21 +481,19 @@ std::pair<uint64_t, uint64_t> TopKFingerprint(const HnswIndex& index,
 }
 
 // The deterministic L2 index the traversal fingerprints pin: M = 8, and PQ
-// with 8 subquantizers of `pq_nbits` bits when set.
+// with 8 subquantizers when `quantized`.
 std::unique_ptr<HnswIndex> FingerprintIndex(const Matrix& data,
                                             size_t ef_construction,
-                                            uint64_t seed,
-                                            std::optional<size_t> pq_nbits) {
+                                            uint64_t seed, bool quantized) {
   HnswOptions opts;
   opts.M = 8;
   opts.ef_construction = ef_construction;
   opts.metric = Metric::kL2;
   opts.seed = seed;
   opts.deterministic = true;
-  if (pq_nbits.has_value()) {
+  if (quantized) {
     PqOptions pq;
     pq.num_subquantizers = 8;
-    pq.nbits = *pq_nbits;
     opts.quantization = pq;
   }
   auto index = std::make_unique<HnswIndex>(opts);
@@ -661,19 +543,17 @@ TEST(HnswIndexTest, TraversalMatchesParentFingerprint) {
           data.At(q * 37, j) + 0.5f * static_cast<float>(rng.NextGaussian());
     }
   }
-  auto fingerprint = [&](std::optional<size_t> pq_nbits) {
-    return TopKFingerprint(*FingerprintIndex(data, 64, 5, pq_nbits), queries,
+  auto fingerprint = [&](bool quantized) {
+    return TopKFingerprint(*FingerprintIndex(data, 64, 5, quantized), queries,
                            k, ef);
   };
-  ExpectFingerprint(fingerprint(std::nullopt), 17909920715436095480ULL,
+  ExpectFingerprint(fingerprint(false), 17909920715436095480ULL,
                     9228334547508009012ULL);
   if (vecmath::ActiveSimdTier() == vecmath::SimdTier::kNeon) {
     GTEST_SKIP() << "no recorded quantized fingerprints for this tier";
   }
-  ExpectFingerprint(fingerprint(8), 8083439478480731754ULL,
+  ExpectFingerprint(fingerprint(true), 8083439478480731754ULL,
                     932191962552928697ULL);
-  ExpectFingerprint(fingerprint(4), 8253871075080975556ULL,
-                    14364205301552116444ULL);
 }
 
 TEST(HnswIndexTest, TieHeavyTraversalMatchesParentFingerprint) {
@@ -703,8 +583,9 @@ TEST(HnswIndexTest, TieHeavyTraversalMatchesParentFingerprint) {
     }
   }
   // One ranking and one effort hash over ef = k in {8, 32, 100}.
-  auto fingerprint = [&](std::optional<size_t> pq_nbits) {
-    std::unique_ptr<HnswIndex> index = FingerprintIndex(data, 48, 9, pq_nbits);
+  auto fingerprint = [&](bool quantized) {
+    std::unique_ptr<HnswIndex> index =
+        FingerprintIndex(data, 48, 9, quantized);
     std::pair<uint64_t, uint64_t> combined{0, 0};
     for (size_t ef : {8, 32, 100}) {
       const auto got = TopKFingerprint(*index, queries, ef, ef);
@@ -713,15 +594,34 @@ TEST(HnswIndexTest, TieHeavyTraversalMatchesParentFingerprint) {
     }
     return combined;
   };
-  ExpectFingerprint(fingerprint(std::nullopt), 4389739146173058032ULL,
+  ExpectFingerprint(fingerprint(false), 4389739146173058032ULL,
                     14468117544598013859ULL);
   if (vecmath::ActiveSimdTier() == vecmath::SimdTier::kNeon) {
     GTEST_SKIP() << "no recorded quantized fingerprints for this tier";
   }
-  ExpectFingerprint(fingerprint(8), 1339682225500978091ULL,
+  ExpectFingerprint(fingerprint(true), 1339682225500978091ULL,
                     9512239891798705215ULL);
-  ExpectFingerprint(fingerprint(4), 5824091118984969496ULL,
-                    18220828487418865191ULL);
+}
+
+TEST(HnswIndexTest, MemoryUsageSeparatesCodebookFromCodes) {
+  const size_t n = 100, dim = 32, m = 8;
+  Matrix data = MakeClusteredData(n, dim, 4, 71);
+  HnswOptions opts;
+  PqOptions pq;
+  pq.num_subquantizers = m;
+  opts.quantization = pq;
+  HnswIndex index(opts);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
+  }
+  ASSERT_TRUE(index.Build().ok());
+  const MemoryStats stats = index.MemoryUsage();
+  // Payload: one byte per subquantizer per vector.
+  EXPECT_EQ(stats.codes_bytes, n * m);
+  // Model: m codebooks of 256 centroids of dim/m floats.
+  EXPECT_EQ(stats.codebook_bytes, m * 256 * (dim / m) * sizeof(float));
+  EXPECT_EQ(stats.vectors_bytes, n * dim * sizeof(float));
+  EXPECT_EQ(stats.ids_bytes, n * sizeof(uint64_t));
 }
 
 TEST(HnswIndexTest, QuantizedDotMetricRejected) {
@@ -761,160 +661,6 @@ TEST_P(HnswMSweep, RecallAboveFloor) {
 }
 
 INSTANTIATE_TEST_SUITE_P(MValues, HnswMSweep, ::testing::Values(4, 8, 16, 32));
-
-// ---------- PqFlatIndex ----------
-
-TEST(PqFlatIndexTest, RescoredSearchFindsPlantedNeighbor) {
-  const size_t n = 600, dim = 32;
-  Matrix data = MakeClusteredData(n, dim, 6, 37);
-  PqFlatOptions options;
-  options.pq.num_subquantizers = 8;
-  PqFlatIndex index(options);
-  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
-  ASSERT_TRUE(index.Build().ok());
-
-  auto hits = index.Search(data.RowVec(17), {5, 0}).MoveValue();
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].id, 17u);
-}
-
-TEST(PqFlatIndexTest, PureAdcModeDropsOriginals) {
-  const size_t n = 400, dim = 16;
-  Matrix data = MakeClusteredData(n, dim, 4, 41);
-  PqFlatOptions rescored, pure;
-  rescored.pq.num_subquantizers = 4;
-  pure.pq.num_subquantizers = 4;
-  pure.rescore_factor = 0;
-  PqFlatIndex a(rescored), b(pure);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(a.Add(i, data.RowVec(i)).ok());
-    ASSERT_TRUE(b.Add(i, data.RowVec(i)).ok());
-  }
-  ASSERT_TRUE(a.Build().ok());
-  ASSERT_TRUE(b.Build().ok());
-  // The storage saving is the point of PQ: pure-ADC mode drops the exact
-  // vectors (n * dim floats); only codes + codebooks remain.
-  size_t original_bytes = n * dim * sizeof(float);
-  EXPECT_LE(b.MemoryBytes() + original_bytes, a.MemoryBytes() + 64);
-  EXPECT_LT(b.MemoryBytes(), a.MemoryBytes());
-  // Pure ADC still searches.
-  auto hits = b.Search(data.RowVec(3), {3, 0}).MoveValue();
-  EXPECT_FALSE(hits.empty());
-}
-
-TEST(PqFlatIndexTest, RecallReasonableVsExact) {
-  const size_t n = 1000, dim = 32, k = 10;
-  Matrix data = MakeClusteredData(n, dim, 10, 43);
-  FlatIndex exact(Metric::kCosine);
-  PqFlatOptions options;
-  options.pq.num_subquantizers = 16;
-  PqFlatIndex pq(options);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(exact.Add(i, data.RowVec(i)).ok());
-    ASSERT_TRUE(pq.Add(i, data.RowVec(i)).ok());
-  }
-  ASSERT_TRUE(exact.Build().ok());
-  ASSERT_TRUE(pq.Build().ok());
-  Rng rng(47);
-  double recall = 0;
-  for (int q = 0; q < 20; ++q) {
-    Vec query = data.RowVec(rng.NextBounded(n));
-    auto truth = exact.Search(query, {k, 0}).MoveValue();
-    recall += RecallAtK(pq.Search(query, {k, 0}).MoveValue(), truth, k);
-  }
-  EXPECT_GT(recall / 20, 0.8);
-}
-
-TEST(PqFlatIndexTest, FourBitFastScanFindsPlantedNeighbor) {
-  const size_t n = 600, dim = 32;
-  Matrix data = MakeClusteredData(n, dim, 6, 53);
-  PqFlatOptions options;
-  options.pq.num_subquantizers = 8;
-  options.pq.nbits = 4;
-  PqFlatIndex index(options);
-  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
-  ASSERT_TRUE(index.Build().ok());
-
-  auto hits = index.Search(data.RowVec(17), {5, 0}).MoveValue();
-  ASSERT_FALSE(hits.empty());
-  EXPECT_EQ(hits[0].id, 17u);
-}
-
-TEST(PqFlatIndexTest, FourBitPureAdcStillSearches) {
-  const size_t n = 400, dim = 16;
-  Matrix data = MakeClusteredData(n, dim, 4, 59);
-  PqFlatOptions options;
-  options.pq.num_subquantizers = 4;
-  options.pq.nbits = 4;
-  options.rescore_factor = 0;  // originals dropped; float-ADC rescore path
-  PqFlatIndex index(options);
-  for (size_t i = 0; i < n; ++i) ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
-  ASSERT_TRUE(index.Build().ok());
-  // Originals are gone: only packed codes + codebook remain.
-  MemoryStats stats = index.MemoryUsage();
-  EXPECT_EQ(stats.vectors_bytes, 0u);
-  auto hits = index.Search(data.RowVec(3), {3, 0}).MoveValue();
-  EXPECT_FALSE(hits.empty());
-}
-
-TEST(PqFlatIndexTest, FourBitRescoreMatchesEightBitRecall) {
-  // The fast-scan shortlist plus exact rescoring must recover the accuracy
-  // the coarser 16-centroid codebooks give up: recall against the exact
-  // oracle stays at the 8-bit configuration's level.
-  const size_t n = 1000, dim = 32, k = 10;
-  Matrix data = MakeClusteredData(n, dim, 10, 61);
-  FlatIndex exact(Metric::kCosine);
-  PqFlatOptions opt8, opt4;
-  opt8.pq.num_subquantizers = 16;
-  opt4.pq.num_subquantizers = 16;
-  opt4.pq.nbits = 4;
-  PqFlatIndex pq8(opt8), pq4(opt4);
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(exact.Add(i, data.RowVec(i)).ok());
-    ASSERT_TRUE(pq8.Add(i, data.RowVec(i)).ok());
-    ASSERT_TRUE(pq4.Add(i, data.RowVec(i)).ok());
-  }
-  ASSERT_TRUE(exact.Build().ok());
-  ASSERT_TRUE(pq8.Build().ok());
-  ASSERT_TRUE(pq4.Build().ok());
-  Rng rng(67);
-  double recall8 = 0, recall4 = 0;
-  for (int q = 0; q < 20; ++q) {
-    Vec query = data.RowVec(rng.NextBounded(n));
-    auto truth = exact.Search(query, {k, 0}).MoveValue();
-    recall8 += RecallAtK(pq8.Search(query, {k, 0}).MoveValue(), truth, k);
-    recall4 += RecallAtK(pq4.Search(query, {k, 0}).MoveValue(), truth, k);
-  }
-  recall8 /= 20;
-  recall4 /= 20;
-  EXPECT_GT(recall4, 0.8);
-  EXPECT_GT(recall4, recall8 - 0.1);
-}
-
-TEST(PqFlatIndexTest, MemoryUsageSeparatesCodebookFromCodes) {
-  const size_t n = 100, dim = 32, m = 8;
-  Matrix data = MakeClusteredData(n, dim, 4, 71);
-  for (size_t nbits : {4u, 8u}) {
-    PqFlatOptions options;
-    options.pq.num_subquantizers = m;
-    options.pq.nbits = nbits;
-    PqFlatIndex index(options);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(index.Add(i, data.RowVec(i)).ok());
-    }
-    ASSERT_TRUE(index.Build().ok());
-    MemoryStats stats = index.MemoryUsage();
-    // Payload: packed blocked layout (4-bit) or one byte per code (8-bit).
-    const size_t want_codes =
-        nbits == 4 ? ((n + 31) / 32) * m * 16 : n * m;
-    EXPECT_EQ(stats.codes_bytes, want_codes) << "nbits=" << nbits;
-    // Model: m codebooks of 2^nbits centroids of dim/m floats.
-    EXPECT_EQ(stats.codebook_bytes,
-              m * (size_t{1} << nbits) * (dim / m) * sizeof(float))
-        << "nbits=" << nbits;
-    EXPECT_GT(stats.codes_bytes, 0u);
-  }
-}
 
 }  // namespace
 }  // namespace mira::index

@@ -230,7 +230,8 @@ TEST(SimdKernelsTest, AdcDistanceBatchMatchesPerCodeAdc) {
   for (size_t num_codes : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 40u}) {
     std::vector<uint8_t> codes(num_codes * pq.code_bytes());
     for (uint8_t& c : codes) {
-      c = static_cast<uint8_t>(rng.NextBounded(pq.codebook_size()));
+      c = static_cast<uint8_t>(
+          rng.NextBounded(index::ProductQuantizer::kCodebookSize));
     }
     Vec q = RandomVec(&rng, dim);
     std::vector<float> table;
@@ -243,57 +244,6 @@ TEST(SimdKernelsTest, AdcDistanceBatchMatchesPerCodeAdc) {
                   1e-4f)
           << "num_codes=" << num_codes << " i=" << i;
     }
-  }
-}
-
-TEST(SimdKernelsTest, Adc4BatchActiveMatchesScalarExactly) {
-  // Integer kernel: no float reassociation, so every tier must agree with
-  // the scalar reference bit-for-bit, including tail-block padding lanes.
-  const auto& active = ActiveKernels();
-  const auto& scalar = ScalarKernels();
-  Rng rng(707);
-  for (size_t num_sub : {1u, 2u, 8u, 16u, 48u}) {
-    for (size_t num_blocks : {1u, 2u, 3u, 7u}) {
-      std::vector<uint8_t> lut(num_sub * 16);
-      for (uint8_t& x : lut) x = static_cast<uint8_t>(rng.NextBounded(256));
-      std::vector<uint8_t> packed(num_blocks * num_sub * 16);
-      for (uint8_t& x : packed) {
-        x = static_cast<uint8_t>(rng.NextBounded(256));
-      }
-      std::vector<uint16_t> out_active(num_blocks * 32, 0xAAAA);
-      std::vector<uint16_t> out_scalar(num_blocks * 32, 0x5555);
-      active.adc4_batch(lut.data(), packed.data(), num_blocks, num_sub,
-                        out_active.data());
-      scalar.adc4_batch(lut.data(), packed.data(), num_blocks, num_sub,
-                        out_scalar.data());
-      EXPECT_EQ(out_active, out_scalar)
-          << "num_sub=" << num_sub << " num_blocks=" << num_blocks;
-    }
-  }
-}
-
-TEST(SimdKernelsTest, Adc4BatchMatchesUnpackedLookupSum) {
-  // The kernel over the packed blocked layout must equal the naive sum of
-  // LUT entries over the unpacked codes — including a ragged tail block.
-  Rng rng(808);
-  const size_t num_sub = 8;
-  const size_t n = 45;  // one full block + a 13-code tail
-  std::vector<uint8_t> codes(n * num_sub);
-  for (uint8_t& c : codes) c = static_cast<uint8_t>(rng.NextBounded(16));
-  std::vector<uint8_t> packed;
-  index::Pack4BitCodesBlocked(codes.data(), n, num_sub, &packed);
-  std::vector<uint8_t> lut(num_sub * 16);
-  for (uint8_t& x : lut) x = static_cast<uint8_t>(rng.NextBounded(256));
-
-  const size_t num_blocks = (n + 31) / 32;
-  std::vector<uint16_t> out(num_blocks * 32, 0);
-  Adc4Batch(lut.data(), packed.data(), num_blocks, num_sub, out.data());
-  for (size_t i = 0; i < n; ++i) {
-    uint16_t want = 0;
-    for (size_t s = 0; s < num_sub; ++s) {
-      want = static_cast<uint16_t>(want + lut[s * 16 + codes[i * num_sub + s]]);
-    }
-    EXPECT_EQ(out[i], want) << "i=" << i;
   }
 }
 

@@ -157,10 +157,12 @@ TEST(TopKTest, ZeroKIsEmpty) {
 }
 
 TEST(TopKTest, TieBreakByLowerId) {
+  // Equal scores pushed highest id first: only the id tie-break lets 3
+  // evict 9 from the full collector, and it orders the kept pair.
   TopK top(2);
+  top.Push(9, 1.f);
   top.Push(5, 1.f);
   top.Push(3, 1.f);
-  top.Push(9, 1.f);
   auto hits = top.Take();
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].id, 3u);

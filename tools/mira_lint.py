@@ -50,6 +50,11 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and triage policy):
                 (MIRA_GUARDED_BY/MIRA_REQUIRES/MIRA_ACQUIRE/...) in the same
                 file — a mutex that guards nothing the analysis can see is
                 either dead or hiding unannotated shared state.
+  ci-test-names every `|`-alternative of a ctest `-R '...'` regex in
+                .github/workflows/ci.yml must match at least one test: a
+                gtest `Suite.Name` in tests/*.cc or an add_test NAME in
+                tests/CMakeLists.txt. A deleted or renamed test otherwise
+                drops out of a scoped CI run (the TSan job) silently.
 
 A finding can be suppressed with a justified marker on the same line or the
 line above: `// mira-lint-allow(rule-name) -- reason`. Bare markers (no rule
@@ -347,6 +352,28 @@ def check_guarded_member(path: Path, lines: list[str]) -> None:
                    "mira-lint-allow(guarded-member)")
 
 
+CI_YML = ".github/workflows/ci.yml"
+GTEST_RE = re.compile(r"\b(?:TYPED_)?TEST(?:_[FP])?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
+ADD_TEST_RE = re.compile(r"add_test\(\s*NAME\s+(\S+)")
+
+
+def check_ci_test_names() -> None:
+    ALLOWED.clear()
+    names = [f"{m[0]}.{m[1]}" for cc in sorted((REPO / "tests").glob("*.cc"))
+             for m in GTEST_RE.findall(cc.read_text(encoding="utf-8"))]
+    names += ADD_TEST_RE.findall(
+        (REPO / "tests/CMakeLists.txt").read_text(encoding="utf-8"))
+    for i, line in enumerate(
+            (REPO / CI_YML).read_text(encoding="utf-8").splitlines(), 1):
+        for regex in re.findall(r"-R\s+'([^']*)'", line):
+            if regex.startswith("(") and regex.endswith(")"):
+                regex = regex[1:-1]
+            for alt in regex.split("|"):
+                if not any(re.search(alt, name) for name in names):
+                    report(REPO / CI_YML, i, "ci-test-names",
+                           f"ctest -R alternative '{alt}' matches no test")
+
+
 CHECKS = [check_endl, check_guard, check_naked_new, check_nodiscard,
           check_bare_nolint, check_intrinsics, check_obs_in_kernels,
           check_failpoint, check_raw_sync, check_guarded_member]
@@ -374,6 +401,8 @@ def main(argv: list[str]) -> int:
         collect_allows(path, lines)
         for check in CHECKS:
             check(path, lines)
+    if REPO / CI_YML in files:
+        check_ci_test_names()
     if FINDINGS:
         print("\n".join(sorted(FINDINGS)))
         print(f"mira_lint: {len(FINDINGS)} finding(s) in {scanned} files",
