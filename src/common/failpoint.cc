@@ -18,7 +18,8 @@ namespace {
 /// injection points exist. Keep in sync with docs/ROBUSTNESS.md and the
 /// failpoint matrix in tests/robustness_test.cc.
 constexpr const char* kSites[] = {
-    "embed.encode",         // per-cell encoding inside CorpusEmbeddings::Build
+    "embed.encode",         // CorpusEmbeddings::Build, once per distinct cell
+                            // text, before it is pooled
     "index.build",          // AnnsSearcher::Build, before the HNSW build
     "corpus.save",          // CorpusEmbeddings::Save entry
     "corpus.save.partial",  // CorpusEmbeddings::Save payload write cutoff

@@ -2,11 +2,14 @@
 
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/failpoint.h"
@@ -26,43 +29,68 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Build(
   corpus.num_relations = federation.size();
   corpus.cells_per_relation.assign(federation.size(), 0);
 
-  // Pre-compute the cell list so rows can be written independently.
-  struct PendingCell {
-    CellRef ref;
-    const std::string* text;
-  };
-  std::vector<PendingCell> pending;
-  for (table::RelationId rid = 0; rid < federation.size(); ++rid) {
-    const table::Relation& relation = federation.relation(rid);
-    for (uint32_t r = 0; r < relation.num_rows(); ++r) {
-      for (uint32_t c = 0; c < relation.num_columns(); ++c) {
-        const std::string& cell = relation.rows[r][c];
-        if (cell.empty()) continue;
-        pending.push_back({CellRef{rid, r, c}, &cell});
-        ++corpus.cells_per_relation[rid];
+  // Group the cells by text: each distinct text is embedded once, into the
+  // row of its first cell, and copied to the rows of its repeats.
+  std::vector<std::string_view> texts;
+  std::vector<size_t> first_row;      // per distinct text
+  std::vector<uint32_t> text_of_row;  // per cell
+  {
+    std::unordered_map<std::string_view, uint32_t> text_ids;
+    for (table::RelationId rid = 0; rid < federation.size(); ++rid) {
+      const table::Relation& relation = federation.relation(rid);
+      for (uint32_t r = 0; r < relation.num_rows(); ++r) {
+        for (uint32_t c = 0; c < relation.num_columns(); ++c) {
+          const std::string& cell = relation.rows[r][c];
+          if (cell.empty()) continue;
+          auto [it, inserted] = text_ids.try_emplace(
+              cell, static_cast<uint32_t>(texts.size()));
+          if (inserted) {
+            texts.push_back(cell);
+            first_row.push_back(corpus.refs.size());
+          }
+          text_of_row.push_back(it->second);
+          corpus.refs.push_back(CellRef{rid, r, c});
+          ++corpus.cells_per_relation[rid];
+        }
       }
     }
   }
-  if (pending.empty()) {
+  if (corpus.refs.empty()) {
     return Status::InvalidArgument("corpus embeddings: no non-empty cells");
   }
 
-  corpus.vectors = vecmath::Matrix(pending.size(), encoder.dim());
-  corpus.refs.resize(pending.size());
+  // The batch keeps its direction table in the cell matrix, whose rows are
+  // written only after the table is dead, so the table needs no memory of
+  // its own: a separate one raised peak RSS whenever a build ran on a heap
+  // that still held a freed earlier build.
+  const size_t dim = encoder.dim();
+  corpus.vectors = vecmath::Matrix(corpus.refs.size(), dim);
+  embed::TokenBatch batch =
+      encoder.PrepareBatch(texts, pool, corpus.vectors.data().data(),
+                           corpus.vectors.data().size());
 
   // Cancellable loop (runs inline when pool is null) so an injected encode
   // failure aborts the build with a typed Status instead of finishing with a
-  // silently wrong row — first non-OK wins, remaining cells are skipped.
-  auto embed_one = [&](size_t i) -> Status {
+  // silently wrong row — first non-OK wins, remaining texts are skipped.
+  auto embed_one = [&](size_t t) -> Status {
     MIRA_FAILPOINT("embed.encode");
-    vecmath::Vec v = encoder.EncodeText(*pending[i].text);
-    vecmath::NormalizeInPlace(&v);
-    corpus.vectors.SetRow(i, v);
-    corpus.refs[i] = pending[i].ref;
+    float* row = corpus.vectors.Row(first_row[t]);
+    encoder.PoolBatchText(batch, t, row);
+    // Normalized a second time (PoolBatchText already normalizes): the
+    // corpus bytes, pinned by ParallelBuildStressTest, include this pass.
+    vecmath::NormalizeInPlace(row, dim);
     return Status::OK();
   };
   MIRA_RETURN_NOT_OK(
-      ParallelForCancellable(pool, 0, pending.size(), nullptr, embed_one));
+      ParallelForCancellable(pool, 0, texts.size(), nullptr, embed_one));
+  ParallelFor(pool, 0, corpus.refs.size(), [&](size_t i) {
+    const size_t source = first_row[text_of_row[i]];
+    if (source != i) {
+      std::memcpy(corpus.vectors.Row(i), corpus.vectors.Row(source),
+                  dim * sizeof(float));
+    }
+  });
+  encoder.CacheTokens(std::move(batch));
   return corpus;
 }
 
@@ -76,6 +104,18 @@ namespace {
 // Load reports them as kDataLoss with the version in the message.
 constexpr char kCorpusMagic[8] = {'M', 'I', 'R', 'A', 'C', 'O', 'R', '2'};
 constexpr size_t kHeaderWords = 5;
+
+// The payload size of a header's shape; false when it overflows.
+bool PayloadBytes(uint64_t num_relations, uint64_t rows, uint64_t cols,
+                  uint64_t* bytes) {
+  uint64_t vectors = 0, refs = 0, counts = 0;
+  return !__builtin_mul_overflow(rows, cols, &vectors) &&
+         !__builtin_mul_overflow(vectors, sizeof(float), &vectors) &&
+         !__builtin_mul_overflow(rows, sizeof(CellRef), &refs) &&
+         !__builtin_mul_overflow(num_relations, sizeof(uint32_t), &counts) &&
+         !__builtin_add_overflow(vectors, refs, bytes) &&
+         !__builtin_add_overflow(*bytes, counts, bytes);
+}
 
 }  // namespace
 
@@ -171,6 +211,27 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Load(const std::string& path) {
         StrFormat("corpus load: '%s' header checksum mismatch", path.c_str()));
   }
 
+  // The checksums are an unkeyed public hash, so a crafted file can carry
+  // valid ones: check the shape against the file before allocating it.
+  in.seekg(0, std::ios::end);
+  const auto file_size = static_cast<uint64_t>(in.tellg());
+  in.seekg(static_cast<std::streamoff>(sizeof(kCorpusMagic) + sizeof(header)));
+  const uint64_t file_payload =
+      file_size - sizeof(kCorpusMagic) - sizeof(header);
+  uint64_t payload_bytes = 0;
+  if (!PayloadBytes(header[0], header[1], header[2], &payload_bytes)) {
+    return Status::DataLoss(StrFormat(
+        "corpus load: '%s' header shape overflows", path.c_str()));
+  }
+  if (payload_bytes > file_payload) {
+    return Status::DataLoss(
+        StrFormat("corpus load: '%s' truncated in payload", path.c_str()));
+  }
+  if (payload_bytes < file_payload) {
+    return Status::DataLoss(StrFormat(
+        "corpus load: '%s' is longer than its header's shape", path.c_str()));
+  }
+
   CorpusEmbeddings corpus;
   corpus.num_relations = header[0];
   corpus.vectors = vecmath::Matrix(header[1], header[2]);
@@ -199,6 +260,21 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Load(const std::string& path) {
   if (payload_sum.Digest() != header[3]) {
     return Status::DataLoss(StrFormat(
         "corpus load: '%s' payload checksum mismatch (flipped or torn bytes)",
+        path.c_str()));
+  }
+  // Searchers index per-relation arrays by refs[i].relation.
+  std::vector<uint32_t> counted(corpus.num_relations, 0);
+  for (const CellRef& ref : corpus.refs) {
+    if (ref.relation >= corpus.num_relations) {
+      return Status::DataLoss(StrFormat(
+          "corpus load: '%s' has a cell of relation %u of %zu", path.c_str(),
+          ref.relation, corpus.num_relations));
+    }
+    ++counted[ref.relation];
+  }
+  if (counted != corpus.cells_per_relation) {
+    return Status::DataLoss(StrFormat(
+        "corpus load: '%s' per-relation cell counts disagree with its cells",
         path.c_str()));
   }
   return corpus;

@@ -36,15 +36,21 @@ struct CorpusEmbeddings {
   size_t num_cells() const { return refs.size(); }
   size_t dim() const { return vectors.cols(); }
 
-  /// Embeds every attribute value of every relation. With a thread pool the
-  /// work is parallelized over relations (the encoder is thread-safe).
+  /// Embeds every attribute value of every relation, as one batch: each
+  /// distinct cell text, token and pseudo-random direction is computed once
+  /// (SemanticEncoder::PrepareBatch), and a repeated text's row is copied
+  /// from its first cell's. Every phase runs on `pool` when one is given
+  /// and takes no lock; the batch's token vectors then go to the encoder's
+  /// cache in one locked insert. Row for row, the result is bit-identical to
+  /// NormalizeInPlace(encoder.EncodeText(cell)).
   [[nodiscard]] static Result<CorpusEmbeddings> Build(const table::Federation& federation,
                                         const embed::SemanticEncoder& encoder,
                                         ThreadPool* pool = nullptr);
 
-  /// Persists the embeddings to a binary file. Embedding is the dominant
-  /// indexing cost, so caching it lets a federation be re-opened in seconds
-  /// (the derived ANN/cluster structures are rebuilt).
+  /// Persists the embeddings to a binary file, so a federation can be
+  /// re-opened without embedding it again (the derived ANN/cluster
+  /// structures are rebuilt). Embedding is most of an ExS-only open; with
+  /// ANNS or CTS the index builds dominate.
   ///
   /// Crash-safe: the bytes go to `path + ".tmp"`, are fsync'd, and the tmp
   /// file is atomically renamed over `path` — a crash or failure mid-write
@@ -57,6 +63,9 @@ struct CorpusEmbeddings {
   /// a file that cannot be opened is kIoError (possibly transient); one
   /// that opens but is truncated, corrupted, or checksum-mismatched is
   /// kDataLoss (retrying cannot help — re-embed or restore from backup).
+  /// So is a file whose checksums hold but whose shape does not: a payload
+  /// size that disagrees with the file's, a cell of a relation out of
+  /// range, or per-relation counts that disagree with the cells.
   [[nodiscard]] static Result<CorpusEmbeddings> Load(const std::string& path);
 
   /// Load() wrapped in RetryPolicy: transient errors (kIoError,

@@ -1,6 +1,7 @@
 #ifndef MIRA_EMBED_ENCODER_H_
 #define MIRA_EMBED_ENCODER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "common/sync.h"
+#include "common/threadpool.h"
 #include "embed/lexicon.h"
 #include "text/tokenizer.h"
 #include "vecmath/vector_ops.h"
@@ -30,6 +32,17 @@ class TokenFrequencies {
  private:
   std::unordered_map<std::string, int64_t> counts_;
   int64_t total_ = 0;
+};
+
+/// The token vectors of a batch of texts (SemanticEncoder::PrepareBatch):
+/// each distinct token once, in first-seen order. The tokens of text t are
+/// token_ids[offsets[t] .. offsets[t + 1]), in text order.
+struct TokenBatch {
+  std::vector<std::string> tokens;
+  std::vector<vecmath::Vec> vectors;  ///< One per distinct token.
+  std::vector<float> weights;         ///< Pooling weight per distinct token.
+  std::vector<uint32_t> token_ids;
+  std::vector<size_t> offsets;        ///< texts + 1 entries.
 };
 
 /// Configuration of the deterministic semantic encoder.
@@ -86,6 +99,11 @@ struct EncoderOptions {
 /// A text is encoded as the weighted mean of its token vectors (stopwords
 /// down-weighted), L2-normalized — the standard mean-pooling recipe of
 /// sentence transformers. Thread-safe; token vectors are memoized.
+///
+/// Queries and corpus builds share the token recipe and the pooling: a query
+/// draws the directions a token needs on the spot, while a corpus build
+/// (PrepareBatch) draws every distinct direction of the batch once and
+/// composes from those.
 class SemanticEncoder {
  public:
   SemanticEncoder(EncoderOptions options, std::shared_ptr<const Lexicon> lexicon);
@@ -98,6 +116,22 @@ class SemanticEncoder {
 
   /// Embeds a single token (memoized).
   vecmath::Vec EncodeToken(const std::string& token) const;
+
+  /// The batch path of a corpus build, in three steps that give each text
+  /// exactly EncodeText's vector. PrepareBatch tokenizes every text, draws
+  /// each distinct pseudo-random direction once and composes each distinct
+  /// token vector once, on `pool` (inline when null) and without a lock.
+  /// The distinct directions are kept in a table in the `scratch_floats`
+  /// floats at `scratch` when they have room, else in memory of its own; a
+  /// corpus build passes the cell matrix, which it writes only afterwards.
+  TokenBatch PrepareBatch(const std::vector<std::string_view>& texts,
+                          ThreadPool* pool, float* scratch,
+                          size_t scratch_floats) const;
+  /// Pools text `t` of `batch` into `out` (dim() floats).
+  void PoolBatchText(const TokenBatch& batch, size_t t, float* out) const;
+  /// Moves the batch's token vectors into the token cache in one locked
+  /// insert, so queries over corpus tokens find them there.
+  void CacheTokens(TokenBatch batch) const;
 
   size_t dim() const { return options_.dim; }
   const EncoderOptions& options() const { return options_; }
@@ -124,8 +158,33 @@ class SemanticEncoder {
   vecmath::Vec AspectDirection(int32_t aspect_id) const;
 
  private:
-  vecmath::Vec ComputeTokenVector(const std::string& token) const;
-  vecmath::Vec HashedLexicalVector(const std::string& token) const;
+  struct TokenRecipe;
+
+  /// The cached vector of `token`, computed and cached on a miss. Cache
+  /// entries are never erased or changed and unordered_map nodes never move,
+  /// so the reference stays valid with the lock released.
+  const vecmath::Vec& CachedTokenVector(const std::string& token) const;
+  /// Which directions make the token's vector, and how they blend.
+  TokenRecipe PlanToken(const std::string& token) const;
+  /// The one token-vector recipe: composes `recipe` into `out` (dim()
+  /// floats) from `direction(seed)`, a pointer to that seed's unit direction
+  /// that need stay valid only until the next call.
+  template <typename Directions>
+  void ComposeToken(const TokenRecipe& recipe, const Directions& direction,
+                    float* out) const;
+  template <typename Directions>
+  void ComposeConcept(const TokenRecipe& recipe, const Directions& direction,
+                      float* out) const;
+  /// The one pooling routine: the weighted mean of `token_at(i)`'s
+  /// {vector, weight} over i < num_tokens, L2-normalized, into `out`.
+  template <typename TokenAt>
+  void PoolTokens(size_t num_tokens, const TokenAt& token_at,
+                  float* out) const;
+  float TokenWeight(const std::string& token) const;
+  /// Draws the unit direction of `seed` into `out` (dim() floats).
+  void DrawDirection(uint64_t seed, float* out) const;
+  /// Draws into `scratch` and returns its data: the query path's source.
+  const float* DrawInto(uint64_t seed, vecmath::Vec* scratch) const;
   vecmath::Vec GaussianDirection(uint64_t seed) const;
 
   EncoderOptions options_;

@@ -11,20 +11,28 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "datagen/workload.h"
+#include "discovery/corpus_embeddings.h"
 #include "discovery/engine.h"
+#include "embed/encoder.h"
 #include "index/flat_index.h"
 #include "index/hnsw_index.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
+#include "table/relation.h"
+#include "vecmath/matrix.h"
+#include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
 
 namespace mira {
@@ -327,6 +335,231 @@ TEST(ParallelBuildStressTest, PooledBuildRanksLikeSerialBuild) {
     }
   }
   EXPECT_GT(compared, 0u);
+}
+
+// ---------- Corpus embeddings on the build pool ----------
+
+// An encoder over the build workload's lexicon with SIF frequencies from
+// `federation`, made the way the engine makes its own.
+std::shared_ptr<embed::SemanticEncoder> CorpusEncoder(
+    const table::Federation& federation) {
+  embed::EncoderOptions options;
+  options.dim = 64;
+  auto encoder = std::make_shared<embed::SemanticEncoder>(
+      options, BuildWorkload().bank.lexicon());
+  auto frequencies = std::make_shared<embed::TokenFrequencies>();
+  for (const auto& relation : federation.relations()) {
+    frequencies->AddText(relation.ConsolidatedText());
+  }
+  encoder->SetTokenFrequencies(std::move(frequencies));
+  return encoder;
+}
+
+discovery::CorpusEmbeddings BuildCorpus(const table::Federation& federation,
+                                        const embed::SemanticEncoder& encoder,
+                                        ThreadPool* pool) {
+  auto corpus = discovery::CorpusEmbeddings::Build(federation, encoder, pool);
+  EXPECT_TRUE(corpus.ok()) << corpus.status().ToString();
+  return corpus.ok() ? std::move(corpus).MoveValue()
+                     : discovery::CorpusEmbeddings{};
+}
+
+// Checksum64 over the corpus vectors' bytes, then over its refs' bytes.
+uint64_t CorpusFingerprint(const discovery::CorpusEmbeddings& corpus) {
+  Checksum64 sum;
+  sum.Update(corpus.vectors.data().data(),
+             corpus.vectors.data().size() * sizeof(float));
+  sum.Update(corpus.refs.data(),
+             corpus.refs.size() * sizeof(discovery::CellRef));
+  return sum.Digest();
+}
+
+// The recorded value for the active SIMD tier (scalar, AVX2), or nullopt on
+// a tier with none recorded.
+std::optional<uint64_t> FingerprintForTier(uint64_t scalar, uint64_t avx2) {
+  switch (vecmath::ActiveSimdTier()) {
+    case vecmath::SimdTier::kScalar:
+      return scalar;
+    case vecmath::SimdTier::kAvx2:
+      return avx2;
+    default:
+      return std::nullopt;
+  }
+}
+
+void ExpectRowsBitEqual(const vecmath::Matrix& got, size_t row,
+                        const vecmath::Vec& want, const std::string& text) {
+  ASSERT_EQ(got.cols(), want.size());
+  for (size_t j = 0; j < want.size(); ++j) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.At(row, j)),
+              std::bit_cast<uint32_t>(want[j]))
+        << "row " << row << " ('" << text << "') dim " << j;
+  }
+}
+
+TEST(ParallelBuildStressTest, CorpusEmbeddingsMatchParentFingerprint) {
+  // Pins the corpus bytes of the build workload, serial and pooled. The
+  // constants were recorded on the per-cell EncodeText build, before it
+  // became one batch over distinct texts, tokens and directions; scalar
+  // under MIRA_FORCE_SCALAR=1, AVX2 without it.
+  const std::optional<uint64_t> expected = FingerprintForTier(
+      6266756181347557140ULL, 4174206198308984740ULL);
+  if (!expected.has_value()) {
+    GTEST_SKIP() << "no recorded corpus fingerprint for SIMD tier "
+                 << vecmath::SimdTierName(vecmath::ActiveSimdTier());
+  }
+  const table::Federation& federation = BuildWorkload().corpus.federation;
+  ThreadPool pool(kPoolThreads);
+  for (ThreadPool* build_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(build_pool == nullptr ? "serial" : "pooled");
+    const discovery::CorpusEmbeddings corpus =
+        BuildCorpus(federation, *CorpusEncoder(federation), build_pool);
+    ASSERT_GT(corpus.num_cells(), 1000u);
+    EXPECT_EQ(CorpusFingerprint(corpus), *expected);
+  }
+}
+
+// Cells for the batch's edge cases: repeated texts, a punctuation-only cell
+// (no tokens: a zero row), numbers, lexicon surface forms, stopword-only
+// cells and an empty cell (skipped).
+table::Federation EdgeCaseFederation() {
+  const embed::Lexicon& lexicon = *BuildWorkload().bank.lexicon();
+  const std::string surface = lexicon.SurfacesOf(0).front();
+  const std::string synonym = lexicon.SurfacesOf(0).back();
+  const std::string other = lexicon.SurfacesOf(1).front();
+  table::Federation federation = BuildWorkload().corpus.federation;
+  table::Relation edge;
+  edge.name = "edge_cases";
+  edge.schema = {"a", "b", "c"};
+  const std::vector<std::vector<std::string>> rows = {
+      {"the of and", "1995", surface},
+      {"--- !!", "1995", surface + " sales by region"},
+      {"", "3.5e9", "a an the"},
+      {"1997", "--- !!", synonym + " " + other},
+      {"the of and", surface, "Sales by Region 1995"},
+      {"x", "-0.25", other + " 2024"},
+  };
+  for (const auto& row : rows) EXPECT_TRUE(edge.AddRow(row).ok());
+  federation.AddRelation(edge);
+  federation.AddRelation(std::move(edge));
+  return federation;
+}
+
+// Checks every row of a batch build against NormalizeInPlace(EncodeText)
+// of its cell from a fresh encoder, bit for bit; returns the zero rows.
+size_t ExpectRowsMatchPerCellEncoding(const table::Federation& federation,
+                                      ThreadPool* pool) {
+  const discovery::CorpusEmbeddings corpus =
+      BuildCorpus(federation, *CorpusEncoder(federation), pool);
+  const std::shared_ptr<embed::SemanticEncoder> fresh =
+      CorpusEncoder(federation);
+  EXPECT_GT(corpus.num_cells(), 0u);
+  size_t zero_rows = 0;
+  for (size_t i = 0; i < corpus.num_cells(); ++i) {
+    const discovery::CellRef& ref = corpus.refs[i];
+    const std::string& text =
+        federation.relation(ref.relation).Cell(ref.row, ref.col);
+    vecmath::Vec want = fresh->EncodeText(text);
+    vecmath::NormalizeInPlace(&want);
+    ExpectRowsBitEqual(corpus.vectors, i, want, text);
+    if (vecmath::Norm(want) == 0.f) ++zero_rows;
+  }
+  return zero_rows;
+}
+
+TEST(ParallelBuildStressTest, CorpusRowsMatchPerCellEncoding) {
+  // Serial and pooled. The edge-case federation has more distinct
+  // directions than cells, so the batch keeps its direction table in memory
+  // of its own; four copies of it have more cells than distinct directions,
+  // so the table lives in the cell matrix, as it does at LD scale.
+  const table::Federation federation = EdgeCaseFederation();
+  table::Federation repeated;
+  for (int copy = 0; copy < 4; ++copy) {
+    for (const table::Relation& relation : federation.relations()) {
+      repeated.AddRelation(relation);
+    }
+  }
+  ThreadPool pool(kPoolThreads);
+  for (ThreadPool* build_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(build_pool == nullptr ? "serial" : "pooled");
+    // "--- !!", twice in each edge relation.
+    EXPECT_EQ(ExpectRowsMatchPerCellEncoding(federation, build_pool), 4u);
+    EXPECT_EQ(ExpectRowsMatchPerCellEncoding(repeated, build_pool), 16u);
+  }
+}
+
+TEST(ParallelBuildStressTest, BuildLeavesQueryEncodingUnchanged) {
+  // The build hands its token vectors to the encoder's cache; queries
+  // encoded afterwards, over cached and uncached tokens alike, must equal a
+  // fresh encoder's.
+  const table::Federation federation = EdgeCaseFederation();
+  ThreadPool pool(kPoolThreads);
+  const std::shared_ptr<embed::SemanticEncoder> built =
+      CorpusEncoder(federation);
+  const discovery::CorpusEmbeddings corpus =
+      BuildCorpus(federation, *built, &pool);
+  ASSERT_GT(corpus.num_cells(), 0u);
+  const std::shared_ptr<embed::SemanticEncoder> fresh =
+      CorpusEncoder(federation);
+  std::vector<std::string> queries = {"sales by region 1995",
+                                      "zyxxy unseen tokens 31337", "the",
+                                      "--- !!"};
+  for (const auto& query : BuildWorkload().queries) {
+    queries.push_back(query.text);
+  }
+  for (const std::string& query : queries) {
+    const vecmath::Vec want = fresh->EncodeText(query);
+    const vecmath::Vec got = built->EncodeText(query);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t j = 0; j < want.size(); ++j) {
+      ASSERT_EQ(std::bit_cast<uint32_t>(got[j]),
+                std::bit_cast<uint32_t>(want[j]))
+          << "'" << query << "' dim " << j;
+    }
+  }
+}
+
+TEST(ParallelBuildStressTest, QueriesEncodeWhileABuildFillsTheCache) {
+  // Queries read cached token vectors by reference outside the cache lock,
+  // while builds on the same encoder insert their batches; every query
+  // vector must still equal a fresh encoder's.
+  const table::Federation federation = EdgeCaseFederation();
+  const std::shared_ptr<embed::SemanticEncoder> shared =
+      CorpusEncoder(federation);
+  const std::shared_ptr<embed::SemanticEncoder> fresh =
+      CorpusEncoder(federation);
+  std::vector<std::string> queries = {"sales by region 1995", "the"};
+  for (const auto& query : BuildWorkload().queries) {
+    queries.push_back(query.text);
+  }
+  std::vector<vecmath::Vec> want;
+  for (const std::string& query : queries) {
+    want.push_back(fresh->EncodeText(query));
+  }
+  std::atomic<bool> done{false};
+  std::atomic<size_t> encoded{0};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      do {
+        for (size_t q = r; q < queries.size(); ++q) {
+          if (shared->EncodeText(queries[q]) != want[q]) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+          encoded.fetch_add(1, std::memory_order_relaxed);
+        }
+      } while (!done.load(std::memory_order_relaxed));
+    });
+  }
+  ThreadPool pool(2);
+  for (int build = 0; build < 2; ++build) {
+    EXPECT_GT(BuildCorpus(federation, *shared, &pool).num_cells(), 0u);
+  }
+  done.store(true, std::memory_order_relaxed);
+  for (auto& reader : readers) reader.join();
+  EXPECT_GT(encoded.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 TEST(ParallelBuildStressTest, ProductQuantizerPoolMatchesInline) {

@@ -15,8 +15,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +28,7 @@
 #include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/retry.h"
+#include "common/rng.h"
 #include "common/threadpool.h"
 #include "discovery/anns_search.h"
 #include "discovery/corpus_embeddings.h"
@@ -499,6 +502,37 @@ TEST(RetryPolicyTest, JitterSourceReceivesRetryIndices) {
 
 // ---------- Corpus persistence: checksums, truncation, atomicity ----------
 
+// MIRACOR2 layout: an 8-byte magic, five uint64 header words {num_relations,
+// rows, cols, payload checksum, header checksum}, then the payload.
+constexpr size_t kPayloadOffset = 8 + 5 * sizeof(uint64_t);
+
+std::vector<char> ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void SetHeaderWord(std::vector<char>* bytes, size_t word, uint64_t value) {
+  std::memcpy(bytes->data() + 8 + word * sizeof(value), &value, sizeof(value));
+}
+
+// Re-seals both checksums over the (possibly mutated) bytes, as a crafted
+// file can: Checksum64 is an unkeyed public hash.
+void ResealChecksums(std::vector<char>* bytes) {
+  if (bytes->size() < kPayloadOffset) return;
+  SetHeaderWord(bytes, 3,
+                Checksum64::Hash(bytes->data() + kPayloadOffset,
+                                 bytes->size() - kPayloadOffset));
+  Checksum64 header_sum;
+  header_sum.Update(bytes->data(), 8 + 4 * sizeof(uint64_t));
+  SetHeaderWord(bytes, 4, header_sum.Digest());
+}
+
 class CorpusIntegrityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -525,6 +559,24 @@ class CorpusIntegrityTest : public ::testing::Test {
     byte = static_cast<char>(byte ^ 0x40);
     file.seekp(offset);
     file.write(&byte, 1);
+  }
+
+  // Saves the corpus, lets `craft` edit the file's bytes, and re-seals the
+  // checksums so that Load gets past them.
+  void SaveCrafted(const std::function<void(std::vector<char>*)>& craft) {
+    ASSERT_TRUE(corpus_.Save(path_).ok());
+    std::vector<char> bytes = ReadBytes(path_);
+    craft(&bytes);
+    ResealChecksums(&bytes);
+    WriteBytes(path_, bytes);
+  }
+
+  // Offsets of the refs and of cells_per_relation in the saved file.
+  size_t RefsOffset() const {
+    return kPayloadOffset + corpus_.vectors.data().size() * sizeof(float);
+  }
+  size_t CountsOffset() const {
+    return RefsOffset() + corpus_.refs.size() * sizeof(CellRef);
   }
 
   CovidFixture fx_;
@@ -618,6 +670,110 @@ TEST_F(CorpusIntegrityTest, PartialWriteNeverClobbersTheTarget) {
   ASSERT_TRUE(std::filesystem::exists(path_ + ".tmp"));
   Status torn = CorpusEmbeddings::Load(path_ + ".tmp").status();
   EXPECT_TRUE(torn.IsDataLoss()) << torn.ToString();
+}
+
+TEST_F(CorpusIntegrityTest, CraftedShapeBeyondTheFileIsDataLoss) {
+  // Valid checksums over a row count the file cannot hold, over one whose
+  // payload size overflows, and over one row fewer than the file holds:
+  // Load must refuse each before it allocates anything.
+  const struct {
+    uint64_t rows;
+    const char* message;
+  } cases[] = {{uint64_t{1} << 40, "truncated in payload"},
+               {~uint64_t{0} / 4, "overflows"},
+               {corpus_.refs.size() - 1, "longer than"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.rows);
+    SaveCrafted([&c](std::vector<char>* bytes) {
+      SetHeaderWord(bytes, 1, c.rows);
+    });
+    Status status = CorpusEmbeddings::Load(path_).status();
+    EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST_F(CorpusIntegrityTest, CraftedRelationOutOfRangeIsDataLoss) {
+  // ExhaustiveSearcher indexes its per-relation sums by refs[i].relation.
+  const auto relation = static_cast<uint32_t>(corpus_.num_relations);
+  SaveCrafted([&](std::vector<char>* bytes) {
+    std::memcpy(bytes->data() + RefsOffset(), &relation, sizeof(relation));
+  });
+  Status status = CorpusEmbeddings::Load(path_).status();
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+  EXPECT_NE(status.message().find("relation"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(CorpusIntegrityTest, CraftedCellCountsDisagreeingIsDataLoss) {
+  // One cell moved between the first two relations' counts: the total
+  // still matches, the per-relation split does not.
+  ASSERT_GE(corpus_.num_relations, 2u);
+  ASSERT_GE(corpus_.cells_per_relation[0], 1u);
+  SaveCrafted([&](std::vector<char>* bytes) {
+    uint32_t counts[2] = {corpus_.cells_per_relation[0] - 1,
+                          corpus_.cells_per_relation[1] + 1};
+    std::memcpy(bytes->data() + CountsOffset(), counts, sizeof(counts));
+  });
+  Status status = CorpusEmbeddings::Load(path_).status();
+  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+  EXPECT_NE(status.message().find("counts"), std::string::npos)
+      << status.ToString();
+}
+
+TEST_F(CorpusIntegrityTest, SeededMutationsLoadOrFailTyped) {
+  // A few hundred seeded byte flips, truncations and extensions of a saved
+  // corpus. Every other one re-seals the checksums, so that it reaches the
+  // shape checks. Each Load must return OK, kDataLoss or kIoError; none may
+  // crash (the sanitizer jobs run this binary).
+  ASSERT_TRUE(corpus_.Save(path_).ok());
+  const std::vector<char> good = ReadBytes(path_);
+  ASSERT_GT(good.size(), kPayloadOffset);
+  Rng rng(20261018);
+  size_t resealed_rejected = 0;
+  for (int m = 0; m < 400; ++m) {
+    std::vector<char> bytes = good;
+    switch (rng.NextBounded(3)) {
+      case 0: {
+        // Half the flips land in the magic and header words.
+        const size_t flips = 1 + rng.NextBounded(4);
+        for (size_t f = 0; f < flips; ++f) {
+          const size_t at = rng.NextBernoulli(0.5)
+                                ? rng.NextBounded(kPayloadOffset)
+                                : rng.NextBounded(bytes.size());
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.NextBounded(8)));
+        }
+        break;
+      }
+      case 1:
+        bytes.resize(rng.NextBounded(bytes.size()));
+        break;
+      default:
+        for (uint64_t extra = 1 + rng.NextBounded(64); extra > 0; --extra) {
+          bytes.push_back(static_cast<char>(rng.NextBounded(256)));
+        }
+        break;
+    }
+    const bool reseal = m % 2 == 1;
+    if (reseal) ResealChecksums(&bytes);
+    WriteBytes(path_, bytes);
+    auto loaded = CorpusEmbeddings::Load(path_);
+    const Status& status = loaded.status();
+    ASSERT_TRUE(status.ok() || status.IsDataLoss() || status.IsIoError())
+        << "mutation " << m << ": " << status.ToString();
+    if (loaded.ok()) {
+      // A loaded corpus must be safe to index by its refs.
+      for (const CellRef& ref : loaded->refs) {
+        ASSERT_LT(ref.relation, loaded->num_relations) << "mutation " << m;
+      }
+      ASSERT_EQ(loaded->refs.size(), loaded->vectors.rows());
+    } else if (reseal && bytes.size() >= kPayloadOffset &&
+               std::memcmp(bytes.data(), good.data(), 8) == 0) {
+      ++resealed_rejected;
+    }
+  }
+  EXPECT_GT(resealed_rejected, 0u);
 }
 
 // ---------- Failpoint framework ----------
