@@ -37,10 +37,16 @@ struct AnnsOptions {
 
 /// Approximate Nearest Neighbors Search — Algorithm 2 (§4.2).
 ///
-/// Build: every cell embedding is HNSW indexed under its cell index, with
-/// Product-Quantization compressed traversal and exact rescoring. Search:
-/// embed the query, fetch the approximate nearest cells, rank relations by
-/// the average similarity of their retrieved cells.
+/// Build: the cells are grouped by the exact bytes of their embeddings
+/// (repeated attribute values embed identically), and each distinct vector
+/// is HNSW indexed once, with Product-Quantization compressed traversal and
+/// exact rescoring. CSR posting lists map each distinct vector to its cells,
+/// ascending. Search: embed the query, fetch `cell_candidates` approximate
+/// nearest distinct vectors, take their cells in hit order (each hit's in
+/// ascending cell id) until `cell_candidates` cells are taken, and rank
+/// relations by the average similarity of their taken cells. Grouping by
+/// bytes, not by text, makes a loaded corpus build the same index as the
+/// corpus it was saved from.
 class AnnsSearcher final : public Searcher {
  public:
   /// Builds the index from pre-computed corpus embeddings. A non-null
@@ -61,8 +67,8 @@ class AnnsSearcher final : public Searcher {
   size_t IndexMemoryBytes() const;
 
   /// Resident-byte breakdown for the `mira.mem.anns.*` gauges: `index` is
-  /// the HNSW graph, vectors and PQ codes, `points_bytes` the cell->relation
-  /// map.
+  /// the HNSW graph, vectors and PQ codes of the distinct vectors,
+  /// `points_bytes` the cell->relation map plus the posting lists.
   CollectionMemoryStats MemoryUsage() const;
   const AnnsOptions& options() const { return options_; }
   /// Wall time of PQ training and encoding during Build, on its own thread
@@ -74,11 +80,20 @@ class AnnsSearcher final : public Searcher {
  private:
   AnnsSearcher(AnnsOptions options, size_t num_relations);
 
+  /// Groups the rows of `vectors` by exact bytes and fills the posting
+  /// lists; distinct rows are numbered in the order of their first cells.
+  /// Returns the number of distinct rows.
+  size_t GroupCells(const vecmath::Matrix& vectors);
+
   AnnsOptions options_;
   size_t num_relations_;
-  /// cell_relation_[cell] = the cell's relation; index ids are cell indexes,
-  /// so grouping hits is one array read each.
+  /// cell_relation_[cell] = the cell's relation.
   std::vector<table::RelationId> cell_relation_;
+  /// Distinct vector d (the HNSW id) has the cells
+  /// posting_cells_[posting_offsets_[d] .. posting_offsets_[d + 1]),
+  /// ascending; posting_cells_[posting_offsets_[d]] is its first cell.
+  std::vector<uint32_t> posting_offsets_;
+  std::vector<uint32_t> posting_cells_;
   std::shared_ptr<const embed::SemanticEncoder> encoder_;
   std::unique_ptr<index::HnswIndex> index_;
 };

@@ -110,6 +110,8 @@ EvalResult Evaluate(const Qrels& qrels,
                     const std::unordered_map<QueryId, std::vector<DocId>>& run,
                     const std::vector<size_t>& ndcg_cutoffs) {
   EvalResult result;
+  // Every cutoff has an entry, 0 when no query has a judged positive.
+  for (size_t k : ndcg_cutoffs) result.ndcg[k] = 0.0;
   static const std::vector<DocId> kEmpty;
   std::vector<QueryId> queries = qrels.Queries();
   for (QueryId query : queries) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <unordered_set>
 
@@ -191,6 +192,36 @@ TEST(CorpusEmbeddingsTest, ParallelMatchesSerial) {
 
 // ---------- AnnsSearcher ----------
 
+// The corpus rows grouped by exact bytes: one entry per distinct row, in
+// first-cell order, each listing its cells ascending.
+std::vector<std::vector<uint32_t>> CellsByDistinctRow(
+    const CorpusEmbeddings& corpus) {
+  std::map<std::string, size_t> group_of;
+  std::vector<std::vector<uint32_t>> groups;
+  const size_t row_bytes = corpus.dim() * sizeof(float);
+  for (uint32_t i = 0; i < corpus.num_cells(); ++i) {
+    std::string key(reinterpret_cast<const char*>(corpus.vectors.Row(i)),
+                    row_bytes);
+    auto [it, inserted] = group_of.emplace(std::move(key), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  return groups;
+}
+
+// The small generated workload with its encoder and corpus, for searchers
+// built outside an engine.
+struct SearcherInputs {
+  Workload workload = SmallWorkload();
+  std::shared_ptr<embed::SemanticEncoder> encoder =
+      std::make_shared<embed::SemanticEncoder>(FastEngineOptions().encoder,
+                                               workload.bank.lexicon());
+  std::shared_ptr<const CorpusEmbeddings> corpus =
+      std::make_shared<CorpusEmbeddings>(
+          CorpusEmbeddings::Build(workload.corpus.federation, *encoder)
+              .MoveValue());
+};
+
 TEST(AnnsSearcherTest, PqSubquantizersAutoAdjustToDim) {
   // The default 16 subquantizers do not divide dim 24; Build shrinks m until
   // it does instead of failing PQ training.
@@ -203,11 +234,120 @@ TEST(AnnsSearcherTest, PqSubquantizersAutoAdjustToDim) {
   auto anns = AnnsSearcher::Build(fx.federation, corpus, encoder);
   ASSERT_TRUE(anns.ok()) << anns.status().ToString();
   // m = 12, the largest divisor of 24 not above 16: one code byte per
-  // subquantizer per cell, and 12 codebooks of 256 centroids of 2 floats.
+  // subquantizer per distinct cell vector (the fixture repeats values, so
+  // there are fewer than cells), and 12 codebooks of 256 centroids of 2
+  // floats.
+  const size_t distinct_rows = CellsByDistinctRow(*corpus).size();
+  ASSERT_LT(distinct_rows, corpus->num_cells());
   const index::MemoryStats stats = (*anns)->MemoryUsage().index;
-  EXPECT_EQ(stats.codes_bytes, corpus->num_cells() * 12);
+  EXPECT_EQ(stats.codes_bytes, distinct_rows * 12);
   EXPECT_EQ(stats.codebook_bytes, 12 * 256 * 2 * sizeof(float));
   EXPECT_FALSE((*anns)->Search("covid vaccine", {}).MoveValue().empty());
+}
+
+TEST(AnnsSearcherTest, ExactSearchTakesBruteForceCells) {
+  // With exact vectors and a beam as wide as the index, the HNSW probe
+  // returns the nearest distinct vectors exactly. The cells ANNS takes are
+  // then the brute-force top cell_candidates cells (each vector's cells in
+  // ascending id), and its ranking is the per-relation mean over them. A
+  // query whose cut falls on a vector scored within float noise of a
+  // neighbouring vector is a tie either way, and is skipped.
+  const SearcherInputs inputs;
+  const CorpusEmbeddings& corpus = *inputs.corpus;
+  const auto rows = CellsByDistinctRow(corpus);
+  ASSERT_LT(rows.size(), corpus.num_cells());
+  AnnsOptions options;
+  options.use_pq = false;
+  options.cell_candidates = 120;
+  options.ef_search = rows.size();
+  auto anns = AnnsSearcher::Build(inputs.workload.corpus.federation,
+                                  inputs.corpus, inputs.encoder, options)
+                  .MoveValue();
+
+  constexpr double kTie = 1e-5;
+  DiscoveryOptions search;
+  search.top_k = corpus.num_relations;
+  size_t checked = 0;
+  for (const auto& q : inputs.workload.queries) {
+    SCOPED_TRACE(q.text);
+    vecmath::Vec embedding = inputs.encoder->EncodeText(q.text);
+    vecmath::NormalizeInPlace(&embedding);
+    // Distinct rows by exact similarity, descending; ties by first cell.
+    std::vector<std::pair<double, size_t>> scored;
+    for (size_t d = 0; d < rows.size(); ++d) {
+      const float* row = corpus.vectors.Row(rows[d].front());
+      double dot = 0.0;
+      for (size_t j = 0; j < corpus.dim(); ++j) {
+        dot += static_cast<double>(embedding[j]) * row[j];
+      }
+      scored.emplace_back(dot, d);
+    }
+    std::sort(scored.begin(), scored.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    std::map<table::RelationId, std::pair<double, uint32_t>> grouped;
+    size_t taken = 0;
+    size_t cut = 0;  // the last row any cell is taken from
+    for (; taken < options.cell_candidates; ++cut) {
+      for (uint32_t cell : rows[scored[cut].second]) {
+        if (taken == options.cell_candidates) break;
+        auto& [sum, count] = grouped[corpus.refs[cell].relation];
+        sum += scored[cut].first;
+        ++count;
+        ++taken;
+      }
+    }
+    --cut;
+    if ((cut > 0 && scored[cut - 1].first - scored[cut].first < kTie) ||
+        (cut + 1 < scored.size() &&
+         scored[cut].first - scored[cut + 1].first < kTie)) {
+      continue;
+    }
+    ++checked;
+    const Ranking ranking = anns->Search(q.text, search).MoveValue();
+    ASSERT_EQ(ranking.size(), grouped.size());
+    for (const DiscoveryHit& hit : ranking) {
+      auto it = grouped.find(hit.relation);
+      ASSERT_NE(it, grouped.end()) << "relation " << hit.relation;
+      EXPECT_NEAR(hit.score, it->second.first / it->second.second, kTie)
+          << "relation " << hit.relation;
+    }
+  }
+  EXPECT_GT(checked, inputs.workload.queries.size() / 2);
+}
+
+TEST(AnnsSearcherTest, LoadedCorpusRanksLikeBuiltCorpus) {
+  // The index groups cells by the bytes of their vectors, not by their
+  // texts, which a loaded corpus no longer has: a corpus restored from its
+  // snapshot builds the same index and ranks every query identically.
+  const SearcherInputs inputs;
+  auto path =
+      std::filesystem::temp_directory_path() / "mira_anns_corpus_rt.bin";
+  ASSERT_TRUE(inputs.corpus->Save(path.string()).ok());
+  auto loaded = std::make_shared<CorpusEmbeddings>(
+      CorpusEmbeddings::Load(path.string()).MoveValue());
+  std::remove(path.c_str());
+  const table::Federation& federation = inputs.workload.corpus.federation;
+  auto built =
+      AnnsSearcher::Build(federation, inputs.corpus, inputs.encoder)
+          .MoveValue();
+  auto reopened =
+      AnnsSearcher::Build(federation, loaded, inputs.encoder).MoveValue();
+  EXPECT_EQ(reopened->MemoryUsage().total(), built->MemoryUsage().total());
+
+  DiscoveryOptions options;
+  options.top_k = 1000;
+  for (const auto& q : inputs.workload.queries) {
+    SCOPED_TRACE(q.text);
+    const Ranking a = built->Search(q.text, options).MoveValue();
+    const Ranking b = reopened->Search(q.text, options).MoveValue();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].relation, b[i].relation);
+      EXPECT_EQ(std::bit_cast<uint32_t>(a[i].score),
+                std::bit_cast<uint32_t>(b[i].score));
+    }
+  }
 }
 
 // ---------- Motivating example (Figure 1) ----------
@@ -590,10 +730,11 @@ TEST_F(GeneratedWorkloadTest, AnnsReportsIndexMemory) {
 }
 
 TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
-  // Reference for Algorithm 2's step 2: a separately built HNSW index with
-  // the options AnnsSearcher::Build derives, its hits grouped by each cell's
-  // relation in corpus.refs. The searcher's own grouping must agree bit for
-  // bit.
+  // Reference for Algorithm 2's step 2: a separately built HNSW index over
+  // the corpus's distinct rows, with the options AnnsSearcher::Build
+  // derives. Its hits expand to their cells, ascending, until
+  // cell_candidates cells are taken, grouped by each cell's relation in
+  // corpus.refs. The searcher's own grouping must agree bit for bit.
   const auto* anns =
       static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
   ASSERT_NE(anns, nullptr);
@@ -611,26 +752,33 @@ TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
     while (corpus.dim() % pq.num_subquantizers != 0) --pq.num_subquantizers;
     hnsw.quantization = pq;
   }
-  index::HnswIndex cells(hnsw);
-  for (size_t i = 0; i < corpus.num_cells(); ++i) {
-    ASSERT_TRUE(cells.Add(i, corpus.vectors.RowVec(i)).ok());
+  const auto rows = CellsByDistinctRow(corpus);
+  index::HnswIndex distinct(hnsw);
+  for (size_t d = 0; d < rows.size(); ++d) {
+    ASSERT_TRUE(distinct.Add(d, corpus.vectors.RowVec(rows[d].front())).ok());
   }
-  ASSERT_TRUE(cells.Build().ok());
+  ASSERT_TRUE(distinct.Build().ok());
 
   DiscoveryOptions options;
   options.top_k = 1000;
   for (const auto& q : workload_->queries) {
     vecmath::Vec embedding = engine_->encoder().EncodeText(q.text);
     vecmath::NormalizeInPlace(&embedding);
-    auto hits = cells.Search(embedding, {anns_options.cell_candidates,
-                                         anns_options.ef_search})
+    auto hits = distinct.Search(embedding, {anns_options.cell_candidates,
+                                            anns_options.ef_search})
                     .MoveValue();
     std::map<table::RelationId, std::pair<double, uint32_t>> grouped;
+    size_t taken = 0;
     for (const auto& hit : hits) {
-      auto& [sum, count] = grouped[corpus.refs[hit.id].relation];
-      sum += hit.score;
-      ++count;
+      for (uint32_t cell : rows[hit.id]) {
+        if (taken == anns_options.cell_candidates) break;
+        auto& [sum, count] = grouped[corpus.refs[cell].relation];
+        sum += hit.score;
+        ++count;
+        ++taken;
+      }
     }
+    ASSERT_EQ(taken, anns_options.cell_candidates);
     Ranking expected;
     for (const auto& [rid, sum_count] : grouped) {
       expected.push_back(
@@ -656,13 +804,11 @@ TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
 
 TEST_F(GeneratedWorkloadTest, AnnsRetrievingEveryCellMatchesExs) {
   // Metamorphic check of Algorithm 2 against Algorithm 1: once the HNSW
-  // probe returns every cell, ANNS's per-relation mean over the retrieved
-  // cells is the mean over all of them, which cached ExS scores as q·m_r.
-  // The premise needs a graph that reaches every node. At the default
-  // hnsw_m of 16 this corpus leaves 27 of its 5,023 cells unreachable from
-  // the entry point, 24 of them exact copies of another cell (it has 2,434
-  // distinct cell vectors, up to 43 copies of one); hnsw_m = 24 reaches
-  // every cell.
+  // probe returns every distinct vector, ANNS takes every cell, and its
+  // per-relation mean over them is the one cached ExS scores as q·m_r. The
+  // premise needs a graph that reaches every node, which the default
+  // hnsw_m of 16 does over this corpus's distinct vectors (2,434 of them for
+  // 5,023 cells, up to 43 copies of one).
   const CorpusEmbeddings& corpus = engine_->corpus();
   std::shared_ptr<const CorpusEmbeddings> shared_corpus(
       &corpus, [](const CorpusEmbeddings*) {});
@@ -670,7 +816,6 @@ TEST_F(GeneratedWorkloadTest, AnnsRetrievingEveryCellMatchesExs) {
       &engine_->encoder(), [](const embed::SemanticEncoder*) {});
   AnnsOptions anns_options;
   anns_options.use_pq = false;
-  anns_options.hnsw_m = 24;
   anns_options.cell_candidates = corpus.num_cells();
   anns_options.ef_search = corpus.num_cells();
   auto anns = AnnsSearcher::Build(workload_->corpus.federation, shared_corpus,
@@ -691,10 +836,13 @@ TEST_F(GeneratedWorkloadTest, AnnsRetrievingEveryCellMatchesExs) {
       obs::QueryTrace trace;
       obs::ScopedTrace scope(&trace);
       approx = anns->Search(q.text, options).MoveValue();
-      // The graph reaches every node (checked where tracing is compiled in;
-      // a missed cell also shows as a score mismatch below).
+      // The graph reaches every node, so every cell is taken (checked where
+      // tracing is compiled in; a missed cell also shows as a score
+      // mismatch below). Hits count distinct vectors.
       if (scope.armed()) {
-        ASSERT_EQ(trace.CounterValue("anns.hnsw_search", "hits"),
+        ASSERT_EQ(trace.CounterValue("anns.hnsw_search", "cells"),
+                  static_cast<int64_t>(corpus.num_cells()));
+        ASSERT_LT(trace.CounterValue("anns.hnsw_search", "hits"),
                   static_cast<int64_t>(corpus.num_cells()));
       }
     }
@@ -790,6 +938,8 @@ TEST_F(GeneratedWorkloadTest, TracedAnnsSearchPopulatesSpans) {
   ASSERT_NE(trace.Find("anns.hnsw_search"), nullptr);
   EXPECT_GT(trace.SpanMillis("anns.hnsw_search"), 0.0);
   EXPECT_GT(trace.CounterValue("anns.hnsw_search", "hits"), 0);
+  EXPECT_EQ(trace.CounterValue("anns.hnsw_search", "cells"),
+            static_cast<int64_t>(AnnsOptions().cell_candidates));
   // The index layer contributes a nested span.
   ASSERT_NE(trace.Find("hnsw.search"), nullptr);
   EXPECT_GT(trace.CounterValue("hnsw.search", "dist_comps") +
@@ -974,7 +1124,12 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
       static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
   ASSERT_NE(anns, nullptr);
   CollectionMemoryStats anns_stats = anns->MemoryUsage();
-  EXPECT_GT(anns_stats.points_bytes, 0u);
+  // ANNS's bookkeeping: the cell->relation map, and the posting lists (an
+  // offset per distinct vector plus one, and a cell id per cell).
+  const CorpusEmbeddings& corpus = engine_->corpus();
+  EXPECT_EQ(anns_stats.points_bytes,
+            (2 * corpus.num_cells() + CellsByDistinctRow(corpus).size() + 1) *
+                sizeof(uint32_t));
   EXPECT_GT(anns_stats.index.total(), 0u);
   EXPECT_GE(anns_stats.total(), anns_stats.points_bytes);
   // The breakdown's index component is the same number IndexMemoryBytes()
@@ -989,7 +1144,6 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
   EXPECT_GT(cts_stats.total(), 0u);
   // No cluster of this workload reaches the graph threshold, so the index
   // is exactly the cell row block plus one medoid row per cluster.
-  const CorpusEmbeddings& corpus = engine_->corpus();
   EXPECT_EQ(cts_stats.index.graph_bytes, 0u);
   EXPECT_EQ(cts_stats.index.vectors_bytes,
             (corpus.num_cells() + cts->num_clusters()) * corpus.dim() *

@@ -174,6 +174,10 @@ TEST(MetricsTest, EmptyQrelsEvaluatesToZeroQueries) {
   EvalResult result = Evaluate(qrels, run);
   EXPECT_EQ(result.num_queries, 0u);
   EXPECT_DOUBLE_EQ(result.map, 0.0);
+  // Every cutoff still has its entry: the quality tables read them with
+  // at() for a partition where no evaluation query has a positive.
+  ASSERT_EQ(result.ndcg.size(), 4u);
+  for (const auto& [k, value] : result.ndcg) EXPECT_DOUBLE_EQ(value, 0.0);
 }
 
 // Property: metrics are bounded in [0, 1] on random rankings.

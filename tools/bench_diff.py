@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Compares paired perfbench runs of a parent and a change.
+"""Compares paired perfbench runs, or quality grids, of a parent and a change.
 
     python3 tools/bench_diff.py PARENT.jsonl CHANGE.jsonl
+    python3 tools/bench_diff.py --quality SNAPSHOT_DIR RUN_DIR [--outcome TOL]
 
 Each file holds perfbench result lines (the last stdout line of
 `python3 perfbench/run.py ...`), one run per line, of one workload; line i of
@@ -17,6 +18,16 @@ Exits 1 when a run is `correct: false`, when the median ok_frac falls, or
 when an end-to-end metric is worse than the parent's median by more than its
 bound; 2 on unreadable input. It reads the repository's BENCHMARK.json and
 changes nothing.
+
+--quality compares two directories of quality-table results (the
+BENCH_table*_quality_*.json that the Table 1-3 benches write; see
+tools/quality_grid.sh and bench_results/quality_gate/). Rows are keyed by
+bench, partition, query class and method. By default the comparison is
+exact: every MAP, MRR and nDCG@10 digit must match, and the run must cover
+the snapshot's rows with the same grid settings. --outcome TOL compares
+outcomes instead: per method and query class it prints the change of each
+metric's mean over the partitions, names the methods whose every digit still
+matches, and fails when a mean falls by more than TOL.
 """
 
 import argparse
@@ -141,11 +152,139 @@ def diff(parent_runs, change_runs, spec):
     return lines, failures
 
 
+QUALITY_METRICS = ("map", "mrr", "ndcg@10")
+# Grid settings two quality runs must share to be comparable.
+QUALITY_META = ("ld_tables", "dim", "queries_per_class", "eval_depth",
+                "corpus", "simd_tier")
+
+
+def load_quality_docs(docs):
+    """{bench: (meta, {(partition, class, method): row})} of parsed tables."""
+    return {doc["bench"]: (doc["meta"],
+                           {(r["partition"], r["class"], r["method"]): r
+                            for r in doc["rows"]})
+            for doc in docs}
+
+
+def load_quality(directory):
+    """load_quality_docs() of a directory's BENCH_table*_quality_*.json."""
+    docs = []
+    for name in sorted(os.listdir(directory)):
+        if not (name.startswith("BENCH_table") and "_quality_" in name
+                and name.endswith(".json")):
+            continue
+        with open(os.path.join(directory, name)) as f:
+            try:
+                docs.append(json.load(f))
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{f.name}: not JSON ({e})")
+    if not docs:
+        raise ValueError(f"{directory}: no BENCH_table*_quality_*.json")
+    try:
+        return load_quality_docs(docs)
+    except (KeyError, TypeError) as e:
+        raise ValueError(f"{directory}: not a quality table ({e!r})")
+
+
+def quality_diff(snapshot, run, outcome_tol=None):
+    """Report lines and the reasons, if any, to fail (see the module doc)."""
+    lines, failures = [], []
+    # (method, class) -> metric -> [snapshot values], [run values]
+    means = {}
+    exact_methods, changed_methods = set(), set()
+    for bench, (meta, rows) in sorted(snapshot.items()):
+        if bench not in run:
+            failures.append(f"{bench}: missing from the run")
+            continue
+        run_meta, run_rows = run[bench]
+        for key in QUALITY_META:
+            if meta.get(key) != run_meta.get(key):
+                failures.append(f"{bench}: meta {key} {meta.get(key)!r} != "
+                                f"{run_meta.get(key)!r}")
+        for key, row in sorted(rows.items()):
+            partition, cls, method = key
+            if key not in run_rows:
+                failures.append(f"{bench}: row {'/'.join(key)} missing "
+                                f"from the run")
+                continue
+            run_row = run_rows[key]
+            for metric in QUALITY_METRICS:
+                old, new = row.get(metric), run_row.get(metric)
+                if old is None or new is None:
+                    failures.append(f"{bench} {'/'.join(key)}: no {metric}")
+                    continue
+                if old == new:
+                    exact_methods.add(method)
+                else:
+                    changed_methods.add(method)
+                    if outcome_tol is None:
+                        failures.append(f"{bench} {partition}/{cls}/{method} "
+                                        f"{metric}: {old!r} -> {new!r}")
+                pair = means.setdefault((method, cls), {}).setdefault(
+                    metric, ([], []))
+                pair[0].append(old)
+                pair[1].append(new)
+        for key in sorted(set(run_rows) - set(rows)):
+            failures.append(f"{bench}: row {'/'.join(key)} not in the "
+                            f"snapshot")
+    if outcome_tol is None:
+        lines.append(f"quality: {len(means)} method/class groups compared "
+                     f"exactly")
+        return lines, failures
+
+    row = "{:<6} {:<9} " + " ".join(["{:>19}"] * len(QUALITY_METRICS))
+    lines.append(row.format("method", "class", *(
+        f"{m} (delta)" for m in QUALITY_METRICS)))
+    for (method, cls), metrics in sorted(means.items()):
+        cells = []
+        for metric in QUALITY_METRICS:
+            old, new = metrics.get(metric, ([], []))
+            if not old:
+                cells.append("-")
+                continue
+            old_mean = sum(old) / len(old)
+            new_mean = sum(new) / len(new)
+            delta = new_mean - old_mean
+            cells.append(f"{new_mean:.4f} ({delta:+.4f})")
+            if delta < -outcome_tol:
+                failures.append(f"{method} {cls} {metric} fell by "
+                                f"{-delta:.4f} (tolerance {outcome_tol})")
+        lines.append(row.format(method, cls, *cells))
+    unchanged = sorted(exact_methods - changed_methods)
+    lines.append(f"every digit unchanged: {', '.join(unchanged) or 'none'}")
+    return lines, failures
+
+
+def quality_main(args):
+    try:
+        snapshot = load_quality(args.parent)
+        run = load_quality(args.change)
+    except (OSError, ValueError) as e:
+        print(f"bench_diff: {e}", file=sys.stderr)
+        return 2
+    lines, failures = quality_diff(snapshot, run, args.outcome)
+    print("\n".join(lines))
+    for failure in failures:
+        print(f"FAIL: {failure}")
+    return 1 if failures else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent", help="parent result lines (JSONL)")
-    parser.add_argument("change", help="change result lines (JSONL)")
+    parser.add_argument("parent", help="parent result lines (JSONL), or the "
+                        "snapshot directory with --quality")
+    parser.add_argument("change", help="change result lines (JSONL), or the "
+                        "run directory with --quality")
+    parser.add_argument("--quality", action="store_true",
+                        help="compare quality-table directories")
+    parser.add_argument("--outcome", type=float, metavar="TOL",
+                        help="with --quality: compare per method and class "
+                        "means, failing a fall larger than TOL")
     args = parser.parse_args(argv)
+    if args.outcome is not None and not args.quality:
+        parser.error("--outcome needs --quality")
+    if args.quality:
+        return quality_main(args)
     try:
         with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
             spec = json.load(f)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Tests of tools/bench_diff.py over synthetic perfbench result lines.
+"""Tests of tools/bench_diff.py over synthetic perfbench result lines and
+quality tables.
 
     python3 tools/test_bench_diff.py      # from anywhere
 """
@@ -156,6 +157,133 @@ class CliTest(unittest.TestCase):
                 f.write("not json\n")
             code, _ = self.run_cli(parent, garbage)
             self.assertEqual(code, 2)
+
+META = {"ld_tables": 300, "dim": 192, "queries_per_class": 20,
+        "eval_depth": 100, "corpus": "wikitables", "simd_tier": "scalar"}
+
+
+def quality_rows(**overrides):
+    """Two partitions x one class x two methods; `overrides` maps
+    'partition/method' to a dict of metric values to replace."""
+    rows = []
+    for partition in ("LD", "SD"):
+        for method, base in (("ANNS", 0.5), ("ExS", 0.4)):
+            row = {"partition": partition, "class": "long", "method": method,
+                   "map": base, "mrr": base + 0.1, "ndcg@10": base + 0.2,
+                   "p50_ms": 1.0}
+            row.update(overrides.get(f"{partition}/{method}", {}))
+            rows.append(row)
+    return rows
+
+
+def quality_grid(meta=META, **overrides):
+    return bench_diff.load_quality_docs([
+        {"bench": "table1_quality_long", "meta": meta,
+         "rows": quality_rows(**overrides)}])
+
+
+class QualityDiffTest(unittest.TestCase):
+    def test_identical_grids_pass_exactly(self):
+        lines, failures = bench_diff.quality_diff(quality_grid(),
+                                                  quality_grid())
+        self.assertEqual(failures, [])
+        self.assertIn("compared exactly", lines[0])
+
+    def test_timing_fields_are_ignored(self):
+        run = quality_grid(**{"LD/ExS": {"p50_ms": 9.0}})
+        _, failures = bench_diff.quality_diff(quality_grid(), run)
+        self.assertEqual(failures, [])
+
+    def test_any_changed_digit_fails_exact_mode(self):
+        run = quality_grid(**{"SD/ExS": {"mrr": 0.5000000001}})
+        _, failures = bench_diff.quality_diff(quality_grid(), run)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("SD/long/ExS mrr", failures[0])
+
+    def test_a_gain_also_fails_exact_mode(self):
+        run = quality_grid(**{"LD/ANNS": {"map": 0.9}})
+        _, failures = bench_diff.quality_diff(quality_grid(), run)
+        self.assertEqual(len(failures), 1)
+
+    def test_missing_row_and_meta_drift_fail(self):
+        run = quality_grid(meta=dict(META, simd_tier="avx2"))
+        del run["table1_quality_long"][1][("SD", "long", "ANNS")]
+        _, failures = bench_diff.quality_diff(quality_grid(), run)
+        self.assertTrue(any("simd_tier" in f for f in failures))
+        self.assertTrue(any("SD/long/ANNS missing" in f for f in failures))
+
+    def test_extra_row_or_bench_fails(self):
+        snapshot = quality_grid()
+        del snapshot["table1_quality_long"][1][("LD", "long", "ExS")]
+        _, failures = bench_diff.quality_diff(snapshot, quality_grid())
+        self.assertTrue(any("not in the snapshot" in f for f in failures))
+        _, failures = bench_diff.quality_diff(quality_grid(), {})
+        self.assertEqual(failures, ["table1_quality_long: missing from the "
+                                    "run"])
+
+    def test_outcome_mode_reports_mean_deltas(self):
+        # ANNS: LD map +0.1, SD map -0.04 -> mean +0.03; ExS unchanged.
+        run = quality_grid(**{"LD/ANNS": {"map": 0.6},
+                              "SD/ANNS": {"map": 0.46}})
+        lines, failures = bench_diff.quality_diff(quality_grid(), run, 0.01)
+        self.assertEqual(failures, [])
+        row = next(l for l in lines if l.startswith("ANNS"))
+        self.assertIn("0.5300 (+0.0300)", row)
+        self.assertIn("0.6000 (+0.0000)", row)
+        self.assertEqual(lines[-1], "every digit unchanged: ExS")
+
+    def test_outcome_mode_fails_a_drop_beyond_tolerance(self):
+        run = quality_grid(**{"LD/ExS": {"ndcg@10": 0.5},
+                              "SD/ExS": {"ndcg@10": 0.5}})
+        _, failures = bench_diff.quality_diff(quality_grid(), run, 0.05)
+        self.assertEqual(failures,
+                         ["ExS long ndcg@10 fell by 0.1000 (tolerance 0.05)"])
+        _, failures = bench_diff.quality_diff(quality_grid(), run, 0.15)
+        self.assertEqual(failures, [])
+
+
+class QualityCliTest(unittest.TestCase):
+    def write_grid(self, directory, **overrides):
+        with open(os.path.join(directory, "BENCH_table1_quality_long.json"),
+                  "w") as f:
+            json.dump({"bench": "table1_quality_long", "meta": META,
+                       "rows": quality_rows(**overrides)}, f)
+        # Other bench outputs in the directory are not quality tables.
+        with open(os.path.join(directory, "BENCH_case_study.json"), "w") as f:
+            f.write("{}")
+
+    def run_cli(self, *args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = bench_diff.main(list(args))
+            except SystemExit as e:  # argparse usage errors
+                code = e.code
+        return code, out.getvalue()
+
+    def test_exit_codes(self):
+        with tempfile.TemporaryDirectory() as snap, \
+                tempfile.TemporaryDirectory() as same, \
+                tempfile.TemporaryDirectory() as moved, \
+                tempfile.TemporaryDirectory() as empty:
+            self.write_grid(snap)
+            self.write_grid(same)
+            self.write_grid(moved, **{"LD/ANNS": {"map": 0.45}})
+            self.assertEqual(self.run_cli("--quality", snap, same)[0], 0)
+            code, out = self.run_cli("--quality", snap, moved)
+            self.assertEqual(code, 1)
+            self.assertIn("FAIL: table1_quality_long LD/long/ANNS map", out)
+            code, out = self.run_cli("--quality", snap, moved,
+                                     "--outcome", "0.05")
+            self.assertEqual(code, 0)
+            self.assertIn("-0.0250", out)
+            self.assertEqual(self.run_cli("--quality", snap, moved,
+                                          "--outcome", "0.01")[0], 1)
+            self.assertEqual(self.run_cli("--quality", snap, empty)[0], 2)
+            self.assertEqual(self.run_cli(snap, same, "--outcome", "0.1")[0],
+                             2)
+
 
 if __name__ == "__main__":
     unittest.main()
