@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
   // Traced queries: print the CTS span tree, and export all three methods
   // (plus a deliberately large parallel ExS scan) as a Chrome trace_event
   // file — load TRACE_case_study.json in chrome://tracing / ui.perfetto.dev.
-  // CI validates its shape with tools/check_trace_json.py.
+  // CI validates its shape with tools/obs_checks.py trace.
   {
     obs::ChromeTraceWriter writer;
     for (auto method :
@@ -265,7 +265,7 @@ int main(int argc, char** argv) {
 
   // Dump the process metric registry (query counters/latency histograms,
   // build gauges) next to the bench JSON; CI validates its shape with
-  // tools/check_metrics_json.py.
+  // tools/obs_checks.py metrics.
   {
     const char* dir = std::getenv("MIRA_BENCH_JSON_DIR");
     std::string path = (dir != nullptr && dir[0] != '\0')

@@ -6,7 +6,8 @@
 // past saturation: the bounded queue + token buckets must shed with
 // kResourceExhausted instead of queueing unboundedly, which keeps the p99 of
 // *accepted* requests within a small multiple of the unloaded p99
-// (tools/check_bench_service.py gates exactly that in the perf-smoke CI job).
+// (tools/obs_checks.py service-load gates exactly that in the perf-smoke CI
+// job).
 //
 //   --quick            CI smoke: smaller corpus, fewer load points, shorter
 //                      measurement windows; directionally meaningful only.
@@ -314,7 +315,7 @@ int main(int argc, char** argv) {
   // Self-monitoring with bench-scale windows: sub-second buckets and a
   // seconds-long fast window, so the shed-fraction SLO visibly burns and
   // breaches *within* the overload points and recovers during --hold
-  // (tools/check_slo.py gates exactly that).
+  // (tools/obs_checks.py slo gates exactly that).
   service::ServiceMonitor::Options monitor_options;
   monitor_options.bucket_seconds = 0.25;
   monitor_options.eval_interval_s = 0.1;

@@ -325,7 +325,8 @@ std::vector<MethodRun> Harness::RunClass(const Partition& partition,
   return runs;
 }
 
-Status Harness::WriteJson(const std::string& bench_name) const {
+Status Harness::WriteJson(const std::string& bench_name,
+                          std::optional<datagen::QueryClass> cls) const {
   BenchJsonWriter writer(bench_name);
   writer.SetMeta("ld_tables", static_cast<double>(config_.ld_tables));
   writer.SetMeta("dim", static_cast<double>(config_.encoder_dim));
@@ -336,6 +337,7 @@ Status Harness::WriteJson(const std::string& bench_name) const {
   writer.SetMeta("simd_tier",
                  std::string(vecmath::SimdTierName(vecmath::ActiveSimdTier())));
   for (const RecordedRun& rec : recorded_) {
+    if (cls && rec.cls != datagen::QueryClassToString(*cls)) continue;
     writer.AddRow();
     writer.Set("partition", rec.partition);
     writer.Set("class", rec.cls);
@@ -602,7 +604,7 @@ Status ServeAndHold(const ServeOptions& options,
     });
     if (configure) configure(server);
     MIRA_RETURN_NOT_OK(server.Start(server_options));
-    // The scrape harness (tools/check_debugz.py) parses this line for the
+    // The scrape harness (tools/obs_checks.py debugz) parses this line for the
     // resolved port; keep the format stable.
     std::fprintf(stderr, "[bench] debugz listening on http://127.0.0.1:%u/\n",
                  static_cast<unsigned>(server.port()));

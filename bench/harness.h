@@ -9,6 +9,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,8 +143,11 @@ class Harness {
   std::vector<datagen::GeneratedQuery> EvalQueries(datagen::QueryClass cls) const;
 
   /// Writes BENCH_<bench_name>.json containing the harness config plus one
-  /// row per (partition, class, method) measured by RunClass so far.
-  [[nodiscard]] Status WriteJson(const std::string& bench_name) const;
+  /// row per (partition, class, method) measured by RunClass so far; only the
+  /// rows of `cls` when given.
+  [[nodiscard]] Status WriteJson(
+      const std::string& bench_name,
+      std::optional<datagen::QueryClass> cls = std::nullopt) const;
 
   /// Runs up to `max_queries` eval queries of `cls` through SearchTraced for
   /// the three proposed methods and writes TRACE_<bench_name>.json (into

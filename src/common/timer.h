@@ -6,6 +6,14 @@
 
 namespace mira {
 
+/// Seconds on the monotonic clock, from an arbitrary fixed origin: the time
+/// base of service dispatch stamps, SLO evaluations and watchdog scans.
+inline double MonotonicSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Monotonic wall-clock stopwatch.
 class WallTimer {
  public:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 
 #include "common/string_util.h"
 #include "obs/trace_export.h"
@@ -36,13 +35,7 @@ void QueryLogEntry::SetTopSpans(const QueryTrace& trace) {
   }
 }
 
-QueryLog::QueryLog(size_t capacity) {
-  size_t rounded = 2;
-  while (rounded < capacity) rounded *= 2;
-  capacity_ = rounded;
-  mask_ = rounded - 1;
-  slots_ = std::make_unique<Slot[]>(rounded);
-}
+QueryLog::QueryLog(size_t capacity) : ring_(capacity) {}
 
 QueryLog& QueryLog::Global() {
   static QueryLog log;
@@ -50,36 +43,14 @@ QueryLog& QueryLog::Global() {
 }
 
 uint64_t QueryLog::Record(QueryLogEntry entry) {
-  const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
+  return Publish(next_.fetch_add(1, std::memory_order_relaxed), entry);
+}
+
+uint64_t QueryLog::Publish(uint64_t ticket, QueryLogEntry entry) {
   entry.id = ticket + 1;
-  Slot& slot = slots_[ticket & mask_];
-
-  // Claim the slot: its generation must advance to 2*ticket+1 (writing) and
-  // then 2*ticket+2 (complete). A slot still odd, or already carrying a
-  // *newer* generation, means a writer stalled for (at least) a full ring
-  // lap — drop this entry instead of blocking or corrupting the newer one.
-  const uint64_t claim = 2 * ticket + 1;
-  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  for (;;) {
-    if ((seq & 1) != 0 || seq > claim) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return entry.id;
-    }
-    if (slot.seq.compare_exchange_weak(seq, claim,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_relaxed)) {
-      break;
-    }
+  if (!ring_.Publish(ticket, entry)) {
+    dropped_.fetch_add(1, std::memory_order_relaxed);
   }
-
-  // Store the payload as relaxed atomic words (raceless even against a
-  // concurrent reader; the seqlock check makes torn snapshots detectable).
-  uint64_t words[Slot::kWords] = {};
-  std::memcpy(words, &entry, sizeof(entry));
-  for (size_t w = 0; w < Slot::kWords; ++w) {
-    slot.words[w].store(words[w], std::memory_order_relaxed);
-  }
-  slot.seq.store(claim + 1, std::memory_order_release);
   return entry.id;
 }
 
@@ -123,24 +94,12 @@ std::vector<QueryLog::SlowTrace> QueryLog::SlowTraces() const {
 
 std::vector<QueryLogEntry> QueryLog::Snapshot() const {
   const uint64_t next = next_.load(std::memory_order_acquire);
-  const uint64_t begin = next > capacity_ ? next - capacity_ : 0;
+  const uint64_t begin = next > capacity() ? next - capacity() : 0;
   std::vector<QueryLogEntry> out;
   out.reserve(static_cast<size_t>(next - begin));
+  QueryLogEntry entry;
   for (uint64_t ticket = begin; ticket < next; ++ticket) {
-    const Slot& slot = slots_[ticket & mask_];
-    const uint64_t want = 2 * ticket + 2;
-    if (slot.seq.load(std::memory_order_acquire) != want) continue;
-    uint64_t words[Slot::kWords];
-    for (size_t w = 0; w < Slot::kWords; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
-    }
-    // Seqlock validation: if the generation moved while we copied, the words
-    // may mix two entries — discard them.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != want) continue;
-    QueryLogEntry entry;
-    std::memcpy(&entry, words, sizeof(entry));
-    out.push_back(entry);
+    if (ring_.Read(ticket, &entry)) out.push_back(entry);
   }
   return out;
 }
@@ -154,7 +113,8 @@ std::string QueryLog::ExportJsonLines() const {
         "\"results\": %u, \"duration_ms\": %.4f, \"degraded\": %s, "
         "\"partial\": %s, \"traced\": %s, \"shed\": %s, \"evicted\": %s, "
         "\"preemptive\": %s",
-        static_cast<unsigned long long>(entry.id), entry.method, entry.tenant,
+        static_cast<unsigned long long>(entry.id),
+        JsonEscape(entry.method).c_str(), JsonEscape(entry.tenant).c_str(),
         static_cast<int>(entry.priority), entry.ok ? "true" : "false",
         entry.k, entry.result_count,
         entry.duration_ms, entry.degraded ? "true" : "false",
@@ -179,21 +139,10 @@ std::string QueryLog::ExportJsonLines() const {
   return out;
 }
 
-Status QueryLog::WriteJsonLines(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::IoError("query log: cannot open " + path);
-  out << ExportJsonLines();
-  out.flush();
-  if (!out) return Status::IoError("query log: failed writing " + path);
-  return Status::OK();
-}
-
 void QueryLog::Clear() {
   next_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  for (size_t s = 0; s < capacity_; ++s) {
-    slots_[s].seq.store(0, std::memory_order_relaxed);
-  }
+  ring_.Clear();
   MutexLock lock(slow_mu_);
   slow_traces_.clear();
 }

@@ -5,14 +5,12 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <vector>
 
-#include "common/status.h"
 #include "common/sync.h"
+#include "obs/seq_ring.h"
 #include "obs/trace.h"
 
 namespace mira::obs {
@@ -64,19 +62,18 @@ struct QueryLogEntry {
   /// Fills top_spans from the trace (largest non-root spans first).
   void SetTopSpans(const QueryTrace& trace);
 };
-static_assert(std::is_trivially_copyable_v<QueryLogEntry>,
-              "entries are serialized into the ring word-by-word");
 
 /// Lock-free ring buffer of the most recent `capacity` query-log entries,
 /// plus a small mutex-guarded side store of promoted slow-query traces.
 ///
-/// Writers (`Record`) never block and never allocate: a slot is claimed with
-/// one fetch_add + one CAS and the entry is stored as relaxed atomic words
-/// under a per-slot seqlock, so the hot path stays wait-free-ish and
-/// TSan-clean. If a writer stalls for a full ring lap, colliding entries are
-/// dropped (counted in `dropped()`) rather than blocking the query path.
-/// Readers (`Snapshot`/`ExportJsonLines`) skip slots that are mid-write or
-/// recycled during the read — a consistency check, not a lock.
+/// Writers (`Record`) never block and never allocate: one fetch_add draws a
+/// ticket and `internal::SeqRing::Publish` claims its slot with one CAS and
+/// stores the entry as relaxed atomic words under the slot's seqlock, so the
+/// hot path stays wait-free-ish and TSan-clean. If a writer stalls for a
+/// full ring lap, colliding entries are dropped (counted in `dropped()`)
+/// rather than blocking the query path. Readers (`Snapshot`/
+/// `ExportJsonLines`) skip slots that are mid-write or recycled during the
+/// read — a consistency check, not a lock.
 ///
 /// Slow-query promotion: when `slow_threshold_ms` is set (> 0), callers that
 /// ran a traced query check `IsSlow(duration)` and hand the full trace to
@@ -127,9 +124,8 @@ class QueryLog {
 
   /// JSON-lines export: one compact JSON object per entry, oldest first.
   std::string ExportJsonLines() const;
-  [[nodiscard]] Status WriteJsonLines(const std::string& path) const;
 
-  size_t capacity() const { return capacity_; }
+  size_t capacity() const { return ring_.capacity(); }
   /// Total entries ever recorded (ids run 1..total_recorded()).
   uint64_t total_recorded() const {
     return next_.load(std::memory_order_relaxed);
@@ -142,17 +138,13 @@ class QueryLog {
   void Clear();
 
  private:
-  struct Slot {
-    static constexpr size_t kWords = (sizeof(QueryLogEntry) + 7) / 8;
-    /// Seqlock generation: 2*ticket+1 while the writer of `ticket` is
-    /// storing, 2*ticket+2 once its entry is complete, 0 when never written.
-    std::atomic<uint64_t> seq{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
-  };
+  friend class QueryLogTestPeer;  // replays a stalled writer's ticket
 
-  size_t capacity_;  ///< Power of two.
-  size_t mask_;
-  std::unique_ptr<Slot[]> slots_;
+  /// Record after the ticket draw: stores `entry` as `ticket`, or counts it
+  /// dropped when the slot is busy or already newer.
+  uint64_t Publish(uint64_t ticket, QueryLogEntry entry);
+
+  internal::SeqRing<QueryLogEntry> ring_;
   std::atomic<uint64_t> next_{0};
   std::atomic<uint64_t> dropped_{0};
   std::atomic<double> slow_threshold_ms_{0.0};

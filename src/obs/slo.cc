@@ -6,19 +6,10 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "obs/query_log.h"
 
 namespace mira::obs {
-
-namespace {
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::string_view SloStateToString(SloState state) {
   switch (state) {
@@ -194,45 +185,15 @@ void SloEngine::Step(double now_s) {
 }
 
 void SloEngine::Start() {
-  MutexLock lock(thread_mu_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
+  if (task_.running()) return;
+  Step(MonotonicSeconds());
+  task_.Start(std::chrono::duration<double>(options_.eval_interval_s),
+              [this] { Step(MonotonicSeconds()); });
 }
 
-void SloEngine::Stop() {
-  std::thread worker;
-  {
-    MutexLock lock(thread_mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-    running_ = false;
-    worker = std::move(thread_);
-  }
-  wake_.NotifyAll();
-  worker.join();
-}
+void SloEngine::Stop() { task_.Stop(); }
 
-bool SloEngine::running() const {
-  MutexLock lock(thread_mu_);
-  return running_;
-}
-
-void SloEngine::Loop() {
-  const auto interval = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(options_.eval_interval_s));
-  for (;;) {
-    Step(MonotonicSeconds());
-    MutexLock lock(thread_mu_);
-    const auto deadline = std::chrono::steady_clock::now() + interval;
-    while (!stop_requested_) {
-      if (wake_.WaitUntil(lock, deadline)) break;
-    }
-    if (stop_requested_) return;
-  }
-}
+bool SloEngine::running() const { return task_.running(); }
 
 std::vector<SloStatus> SloEngine::Statuses() const {
   MutexLock lock(state_mu_);

@@ -5,11 +5,11 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/sync.h"
 #include "obs/metrics.h"
+#include "obs/periodic_task.h"
 #include "obs/windowed.h"
 
 namespace mira::obs {
@@ -122,7 +122,8 @@ class SloEngine {
   /// before Start().
   void AddObjective(SloObjective objective);
 
-  /// Spawns the background evaluation thread. No-op if already running.
+  /// Evaluates once, then starts the periodic evaluation task. No-op if
+  /// already running.
   void Start();
   /// Stops and joins. Idempotent; the destructor calls it.
   void Stop();
@@ -150,7 +151,6 @@ class SloEngine {
     Gauge* burn_slow_gauge = nullptr;
   };
 
-  void Loop();
   /// Burn rate of `objective` over one window; false when unmeasurable.
   bool WindowBurn(const SloObjective& objective, double window_s,
                   double* burn, double* bad_fraction, uint64_t* total) const;
@@ -169,11 +169,7 @@ class SloEngine {
   std::deque<SloTransition> history_ MIRA_GUARDED_BY(state_mu_);
   uint64_t evaluations_ MIRA_GUARDED_BY(state_mu_) = 0;
 
-  mutable Mutex thread_mu_;
-  CondVar wake_;
-  std::thread thread_ MIRA_GUARDED_BY(thread_mu_);
-  bool running_ MIRA_GUARDED_BY(thread_mu_) = false;
-  bool stop_requested_ MIRA_GUARDED_BY(thread_mu_) = false;
+  PeriodicTask task_;
 };
 
 }  // namespace mira::obs

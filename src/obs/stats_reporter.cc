@@ -51,60 +51,25 @@ void StatsReporter::AddCollector(std::function<void()> collector) {
 }
 
 void StatsReporter::Start() {
-  MutexLock lock(mu_);
-  if (running_) return;
-  stop_requested_ = false;
-  started_ = std::chrono::steady_clock::now();
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
+  if (task_.running()) return;
+  {
+    MutexLock lock(mu_);
+    started_ = std::chrono::steady_clock::now();
+  }
+  task_.Start(options_.interval, [this] { TakeSnapshot(); });
 }
 
 void StatsReporter::Stop() {
-  // Claim the thread under the lock so concurrent Stop() calls cannot both
-  // join it: exactly one caller moves it out (and joins), every other caller
-  // sees running_ == false and returns. Joining happens outside the lock
-  // because the loop thread takes mu_ on its way out.
-  std::thread worker;
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-    running_ = false;
-    worker = std::move(thread_);
-  }
-  wake_.NotifyAll();
-  worker.join();
+  // Final snapshot on shutdown: a short-lived process (or a test) still gets
+  // its state exported exactly once.
+  if (task_.Stop()) TakeSnapshot();
 }
 
-bool StatsReporter::running() const {
-  MutexLock lock(mu_);
-  return running_;
-}
+bool StatsReporter::running() const { return task_.running(); }
 
 uint64_t StatsReporter::snapshots_taken() const {
   MutexLock lock(mu_);
   return snapshots_;
-}
-
-void StatsReporter::Loop() {
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      const auto deadline =
-          std::chrono::steady_clock::now() + options_.interval;
-      // Explicit wait loop (not the predicate overload) so the analysis sees
-      // stop_requested_ read under mu_; a timeout ends the wait for this
-      // interval, a notification re-checks the stop flag.
-      while (!stop_requested_) {
-        if (wake_.WaitUntil(lock, deadline)) break;
-      }
-      if (stop_requested_) break;
-    }
-    TakeSnapshot();
-  }
-  // Final snapshot on shutdown: a short-lived process (or a test) still gets
-  // its state exported exactly once.
-  TakeSnapshot();
 }
 
 void StatsReporter::TakeSnapshot() {

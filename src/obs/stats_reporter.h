@@ -5,12 +5,12 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "common/sync.h"
 #include "obs/metrics.h"
+#include "obs/periodic_task.h"
 #include "obs/slo.h"
 #include "obs/windowed.h"
 
@@ -29,7 +29,8 @@ struct StatsSnapshot {
 };
 
 /// Destination for periodic snapshots. Consume() runs on the reporter's
-/// background thread; implementations must be safe to call from it.
+/// background thread, and the final snapshot's on the thread calling Stop();
+/// implementations must be safe to call from either.
 class StatsSink {
  public:
   virtual ~StatsSink() = default;
@@ -63,15 +64,15 @@ class CapturingStatsSink : public StatsSink {
   std::vector<StatsSnapshot> snapshots_ MIRA_GUARDED_BY(mu_);
 };
 
-/// Background thread that snapshots a MetricRegistry to a sink on a fixed
+/// Periodic task that snapshots a MetricRegistry to a sink on a fixed
 /// interval. Before each snapshot it runs the registered collectors —
 /// callbacks that refresh pull-style gauges (memory usage, pool queue depth)
 /// so the exported numbers are current rather than last-touched.
 ///
 /// Lifecycle: construct → AddCollector()* → Start() → ... → Stop() (or let
-/// the destructor stop it). Stop() wakes the thread immediately, takes one
-/// final snapshot so short-lived processes still export, and joins — no
-/// detached threads, no sleeps on the shutdown path.
+/// the destructor stop it). Stop() wakes and joins the PeriodicTask, then
+/// takes one final snapshot (only when it stopped a running reporter) so
+/// short-lived processes still export.
 class StatsReporter {
  public:
   struct Options {
@@ -107,22 +108,16 @@ class StatsReporter {
   uint64_t snapshots_taken() const;
 
  private:
-  void Loop();
   void TakeSnapshot();
 
   StatsSink* sink_;
   Options options_;
 
   mutable Mutex mu_;
-  CondVar wake_;
-  /// Started under mu_; Stop() moves it out under mu_ before joining, so
-  /// concurrent Stop() calls cannot both join it.
-  std::thread thread_ MIRA_GUARDED_BY(mu_);
   std::vector<std::function<void()>> collectors_ MIRA_GUARDED_BY(mu_);
-  bool stop_requested_ MIRA_GUARDED_BY(mu_) = false;
-  bool running_ MIRA_GUARDED_BY(mu_) = false;
   uint64_t snapshots_ MIRA_GUARDED_BY(mu_) = 0;
   std::chrono::steady_clock::time_point started_ MIRA_GUARDED_BY(mu_){};
+  PeriodicTask task_;
 };
 
 }  // namespace mira::obs

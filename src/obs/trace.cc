@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "obs/trace_export.h"
 
 namespace mira::obs {
 
@@ -88,8 +89,8 @@ std::string QueryTrace::ToJson() const {
         "{\"name\": \"%s\", \"label\": \"%s\", \"parent\": %d, \"depth\": %d, "
         "\"tid\": %d, \"start_ms\": %.6f, \"duration_ms\": %.6f, "
         "\"counters\": {",
-        span.name, span.label.c_str(), span.parent, span.depth, span.tid,
-        span.start_ms, span.duration_ms));
+        span.name, JsonEscape(span.label).c_str(), span.parent, span.depth,
+        span.tid, span.start_ms, span.duration_ms));
     for (size_t c = 0; c < span.counters.size(); ++c) {
       if (c > 0) out.append(", ");
       out.append(StrFormat("\"%s\": %lld", span.counters[c].key,

@@ -7,10 +7,6 @@
 
 namespace mira::obs {
 
-namespace {
-
-// Minimal JSON string escaping: labels are collection/method names, but a
-// malformed byte must never produce an unloadable trace file.
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
@@ -41,6 +37,8 @@ std::string JsonEscape(std::string_view text) {
   }
   return out;
 }
+
+namespace {
 
 std::string MetadataEvent(const char* what, int pid, int32_t tid,
                           const std::string& name) {
@@ -74,7 +72,7 @@ int ChromeTraceWriter::AddQuery(const QueryTrace& trace,
   // One complete ("X") event per span. The span vector is per-thread
   // chronological (query-thread spans in start order; worker buffers are
   // spliced in per-thread collection order), which keeps timestamps
-  // monotonic within each (pid, tid) lane — tools/check_trace_json.py
+  // monotonic within each (pid, tid) lane — tools/obs_checks.py trace
   // asserts exactly that.
   bool root_annotated = false;
   for (const SpanRecord& span : trace.spans()) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "obs/trace.h"
@@ -51,6 +52,11 @@ class ChromeTraceWriter {
   int next_pid_ = 0;
   size_t num_events_ = 0;
 };
+
+/// `text` as the inside of a JSON string literal: quotes, backslashes and
+/// control characters escaped, so a malformed byte in a name or label never
+/// produces an unloadable document.
+std::string JsonEscape(std::string_view text);
 
 /// One-shot convenience: a single trace as a complete Chrome trace document.
 std::string ChromeTraceJson(const QueryTrace& trace,

@@ -168,12 +168,4 @@ std::vector<std::string> WindowedMetrics::TrackedCounters() const {
   return out;
 }
 
-std::vector<std::string> WindowedMetrics::TrackedHistograms() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, series] : histograms_) out.push_back(name);
-  return out;
-}
-
 }  // namespace mira::obs

@@ -1,88 +1,18 @@
 #ifndef MIRA_OBS_WINDOWED_H_
 #define MIRA_OBS_WINDOWED_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/sync.h"
 #include "obs/metrics.h"
+#include "obs/seq_ring.h"
 
 namespace mira::obs {
-
-namespace internal {
-
-/// Fixed-capacity ring of trivially copyable samples stored as relaxed
-/// atomic words under per-slot seqlocks — the QueryLog storage protocol,
-/// generalized. One writer publishes tick t into slot t & mask; readers copy
-/// the words and validate the generation, discarding torn or recycled slots
-/// instead of blocking. TSan-clean by construction: every byte moves through
-/// an atomic.
-template <typename T>
-class SeqRing {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "samples are serialized into the ring word-by-word");
-
- public:
-  /// Capacity is rounded up to a power of two (minimum 2).
-  explicit SeqRing(size_t capacity) {
-    size_t rounded = 2;
-    while (rounded < capacity) rounded *= 2;
-    capacity_ = rounded;
-    mask_ = rounded - 1;
-    slots_ = std::make_unique<Slot[]>(rounded);
-  }
-
-  /// Single-writer publish of tick `tick`. Generations run 2*tick+1 while
-  /// storing, 2*tick+2 once complete.
-  void Publish(uint64_t tick, const T& value) {
-    Slot& slot = slots_[tick & mask_];
-    slot.seq.store(2 * tick + 1, std::memory_order_release);
-    uint64_t words[Slot::kWords] = {};
-    std::memcpy(words, &value, sizeof(value));
-    for (size_t w = 0; w < Slot::kWords; ++w) {
-      slot.words[w].store(words[w], std::memory_order_relaxed);
-    }
-    slot.seq.store(2 * tick + 2, std::memory_order_release);
-  }
-
-  /// Copies the sample published for `tick` into *out. False when the slot
-  /// is mid-write or was recycled by a newer lap.
-  bool Read(uint64_t tick, T* out) const {
-    const Slot& slot = slots_[tick & mask_];
-    const uint64_t want = 2 * tick + 2;
-    if (slot.seq.load(std::memory_order_acquire) != want) return false;
-    uint64_t words[Slot::kWords];
-    for (size_t w = 0; w < Slot::kWords; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
-    }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != want) return false;
-    std::memcpy(out, words, sizeof(*out));
-    return true;
-  }
-
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Slot {
-    static constexpr size_t kWords = (sizeof(T) + 7) / 8;
-    std::atomic<uint64_t> seq{0};
-    std::array<std::atomic<uint64_t>, kWords> words{};
-  };
-
-  size_t capacity_ = 0;  ///< Power of two.
-  size_t mask_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-};
-
-}  // namespace internal
 
 /// Time-windowed aggregation over the cumulative Counter/Histogram
 /// primitives: a background ticker captures point-in-time snapshots of each
@@ -153,9 +83,8 @@ class WindowedMetrics {
   WindowHistogram HistogramWindow(const std::string& name,
                                   double window_s) const;
 
-  /// Names currently tracked (for debugz rendering).
+  /// Counter names currently tracked (for debugz rendering).
   std::vector<std::string> TrackedCounters() const;
-  std::vector<std::string> TrackedHistograms() const;
 
   const Options& options() const { return options_; }
 

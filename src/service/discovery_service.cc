@@ -1,25 +1,14 @@
 #include "service/discovery_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/failpoint.h"
 #include "common/string_util.h"
+#include "common/timer.h"
 #include "obs/query_log.h"
 
 namespace mira::service {
-
-namespace {
-
-/// Monotonic clock in seconds (same epoch as Deadline's steady_clock).
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 std::string_view DispatchModeToString(DispatchMode mode) {
   switch (mode) {
@@ -27,20 +16,6 @@ std::string_view DispatchModeToString(DispatchMode mode) {
       return "fanout";
     case DispatchMode::kThroughput:
       return "throughput";
-  }
-  return "unknown";
-}
-
-std::string_view RequestOutcomeToString(RequestOutcome outcome) {
-  switch (outcome) {
-    case RequestOutcome::kCompleted:
-      return "completed";
-    case RequestOutcome::kRejected:
-      return "rejected";
-    case RequestOutcome::kEvicted:
-      return "evicted";
-    case RequestOutcome::kFailed:
-      return "failed";
   }
   return "unknown";
 }

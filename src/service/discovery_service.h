@@ -54,8 +54,6 @@ enum class RequestOutcome {
   kFailed,
 };
 
-std::string_view RequestOutcomeToString(RequestOutcome outcome);
-
 struct ServiceResponse {
   Status status = Status::OK();
   discovery::Ranking ranking;

@@ -6,6 +6,7 @@
 
 #include "common/string_util.h"
 #include "obs/metrics.h"
+#include "obs/trace_export.h"
 
 namespace mira::service {
 
@@ -22,24 +23,6 @@ obs::SloEngine::Options SloOptions(const ServiceMonitor::Options& options) {
   obs::SloEngine::Options slo_options;
   slo_options.eval_interval_s = options.eval_interval_s;
   return slo_options;
-}
-
-/// Minimal JSON string escaping for names we control (quotes, backslashes,
-/// control characters).
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out.append(StrFormat("\\u%04x", c));
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -147,12 +130,11 @@ std::string ServiceMonitor::RenderSlozz() const {
                   static_cast<unsigned long long>(watchdog_->total_stuck())));
     for (const StuckReport& report : watchdog_->RecentReports()) {
       body.append(StrFormat(
-          "  request %llu tenant %s method %s running %.1f ms budget %.1f ms"
-          "%s\n",
+          "  request %llu tenant %s method %s running %.1f ms budget %.1f "
+          "ms\n",
           static_cast<unsigned long long>(report.request_id),
           report.tenant.c_str(), report.method.c_str(), report.running_ms,
-          report.budget_ms,
-          report.profile_folded.empty() ? "" : " [profile attached]"));
+          report.budget_ms));
     }
   }
   return body;
@@ -172,7 +154,7 @@ std::string ServiceMonitor::SlozzJson() const {
         "\"burn_slow\": %.6g, \"bad_fraction_fast\": %.6g, "
         "\"total_fast\": %llu, \"target_fraction\": %.6g, "
         "\"measurable\": %s}",
-        JsonEscape(status.name).c_str(),
+        obs::JsonEscape(status.name).c_str(),
         std::string(obs::SloStateToString(status.state)).c_str(),
         status.burn_fast, status.burn_slow, status.bad_fraction_fast,
         static_cast<unsigned long long>(status.total_fast),
@@ -187,7 +169,7 @@ std::string ServiceMonitor::SlozzJson() const {
     out.append(StrFormat(
         "\n    {\"time_s\": %.6f, \"objective\": \"%s\", \"from\": \"%s\", "
         "\"to\": \"%s\", \"burn_fast\": %.6g, \"burn_slow\": %.6g}",
-        transition.time_s, JsonEscape(transition.objective).c_str(),
+        transition.time_s, obs::JsonEscape(transition.objective).c_str(),
         std::string(obs::SloStateToString(transition.from)).c_str(),
         std::string(obs::SloStateToString(transition.to)).c_str(),
         transition.burn_fast, transition.burn_slow));

@@ -5,19 +5,9 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "obs/cpu_profiler.h"
+#include "common/timer.h"
 
 namespace mira::service {
-
-namespace {
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
 
 StuckQueryWatchdog::StuckQueryWatchdog(SnapshotFn snapshot, Options options)
     : options_(options), snapshot_(std::move(snapshot)) {
@@ -32,30 +22,13 @@ StuckQueryWatchdog::StuckQueryWatchdog(SnapshotFn snapshot, Options options)
 StuckQueryWatchdog::~StuckQueryWatchdog() { Stop(); }
 
 void StuckQueryWatchdog::Start() {
-  MutexLock lock(mu_);
-  if (running_) return;
-  stop_requested_ = false;
-  running_ = true;
-  thread_ = std::thread([this] { Loop(); });
+  task_.Start(std::chrono::duration<double>(options_.interval_s),
+              [this] { ScanOnce(MonotonicSeconds()); });
 }
 
-void StuckQueryWatchdog::Stop() {
-  std::thread worker;
-  {
-    MutexLock lock(mu_);
-    if (!running_) return;
-    stop_requested_ = true;
-    running_ = false;
-    worker = std::move(thread_);
-  }
-  wake_.NotifyAll();
-  worker.join();
-}
+void StuckQueryWatchdog::Stop() { task_.Stop(); }
 
-bool StuckQueryWatchdog::running() const {
-  MutexLock lock(mu_);
-  return running_;
-}
+bool StuckQueryWatchdog::running() const { return task_.running(); }
 
 uint64_t StuckQueryWatchdog::scans() const {
   MutexLock lock(mu_);
@@ -118,21 +91,7 @@ size_t StuckQueryWatchdog::ScanOnce(double now_s) {
   scans_metric_->Increment();
   if (new_offenders == 0) return 0;
 
-  // One profile slice per scan (not per offender): the profiler is process
-  // wide, so a single capture covers every wedged worker at once. Failure —
-  // profiler busy or compiled out — degrades to a report without stacks.
-  std::string folded;
-  if (options_.profile_on_stuck) {
-    obs::CpuProfileOptions profile_options;
-    profile_options.duration_seconds = options_.profile_seconds;
-    obs::CpuProfile profile;
-    if (CollectCpuProfile(profile_options, &profile).ok()) {
-      folded = std::move(profile.folded);
-    }
-  }
-
-  for (StuckReport& report : fresh) {
-    report.profile_folded = folded;
+  for (const StuckReport& report : fresh) {
     MIRA_LOG_WARNING() << "watchdog: request " << report.request_id
                        << " (tenant " << report.tenant << ", "
                        << report.method << ") stuck: running "
@@ -151,23 +110,6 @@ size_t StuckQueryWatchdog::ScanOnce(double now_s) {
     while (reports_.size() > options_.max_reports) reports_.pop_front();
   }
   return new_offenders;
-}
-
-void StuckQueryWatchdog::Loop() {
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(options_.interval_s));
-      while (!stop_requested_) {
-        if (wake_.WaitUntil(lock, deadline)) break;
-      }
-      if (stop_requested_) return;
-    }
-    ScanOnce(MonotonicSeconds());
-  }
 }
 
 }  // namespace mira::service

@@ -6,11 +6,11 @@
 #include <functional>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/sync.h"
 #include "obs/metrics.h"
+#include "obs/periodic_task.h"
 #include "service/discovery_service.h"
 
 namespace mira::service {
@@ -28,28 +28,24 @@ struct StuckReport {
   double detected_at_s = 0.0;  ///< Monotonic seconds at detection.
   double running_ms = 0.0;     ///< Age when flagged.
   double budget_ms = 0.0;      ///< Deadline budget at dispatch (0 = none).
-  /// Folded stacks from the CPU profile slice taken at detection (empty when
-  /// profiling is disabled, compiled out, or another profile was active).
-  std::string profile_folded;
 };
 
 /// Background scanner over DiscoveryService::InflightSnapshot(). Each
 /// interval it flags requests whose run time exceeds N× their dispatch-time
 /// deadline budget, logs one report per offender (never re-reports the same
-/// dispatch id), bumps mira.watchdog.* counters, and — optionally — captures
-/// a short whole-process CPU profile slice so the report says what the
-/// wedged worker was actually doing.
+/// dispatch id), and bumps mira.watchdog.* counters. /profilez takes a CPU
+/// profile of the wedged worker on demand.
 ///
-/// Lifecycle mirrors StatsReporter: construct → Start() → ... → Stop() (or
-/// destructor). ScanOnce(now_s) is the deterministic seam the tests drive
-/// directly, no thread involved.
+/// Lifecycle: construct → Start() → ... → Stop() (or destructor); a
+/// PeriodicTask scans once per interval. ScanOnce(now_s) is the
+/// deterministic seam the tests drive directly, no thread involved.
 class StuckQueryWatchdog {
  public:
   using SnapshotFn =
       std::function<std::vector<DiscoveryService::InflightInfo>()>;
 
   struct Options {
-    /// Scan cadence for the background thread.
+    /// Scan cadence of the periodic task.
     double interval_s = 0.5;
     /// A request is stuck once running_ms > overdue_factor * budget_ms ...
     double overdue_factor = 3.0;
@@ -58,10 +54,6 @@ class StuckQueryWatchdog {
     double min_overdue_ms = 50.0;
     /// Budget charged to requests that carried no deadline at all.
     double no_deadline_budget_ms = 1000.0;
-    /// Capture a CPU profile slice when a scan finds new offenders. Off by
-    /// default: the profiler is process-wide and single-active.
-    bool profile_on_stuck = false;
-    double profile_seconds = 0.25;
     /// Reports retained for RecentReports (oldest dropped first).
     size_t max_reports = 32;
   };
@@ -89,8 +81,6 @@ class StuckQueryWatchdog {
   uint64_t total_stuck() const;
 
  private:
-  void Loop();
-
   Options options_;
   SnapshotFn snapshot_;
 
@@ -100,16 +90,13 @@ class StuckQueryWatchdog {
   obs::Gauge* stuck_now_metric_;
 
   mutable Mutex mu_;
-  CondVar wake_;
-  std::thread thread_ MIRA_GUARDED_BY(mu_);
-  bool running_ MIRA_GUARDED_BY(mu_) = false;
-  bool stop_requested_ MIRA_GUARDED_BY(mu_) = false;
   uint64_t scans_ MIRA_GUARDED_BY(mu_) = 0;
   uint64_t total_stuck_ MIRA_GUARDED_BY(mu_) = 0;
   /// Dispatch ids already reported: one report per stuck request, however
   /// many scans it stays wedged for. Pruned to the ids still in flight.
   std::set<uint64_t> reported_ MIRA_GUARDED_BY(mu_);
   std::deque<StuckReport> reports_ MIRA_GUARDED_BY(mu_);
+  obs::PeriodicTask task_;
 };
 
 }  // namespace mira::service

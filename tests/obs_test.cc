@@ -1,29 +1,63 @@
 // Unit tests for src/obs: metric registry semantics, histogram bucket math
 // against exact quantiles, exporter output, span-tree collection, the runtime
 // sampling knob, cross-thread trace propagation, Chrome trace export, the
-// structured query log, and the background stats reporter.
+// seqlock ring and the structured query log on it, the periodic task, and the
+// stats reporter.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/threadpool.h"
+#include "common/timer.h"
 #include "obs/metrics.h"
+#include "obs/periodic_task.h"
 #include "obs/query_log.h"
+#include "obs/seq_ring.h"
 #include "obs/stats_reporter.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
 namespace mira::obs {
+
+namespace internal {
+
+// Stages the state a writer leaves between its claim and its release store.
+class SeqRingTestPeer {
+ public:
+  template <typename T>
+  static void MarkWriting(SeqRing<T>* ring, uint64_t ticket) {
+    ring->slots_[ticket & ring->mask_].seq.store(2 * ticket + 1);
+  }
+};
+
+}  // namespace internal
+
+// A writer that drew its ticket and stalled before publishing: DrawTicket is
+// Record's fetch_add, Publish the rest of Record.
+class QueryLogTestPeer {
+ public:
+  static uint64_t DrawTicket(QueryLog* log) { return log->next_.fetch_add(1); }
+  static uint64_t Publish(QueryLog* log, uint64_t ticket,
+                          const QueryLogEntry& entry) {
+    return log->Publish(ticket, entry);
+  }
+  static internal::SeqRing<QueryLogEntry>* Ring(QueryLog* log) {
+    return &log->ring_;
+  }
+};
+
 namespace {
 
 // ---------- Counter / Gauge ----------
@@ -380,7 +414,99 @@ TEST(ChromeTraceWriterTest, EscapesLabelStrings) {
       << json;
 }
 
+TEST(TraceTest, ToJsonEscapesLabels) {
+  QueryTrace trace;
+  int32_t root = trace.StartSpan("query", -1, 0.0);
+  trace.SetLabel(root, "say \"hi\"");
+  trace.FinishSpan(root, 1.0);
+  const std::string json = trace.ToJson();
+  EXPECT_NE(json.find("\"label\": \"say \\\"hi\\\"\""), std::string::npos)
+      << json;
+}
+
+// ---------- SeqRing ----------
+
+TEST(SeqRingTest, PublishThenReadRoundTrips) {
+  internal::SeqRing<uint64_t> ring(4);
+  ring.Publish(0, 41);
+  ring.Publish(1, 42);
+  uint64_t out = 0;
+  ASSERT_TRUE(ring.Read(1, &out));
+  EXPECT_EQ(out, 42u);
+  ASSERT_TRUE(ring.Read(0, &out));
+  EXPECT_EQ(out, 41u);
+}
+
+TEST(SeqRingTest, RecycledSlotRejectsStaleTick) {
+  internal::SeqRing<uint64_t> ring(4);
+  for (uint64_t tick = 0; tick < 6; ++tick) ring.Publish(tick, tick * 10);
+  uint64_t out = 0;
+  // Ticks 4 and 5 overwrote the slots of 0 and 1.
+  EXPECT_FALSE(ring.Read(0, &out));
+  EXPECT_FALSE(ring.Read(1, &out));
+  ASSERT_TRUE(ring.Read(5, &out));
+  EXPECT_EQ(out, 50u);
+}
+
+TEST(SeqRingTest, CapacityRoundsUpToPowerOfTwo) {
+  EXPECT_EQ(internal::SeqRing<uint64_t>(5).capacity(), 8u);
+  EXPECT_EQ(internal::SeqRing<uint64_t>(0).capacity(), 2u);
+}
+
+TEST(SeqRingTest, PublishIntoABusyOrNewerSlotIsRejected) {
+  internal::SeqRing<uint64_t> ring(4);
+  ASSERT_TRUE(ring.Publish(5, 50));
+  // Slot 1 already holds ticket 5: the stalled writer of ticket 1 (and a
+  // second publish of ticket 5) must not overwrite it.
+  EXPECT_FALSE(ring.Publish(1, 10));
+  EXPECT_FALSE(ring.Publish(5, 55));
+  uint64_t out = 0;
+  ASSERT_TRUE(ring.Read(5, &out));
+  EXPECT_EQ(out, 50u);
+  // The next lap still claims it.
+  EXPECT_TRUE(ring.Publish(9, 90));
+  // Slot 2 mid-write (ticket 6 claimed, not released): no ticket may claim
+  // it, and it reads as absent.
+  internal::SeqRingTestPeer::MarkWriting(&ring, 6);
+  EXPECT_FALSE(ring.Publish(10, 100));
+  EXPECT_FALSE(ring.Publish(2, 20));
+  EXPECT_FALSE(ring.Read(6, &out));
+  EXPECT_FALSE(ring.Read(10, &out));
+}
+
 // ---------- QueryLog ----------
+
+TEST(QueryLogTest, CollidingWritersAreDroppedAndCounted) {
+  QueryLog log(2);
+  QueryLogEntry stale;
+  stale.SetMethod("stale");
+  // A writer draws ticket 0 and stalls for a full lap of the ring.
+  const uint64_t stalled = QueryLogTestPeer::DrawTicket(&log);
+  QueryLogEntry entry;
+  entry.SetMethod("ExS");
+  log.Record(entry);  // ticket 1
+  log.Record(entry);  // ticket 2, slot of ticket 0
+  EXPECT_EQ(QueryLogTestPeer::Publish(&log, stalled, stale), stalled + 1);
+  EXPECT_EQ(log.dropped(), 1u);
+  std::vector<QueryLogEntry> entries = log.Snapshot();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].id, 2u);
+  EXPECT_EQ(entries[1].id, 3u);
+  EXPECT_STREQ(entries[1].method, "ExS");
+
+  // A writer claims ticket 3's slot and stalls mid-write: ticket 5 shares
+  // the slot and is dropped; ticket 3 never reads as complete.
+  const uint64_t writing = QueryLogTestPeer::DrawTicket(&log);
+  internal::SeqRingTestPeer::MarkWriting(QueryLogTestPeer::Ring(&log),
+                                         writing);
+  EXPECT_EQ(log.Record(entry), 5u);  // ticket 4
+  EXPECT_EQ(log.Record(entry), 6u);  // ticket 5, dropped
+  EXPECT_EQ(log.dropped(), 2u);
+  EXPECT_EQ(log.total_recorded(), 6u);
+  entries = log.Snapshot();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].id, 5u);
+}
 
 TEST(QueryLogTest, RecordAssignsMonotonicIdsAndSnapshotsInOrder) {
   QueryLog log(8);
@@ -533,6 +659,17 @@ TEST(QueryLogTest, ExportJsonLinesShape) {
   EXPECT_EQ(second_line.find("budget_consumed", newline), std::string::npos);
 }
 
+TEST(QueryLogTest, ExportEscapesNames) {
+  QueryLog log(4);
+  QueryLogEntry entry;
+  entry.SetMethod("CTS");
+  entry.SetTenant("a\"b\\c");
+  log.Record(entry);
+  const std::string lines = log.ExportJsonLines();
+  EXPECT_NE(lines.find("\"tenant\": \"a\\\"b\\\\c\""), std::string::npos)
+      << lines;
+}
+
 TEST(QueryLogTest, ClearResetsEverything) {
   QueryLog log(8);
   QueryLogEntry entry;
@@ -545,6 +682,79 @@ TEST(QueryLogTest, ClearResetsEverything) {
   EXPECT_EQ(log.total_recorded(), 0u);
   QueryLogEntry next;
   EXPECT_EQ(log.Record(next), 1u);  // ids restart
+}
+
+// ---------- PeriodicTask ----------
+
+TEST(PeriodicTaskTest, BodyRunsOncePerIntervalUntilStopped) {
+  PeriodicTask task;
+  EXPECT_FALSE(task.Stop());  // safe without Start
+  std::atomic<int> runs{0};
+  task.Start(std::chrono::milliseconds(5), [&runs] { ++runs; });
+  EXPECT_TRUE(task.running());
+  task.Start(std::chrono::milliseconds(5), [] { FAIL() << "second body"; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_TRUE(task.Stop());
+  EXPECT_FALSE(task.running());
+  EXPECT_FALSE(task.Stop());  // idempotent
+  EXPECT_GE(runs.load(), 2);
+  // A stopped task starts again.
+  task.Start(std::chrono::hours(1), [] {});
+  EXPECT_TRUE(task.running());
+  EXPECT_TRUE(task.Stop());
+}
+
+TEST(PeriodicTaskTest, ThrowingBodyIsLoggedAndKeepsItsSchedule) {
+  PeriodicTask task;
+  std::atomic<int> runs{0};
+  task.Start(std::chrono::milliseconds(2), [&runs] {
+    ++runs;
+    throw std::runtime_error("collector failed");
+  });
+  while (runs.load() < 3) std::this_thread::yield();
+  EXPECT_TRUE(task.Stop());
+}
+
+TEST(PeriodicTaskTest, OneHourIntervalStopsWithinASecond) {
+  PeriodicTask task;
+  std::atomic<int> runs{0};
+  task.Start(std::chrono::hours(1), [&runs] { ++runs; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  WallTimer timer;
+  EXPECT_TRUE(task.Stop());
+  EXPECT_LT(timer.ElapsedSeconds(), 1.0);
+  EXPECT_EQ(runs.load(), 0);
+}
+
+TEST(PeriodicTaskTest, ConcurrentStopsJoinOnceAndTheBodyNeverOutlivesThem) {
+  for (int round = 0; round < 20; ++round) {
+    PeriodicTask task;
+    // Set by each Stop caller once its Stop returned; a body that sees it
+    // set on its way out was still running after a Stop returned.
+    std::atomic<bool> a_stop_returned{false};
+    std::atomic<int> late_runs{0};
+    task.Start(std::chrono::microseconds(100), [&] {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (a_stop_returned.load()) ++late_runs;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::atomic<bool> go{false};
+    std::atomic<int> stopped{0};
+    std::vector<std::thread> stoppers;
+    for (int t = 0; t < 2; ++t) {
+      stoppers.emplace_back([&] {
+        while (!go.load()) std::this_thread::yield();
+        if (task.Stop()) ++stopped;
+        a_stop_returned.store(true);
+      });
+    }
+    go.store(true);
+    for (std::thread& stopper : stoppers) stopper.join();
+    EXPECT_EQ(stopped.load(), 1);
+    EXPECT_FALSE(task.running());
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(late_runs.load(), 0);
+  }
 }
 
 // ---------- StatsReporter ----------

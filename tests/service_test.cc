@@ -530,7 +530,12 @@ TEST(DiscoveryServiceTest, PriorityTenantsDispatchFirst) {
   ServiceRequest head;
   head.tenant = "default";
   vip_svc.Submit(std::move(head), collector.Callback());
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  // Wait until the worker runs it: a fixed sleep raced a loaded machine.
+  auto head_running = [&] {
+    MutexLock lock(order_mu);
+    return !order.empty();
+  };
+  while (!head_running()) std::this_thread::yield();
   for (const char* tenant : {"default", "default", "vip"}) {
     ServiceRequest request;
     request.tenant = tenant;

@@ -30,33 +30,6 @@ WindowedMetrics::Options SmallWindows(MetricRegistry* registry,
   return options;
 }
 
-TEST(SeqRingTest, PublishThenReadRoundTrips) {
-  internal::SeqRing<uint64_t> ring(4);
-  ring.Publish(0, 41);
-  ring.Publish(1, 42);
-  uint64_t out = 0;
-  ASSERT_TRUE(ring.Read(1, &out));
-  EXPECT_EQ(out, 42u);
-  ASSERT_TRUE(ring.Read(0, &out));
-  EXPECT_EQ(out, 41u);
-}
-
-TEST(SeqRingTest, RecycledSlotRejectsStaleTick) {
-  internal::SeqRing<uint64_t> ring(4);
-  for (uint64_t tick = 0; tick < 6; ++tick) ring.Publish(tick, tick * 10);
-  uint64_t out = 0;
-  // Ticks 4 and 5 overwrote the slots of 0 and 1.
-  EXPECT_FALSE(ring.Read(0, &out));
-  EXPECT_FALSE(ring.Read(1, &out));
-  ASSERT_TRUE(ring.Read(5, &out));
-  EXPECT_EQ(out, 50u);
-}
-
-TEST(SeqRingTest, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(internal::SeqRing<uint64_t>(5).capacity(), 8u);
-  EXPECT_EQ(internal::SeqRing<uint64_t>(0).capacity(), 2u);
-}
-
 TEST(WindowedMetricsTest, NotMeasurableBeforeTwoTicks) {
   MetricRegistry registry;
   WindowedMetrics windows(SmallWindows(&registry));

@@ -20,7 +20,7 @@ bound; 2 on unreadable input. It reads the repository's BENCHMARK.json and
 changes nothing.
 
 --quality compares two directories of quality-table results (the
-BENCH_table*_quality_*.json that the Table 1-3 benches write; see
+BENCH_table*_quality_*.json that bench_quality_tables writes; see
 tools/quality_grid.sh and bench_results/quality_gate/). Rows are keyed by
 bench, partition, query class and method. By default the comparison is
 exact: every MAP, MRR and nDCG@10 digit must match, and the run must cover

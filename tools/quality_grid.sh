@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the reduced quality grid that bench_results/quality_gate/ snapshots:
-# the Table 1-3 benches (ExS, ANNS, CTS and the five baselines over the LD/MD/SD
-# partitions of a 300-table WikiTables-style corpus) on the forced scalar
-# tier, so every MAP/MRR/nDCG digit repeats on any CPU.
+# bench_quality_tables, Tables 1-3 (ExS, ANNS, CTS and the five baselines over
+# the LD/MD/SD partitions of a 300-table WikiTables-style corpus), on the
+# forced scalar tier, so every MAP/MRR/nDCG digit repeats on any CPU.
 #
 # Usage:
 #   tools/quality_grid.sh BENCH_DIR OUT_DIR
@@ -20,8 +20,5 @@ fi
 bench_dir="$1"
 out_dir="$2"
 mkdir -p "$out_dir"
-for bench in bench_table1_quality_long bench_table2_quality_moderate \
-             bench_table3_quality_short; do
-  MIRA_FORCE_SCALAR=1 MIRA_BENCH_TABLES=300 MIRA_BENCH_JSON_DIR="$out_dir" \
-    "$bench_dir/$bench" > "$out_dir/$bench.txt"
-done
+MIRA_FORCE_SCALAR=1 MIRA_BENCH_TABLES=300 MIRA_BENCH_JSON_DIR="$out_dir" \
+  "$bench_dir/bench_quality_tables" > "$out_dir/bench_quality_tables.txt"
