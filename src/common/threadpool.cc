@@ -5,6 +5,7 @@
 #include <exception>
 #include <memory>
 
+#include "common/logging.h"
 #include "obs/trace_propagation.h"
 
 namespace mira {
@@ -71,11 +72,12 @@ void ThreadPool::WorkerLoop() {
 
 namespace {
 
-// Per-call state shared between the caller and its chunk tasks. Owning a copy
-// of `body` here (rather than capturing the caller's reference) keeps the
-// tasks valid even if the caller's frame unwinds before they run.
+// Per-call state shared between the caller and its chunk tasks. `body` is
+// borrowed from the caller, which joins every submitted chunk before it
+// returns or throws; a chunk no longer touches it once it counts itself done.
 struct ParallelForState {
-  std::function<void(size_t)> body;
+  const std::function<Status(size_t)>* body = nullptr;
+  const QueryControl* control = nullptr;
   std::atomic<size_t> next{0};
   std::atomic<bool> cancelled{false};
   size_t end = 0;
@@ -88,110 +90,60 @@ struct ParallelForState {
   Mutex mu;
   CondVar done_cv;
   size_t done_chunks MIRA_GUARDED_BY(mu) = 0;
-  std::exception_ptr first_error MIRA_GUARDED_BY(mu);
-};
-
-}  // namespace
-
-void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body) {
-  if (begin >= end) return;
-  const size_t n = end - begin;
-  if (pool == nullptr || pool->num_threads() <= 1 || n == 1) {
-    for (size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-
-  const size_t num_workers = pool->num_threads();
-  const size_t chunk = std::max<size_t>(1, n / (num_workers * 4));
-  const size_t total_chunks = (n + chunk - 1) / chunk;
-
-  auto state = std::make_shared<ParallelForState>();
-  state->body = body;
-  state->next.store(begin, std::memory_order_relaxed);
-  state->end = end;
-  state->chunk = chunk;
-
-  size_t submitted = 0;
-  try {
-    for (size_t c = 0; c < total_chunks; ++c) {
-      pool->Submit([state] {
-        const size_t start =
-            state->next.fetch_add(state->chunk, std::memory_order_relaxed);
-        const size_t stop = std::min(state->end, start + state->chunk);
-        if (!state->cancelled.load(std::memory_order_acquire)) {
-          // The worker scope collects this chunk's spans into a private
-          // buffer; it must close (hand the buffer over) before the chunk is
-          // counted done, or the caller's merge could race the handoff.
-          obs::CrossThreadTraceCapture::WorkerScope trace_scope(&state->trace);
-          try {
-            for (size_t i = start; i < stop; ++i) state->body(i);
-          } catch (...) {
-            state->cancelled.store(true, std::memory_order_release);
-            MutexLock lock(state->mu);
-            if (!state->first_error) state->first_error = std::current_exception();
-          }
-        }
-        MutexLock lock(state->mu);
-        ++state->done_chunks;
-        state->done_cv.NotifyAll();
-      });
-      ++submitted;
-    }
-  } catch (...) {
-    // Submit failed (e.g. allocation). Wait for whatever was queued, then
-    // surface the submission failure.
-    {
-      MutexLock lock(state->mu);
-      while (state->done_chunks != submitted) state->done_cv.Wait(lock);
-    }
-    state->trace.MergeIntoParent();
-    throw;
-  }
-
-  // Wait on this call's own completion count, not ThreadPool::WaitIdle():
-  // unrelated tasks and concurrent ParallelFor calls must not stall us, and
-  // WaitIdle could otherwise block forever on work that never drains.
-  std::exception_ptr first_error;
-  {
-    MutexLock lock(state->mu);
-    while (state->done_chunks != submitted) state->done_cv.Wait(lock);
-    first_error = state->first_error;
-  }
-  // All chunks are done, so the worker buffers are complete: splice them into
-  // the caller's trace (even when rethrowing — a partial trace beats none).
-  state->trace.MergeIntoParent();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-namespace {
-
-// Shared state for ParallelForCancellable. Same ownership story as
-// ParallelForState, but errors travel as Status values (first one wins)
-// instead of exception_ptr.
-struct CancellableForState {
-  std::function<Status(size_t)> body;
-  const QueryControl* control = nullptr;
-  std::atomic<size_t> next{0};
-  std::atomic<bool> cancelled{false};
-  size_t end = 0;
-  size_t chunk = 0;
-
-  // Same cross-thread span plumbing as ParallelForState.
-  obs::CrossThreadTraceCapture trace;
-
-  Mutex mu;
-  CondVar done_cv;
-  size_t done_chunks MIRA_GUARDED_BY(mu) = 0;
-  /// OK until the first non-OK invocation.
+  /// OK until the first non-OK invocation (first temporally wins).
   Status first_error MIRA_GUARDED_BY(mu);
+  std::exception_ptr first_exception MIRA_GUARDED_BY(mu);
 
-  // Records the first non-OK status and stops further chunk scheduling.
-  // Later errors are discarded ("first non-OK wins" is temporal order).
+  // Records the first failure and stops further chunk scheduling.
   void RecordError(Status status) {
     cancelled.store(true, std::memory_order_release);
     MutexLock lock(mu);
     if (first_error.ok()) first_error = std::move(status);
+  }
+  void RecordException(std::exception_ptr error) {
+    cancelled.store(true, std::memory_order_release);
+    MutexLock lock(mu);
+    if (!first_exception) first_exception = std::move(error);
+  }
+
+  // One chunk task: claims the next `chunk` indices and runs them unless the
+  // loop was already cancelled, then counts itself done.
+  void RunChunk() {
+    const size_t start = next.fetch_add(chunk, std::memory_order_relaxed);
+    const size_t stop = std::min(end, start + chunk);
+    if (!cancelled.load(std::memory_order_acquire)) {
+      // The worker scope collects this chunk's spans into a private buffer;
+      // it must close (hand the buffer over) before the chunk is counted
+      // done, or the caller's merge could race the handoff.
+      obs::CrossThreadTraceCapture::WorkerScope trace_scope(&trace);
+      try {
+        // Budget check once per chunk, not per index: chunks are the
+        // amortization unit of this loop.
+        Status status = control != nullptr
+                            ? control->Check("ParallelForCancellable")
+                            : Status::OK();
+        for (size_t i = start; status.ok() && i < stop; ++i) {
+          status = (*body)(i);
+        }
+        if (!status.ok()) RecordError(std::move(status));
+      } catch (...) {
+        RecordException(std::current_exception());
+      }
+    }
+    MutexLock lock(mu);
+    ++done_chunks;
+    done_cv.NotifyAll();
+  }
+
+  // Waits on this call's own completion count, not ThreadPool::WaitIdle():
+  // unrelated tasks and concurrent calls must not stall us. Then splices the
+  // (now complete) worker span buffers into the caller's trace.
+  void Join(size_t submitted) {
+    {
+      MutexLock lock(mu);
+      while (done_chunks != submitted) done_cv.Wait(lock);
+    }
+    trace.MergeIntoParent();
   }
 };
 
@@ -207,11 +159,9 @@ Status ParallelForCancellable(ThreadPool* pool, size_t begin, size_t end,
     // block-granular bodies, so this is already amortized work.
     for (size_t i = begin; i < end; ++i) {
       if (control != nullptr) {
-        Status budget = control->Check("ParallelForCancellable");
-        if (!budget.ok()) return budget;
+        MIRA_RETURN_NOT_OK(control->Check("ParallelForCancellable"));
       }
-      Status status = body(i);
-      if (!status.ok()) return status;
+      MIRA_RETURN_NOT_OK(body(i));
     }
     return Status::OK();
   }
@@ -220,56 +170,44 @@ Status ParallelForCancellable(ThreadPool* pool, size_t begin, size_t end,
   const size_t chunk = std::max<size_t>(1, n / (num_workers * 4));
   const size_t total_chunks = (n + chunk - 1) / chunk;
 
-  auto state = std::make_shared<CancellableForState>();
-  state->body = body;
+  auto state = std::make_shared<ParallelForState>();
+  state->body = &body;
   state->control = control;
   state->next.store(begin, std::memory_order_relaxed);
   state->end = end;
   state->chunk = chunk;
 
   size_t submitted = 0;
-  for (size_t c = 0; c < total_chunks; ++c) {
-    pool->Submit([state] {
-      const size_t start =
-          state->next.fetch_add(state->chunk, std::memory_order_relaxed);
-      const size_t stop = std::min(state->end, start + state->chunk);
-      if (!state->cancelled.load(std::memory_order_acquire)) {
-        obs::CrossThreadTraceCapture::WorkerScope trace_scope(&state->trace);
-        // Budget check once per chunk, not per index: chunks are the
-        // amortization unit of this loop.
-        Status budget = state->control != nullptr
-                            ? state->control->Check("ParallelForCancellable")
-                            : Status::OK();
-        if (!budget.ok()) {
-          state->RecordError(std::move(budget));
-        } else {
-          for (size_t i = start; i < stop; ++i) {
-            Status status = state->body(i);
-            if (!status.ok()) {
-              state->RecordError(std::move(status));
-              break;
-            }
-          }
-        }
-      }
-      MutexLock lock(state->mu);
-      ++state->done_chunks;
-      state->done_cv.NotifyAll();
-    });
-    ++submitted;
-    // Stop scheduling new chunks once an error or the control fired;
-    // already-queued chunks complete as no-ops.
-    if (state->cancelled.load(std::memory_order_acquire)) break;
+  try {
+    for (size_t c = 0; c < total_chunks; ++c) {
+      pool->Submit([state] { state->RunChunk(); });
+      ++submitted;
+      // Stop scheduling new chunks once a failure or the control fired;
+      // already-queued chunks complete as no-ops.
+      if (state->cancelled.load(std::memory_order_acquire)) break;
+    }
+  } catch (...) {
+    // Submit failed (e.g. allocation): wait for whatever was queued, then
+    // surface the submission failure.
+    state->Join(submitted);
+    throw;
   }
+  state->Join(submitted);
+  MutexLock lock(state->mu);
+  if (state->first_exception) std::rethrow_exception(state->first_exception);
+  return state->first_error;
+}
 
-  Status first_error;
-  {
-    MutexLock lock(state->mu);
-    while (state->done_chunks != submitted) state->done_cv.Wait(lock);
-    first_error = state->first_error;
-  }
-  state->trace.MergeIntoParent();
-  return first_error;
+void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
+                 const std::function<void(size_t)>& body) {
+  // No control and a body that never returns an error: the only failure
+  // left is an exception, which ParallelForCancellable rethrows here.
+  Status status =
+      ParallelForCancellable(pool, begin, end, nullptr, [&body](size_t i) {
+        body(i);
+        return Status::OK();
+      });
+  MIRA_DCHECK(status.ok());
 }
 
 }  // namespace mira

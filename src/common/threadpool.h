@@ -20,7 +20,9 @@ namespace mira {
 ///  - Submit() may be called concurrently from any thread.
 ///  - Tasks must not throw. An exception escaping a task terminates the
 ///    process (workers run tasks without a handler). Wrap fallible work and
-///    route errors through Status instead; ParallelFor does this for you.
+///    route errors through Status instead; ParallelFor and
+///    ParallelForCancellable do this for you (a throwing body is caught on
+///    the worker and rethrown in the caller).
 ///  - Destruction drains the queue: every task submitted before the
 ///    destructor starts is executed before the workers join. Submitting
 ///    concurrently with destruction is a caller lifetime bug.
@@ -73,46 +75,43 @@ class ThreadPool {
 };
 
 /// Runs body(i) for i in [begin, end) across the pool, blocking until every
-/// index has been processed.
+/// index has been processed. A thin wrapper over ParallelForCancellable with
+/// no control and a body that cannot fail, so the contract below is shared.
+void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
+                 const std::function<void(size_t)>& body);
+
+/// Cancellable, Status-returning parallel loop: runs body(i) for i in
+/// [begin, end) across the pool and returns the first non-OK status any
+/// invocation produced (first temporally; later errors are discarded), or
+/// the control's kCancelled/kDeadlineExceeded when it fires mid-loop.
 ///
-/// Contract:
+/// Contract (both loops):
 ///  - `body` must be safe to call concurrently from multiple threads.
-///  - `body` is copied into shared per-call state, so the chunk tasks never
-///    dangle even if the caller's frame unwinds; the call still does not
-///    return before all submitted chunks have finished.
+///  - The call never returns (or throws) before every submitted chunk has
+///    completed, so `body` may capture the caller's frame by reference.
 ///  - Completion is tracked per call with a dedicated condition variable
-///    (not ThreadPool::WaitIdle), so concurrent ParallelFor calls on the
-///    same pool do not block on each other's work.
-///  - If `body` throws, remaining chunks are skipped (indices already
-///    claimed by a running chunk still complete), the call waits for all
-///    in-flight chunks, and the first exception is rethrown in the caller.
+///    (not ThreadPool::WaitIdle), so concurrent calls on the same pool do not
+///    block on each other's work.
+///  - Once an invocation returns non-OK or throws, or `control` fires,
+///    already-queued chunks become no-ops (they complete without calling
+///    `body`) and no index not yet claimed by a running chunk is processed.
+///    Indices inside a chunk that has already started still run to the
+///    chunk boundary, unless that chunk's own invocation failed.
+///  - If `body` throws, the first exception is rethrown in the caller after
+///    the join (it outranks a non-OK status). If Submit itself throws, the
+///    chunks already queued are drained before that exception propagates.
+///  - `control` (nullable) is tested at chunk boundaries on the pool path
+///    and per index on the inline path — callers amortize by giving `body`
+///    block-granular work, never per-cell work.
 ///  - Runs inline on the calling thread when `pool` is null, has a single
 ///    worker, or the range is a single index.
+///  - A non-OK return does not say which indices ran: partial side effects
+///    are the caller's to tolerate or discard.
 ///  - Trace propagation: when the caller has an obs trace armed, spans that
 ///    `body` creates on worker threads are collected into per-task buffers
 ///    and spliced into the caller's QueryTrace at the join, tagged with the
 ///    worker's thread id and parented under the span open at the call site.
 ///    (Raw Submit() has no join point and does not propagate traces.)
-void ParallelFor(ThreadPool* pool, size_t begin, size_t end,
-                 const std::function<void(size_t)>& body);
-
-/// Cancellable, Status-returning variant of ParallelFor: runs body(i) for i
-/// in [begin, end) across the pool and returns the first non-OK status any
-/// invocation produced (first temporally; later errors are discarded), or
-/// the control's kCancelled/kDeadlineExceeded when it fires mid-loop.
-///
-/// Contract (on top of the ParallelFor contract):
-///  - Once an invocation returns non-OK or `control` fires, already-queued
-///    chunks become no-ops (they complete without calling `body`) and no
-///    index not yet claimed by a running chunk is processed. Indices inside
-///    a chunk that has already started still run to the chunk boundary.
-///  - `control` (nullable) is tested at chunk boundaries on the pool path
-///    and per index on the inline path — callers amortize by giving `body`
-///    block-granular work, never per-cell work.
-///  - The call never returns before every submitted chunk has completed, so
-///    `body` may capture the caller's frame by reference.
-///  - A non-OK return does not say which indices ran: partial side effects
-///    are the caller's to tolerate (the ExS partial scan counts them).
 [[nodiscard]] Status ParallelForCancellable(
     ThreadPool* pool, size_t begin, size_t end, const QueryControl* control,
     const std::function<Status(size_t)>& body);

@@ -165,7 +165,6 @@ Status DiscoveryEngine::FinishBuild(const EngineOptions& options,
                                                      encoder_, options.exs);
   ExsOptions fallback_exs;
   fallback_exs.reuse_corpus_embeddings = true;  // index-speed, shares corpus_
-  fallback_exs.allow_partial = true;
   fallback_exs_ = std::make_unique<ExhaustiveSearcher>(&federation_, corpus_,
                                                        encoder_, fallback_exs);
   // ANNS and CTS only read corpus_. With a pool they build concurrently:
@@ -375,32 +374,17 @@ Result<Ranking> DiscoveryEngine::SearchWithFallback(
     return result;
   }
 
-  // Fallback ladder, cheapest first. Each rung still runs under the expired
-  // budget, so it answers only if it can finish between two of its own
-  // amortized checks (plausible for the pruned methods on modest corpora).
-  constexpr Method kLadder[] = {Method::kCts, Method::kAnns};
-  for (Method fb_method : kLadder) {
-    if (fb_method == method) continue;
-    const Searcher* fb = this->searcher(fb_method);
-    if (fb == nullptr) continue;
-    Result<Ranking> fb_result = fb->Search(query, options);
-    if (fb_result.ok()) {
-      fb_result->degraded = true;
-      RecordDegradation(*fb_result, /*fell_back=*/true);
-      return fb_result;
-    }
-    // Another deadline miss descends the ladder; anything else stops it.
-    if (!fb_result.status().IsDeadlineExceeded()) return fb_result;
-  }
-
-  // Last resort: the partial exhaustive scan. Scans at least one block
-  // regardless of budget, so it returns a (partial) ranking rather than an
-  // error — the "always answer" floor of the ladder.
-  Result<Ranking> partial = fallback_exs_->Search(query, options);
-  if (!partial.ok()) return partial;
-  partial->degraded = true;
-  RecordDegradation(*partial, /*fell_back=*/true);
-  return partial;
+  // The fallback: the cached ExS with the deadline lifted and the cancel
+  // token kept. It is one dot per relation against precomputed means, so it
+  // answers with the full, exact ExS ranking; only a cancellation during it
+  // can still fail the query.
+  DiscoveryOptions lifted = options;
+  lifted.control.deadline = Deadline::Infinite();
+  Result<Ranking> fallback = fallback_exs_->Search(query, lifted);
+  if (!fallback.ok()) return fallback;
+  fallback->degraded = true;
+  RecordDegradation(*fallback, /*fell_back=*/true);
+  return fallback;
 }
 
 Result<Ranking> DiscoveryEngine::Search(Method method, const std::string& query,

@@ -90,13 +90,12 @@ struct EngineOptions {
 ///
 /// Deadline behavior (DiscoveryOptions::control): searchers first
 /// self-degrade (ANNS shrinks ef, CTS probes fewer clusters). If the primary
-/// method still runs out of budget, the engine walks a fallback ladder —
-/// CTS, then ANNS (each skipped when it is the failed primary or was not
-/// built), then a partial exhaustive scan that always produces a ranking —
-/// so a deadline-bounded query returns a flagged, degraded ranking instead
-/// of an error whenever any method can answer at all. Cancellation is
-/// different: kCancelled means the caller walked away, so it propagates
-/// immediately with no fallback. See docs/ROBUSTNESS.md.
+/// method still misses its deadline, the engine answers from the cached
+/// exhaustive scan with the deadline lifted: the full, exact ExS ranking,
+/// flagged `degraded` (never `partial`), so a deadline-bounded query returns
+/// a ranking instead of an error. Cancellation is different: kCancelled
+/// means the caller walked away, so it propagates immediately with no
+/// fallback. See docs/ROBUSTNESS.md.
 class DiscoveryEngine {
  public:
   /// Builds every enabled search structure over `federation`. The federation
@@ -153,7 +152,7 @@ class DiscoveryEngine {
   [[nodiscard]] Status FinishBuild(const EngineOptions& options,
                                    ThreadPool* pool);
 
-  /// Search + the deadline fallback ladder; shared by Search/SearchTraced.
+  /// Search + the deadline fallback; shared by Search/SearchTraced.
   [[nodiscard]] Result<Ranking> SearchWithFallback(
       Method method, const std::string& query,
       const DiscoveryOptions& options) const;
@@ -196,10 +195,10 @@ class DiscoveryEngine {
   std::unique_ptr<ExhaustiveSearcher> exhaustive_;
   std::unique_ptr<AnnsSearcher> anns_;
   std::unique_ptr<CtsSearcher> cts_;
-  /// Last rung of the deadline ladder: a cached-corpus exhaustive scanner
-  /// in allow_partial mode. Construction builds its per-relation mean
-  /// vectors from corpus_, and it always returns *something* —
-  /// even a pre-expired budget scores one run of relations.
+  /// The deadline fallback: a cached-corpus exhaustive scanner, one dot per
+  /// relation against the per-relation mean vectors its construction builds
+  /// from corpus_. It runs with the deadline lifted, so it always answers
+  /// unless the query is cancelled.
   std::unique_ptr<ExhaustiveSearcher> fallback_exs_;
   BuildReport build_report_;
   std::array<MethodMetrics, 3> method_metrics_{};

@@ -1,5 +1,7 @@
 #include "discovery/exhaustive_search.h"
 
+#include <optional>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "vecmath/simd.h"
@@ -59,112 +61,61 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
   const QueryControl& control = options.control;
   const size_t d = corpus_->dim();
   const size_t num_relations = corpus_->num_relations;
-  // avg_s per relation; only relations [0, reached) are ranked.
-  std::vector<float> avg(num_relations, 0.0f);
-  size_t reached = num_relations;
-  const bool track_partial = control.active() && options_.allow_partial;
-  size_t cells_scanned = corpus_->num_cells();
+  std::vector<float> avg(num_relations, 0.0f);  // avg_s per relation
 
   // Aggregate scan counters live on this call-site span; the faithful pool
-  // paths additionally record per-relation worker spans — ParallelFor
-  // propagates the trace context and splices them in under this span at
-  // the join.
+  // path additionally records per-relation worker spans, which the parallel
+  // loop splices in under this span at the join.
   obs::TraceSpan scan_span("exs.scan");
 
   if (options_.reuse_corpus_embeddings) {
     // "ExS-cached" ablation: one dot per relation against its mean cell
     // vector (q and the cells are unit-normalized, so each q·c_i is the
-    // cosine and their mean is q·m_r). Relations are scored in runs of at
-    // least kRunCells cells with a budget check before each run. In partial
-    // mode run 0 always executes (a pre-expired budget still yields hits)
-    // and the relations past the cut go missing.
-    constexpr size_t kRunCells = 1024;
-    cells_scanned = 0;
-    size_t begin = 0;
-    while (begin < num_relations) {
-      if (!track_partial) {
-        MIRA_RETURN_NOT_OK(control.Check("exs.scan"));
-      } else if (begin > 0 && control.ShouldStop()) {
-        break;
-      }
-      size_t end = begin;
-      const size_t run_start = cells_scanned;
-      while (end < num_relations && cells_scanned - run_start < kRunCells) {
-        cells_scanned += corpus_->cells_per_relation[end++];
-      }
-      vecmath::DotBatch(q.data(), relation_means_.Row(begin), end - begin, d,
-                        &avg[begin]);
-      begin = end;
-    }
-    reached = begin;
+    // cosine and their mean is q·m_r). The whole scan is one batch, so the
+    // budget is checked once, before it.
+    MIRA_RETURN_NOT_OK(control.Check("exs.scan"));
+    vecmath::DotBatch(q.data(), relation_means_.data().data(), num_relations,
+                      d, avg.data());
   } else {
     // Faithful Algorithm 1: every attribute value is embedded inside the
     // query loop (lines 3-8) before its similarity is computed. With a pool
     // the relations are partitioned across workers (scores are per-relation
-    // sums, so partitioning by relation needs no synchronization).
-    auto scan_relation = [&](size_t rid) {
-      const table::Relation& relation =
-          federation_->relation(static_cast<table::RelationId>(rid));
-      double sum = 0.0;
-      for (const auto& row : relation.rows) {
-        for (const auto& cell : row) {
-          if (cell.empty()) continue;
-          vecmath::Vec w = encoder_->EncodeText(cell);
-          vecmath::NormalizeInPlace(&w);
-          sum += vecmath::Dot(q.data(), w.data(), d);
-        }
-      }
-      const uint32_t cells = corpus_->cells_per_relation[rid];
-      if (cells > 0) {
-        avg[rid] = static_cast<float>(sum / static_cast<double>(cells));
-      }
-    };
-    // Pool paths wrap each relation in a worker span (serial paths stay
-    // covered by the call-site exs.scan span alone, keeping serial traces
-    // from growing one span per relation).
-    auto scan_relation_traced = [&](size_t rid) {
-      obs::TraceSpan span("exs.scan_relation");
-      span.AddCounter("cells",
-                      static_cast<int64_t>(corpus_->cells_per_relation[rid]));
-      scan_relation(rid);
-    };
-    if (track_partial) {
-      // Serial with a per-relation budget check; relation 0 always runs.
-      size_t scanned = 0;
-      for (size_t rid = 0; rid < federation_->size(); ++rid) {
-        if (rid > 0 && control.ShouldStop()) {
-          reached = rid;
-          break;
-        }
-        scan_relation(rid);
-        scanned += corpus_->cells_per_relation[rid];
-      }
-      cells_scanned = scanned;
-    } else if (control.active()) {
-      if (pool_ != nullptr) {
-        MIRA_RETURN_NOT_OK(ParallelForCancellable(
-            pool_.get(), 0, federation_->size(), &control, [&](size_t rid) {
-              scan_relation_traced(rid);
-              return Status::OK();
-            }));
-      } else {
-        for (size_t rid = 0; rid < federation_->size(); ++rid) {
-          MIRA_RETURN_NOT_OK(control.Check("exs.scan"));
-          scan_relation(rid);
-        }
-      }
-    } else if (pool_ != nullptr) {
-      ParallelFor(pool_.get(), 0, federation_->size(), scan_relation_traced);
-    } else {
-      for (size_t rid = 0; rid < federation_->size(); ++rid) {
-        scan_relation(rid);
-      }
-    }
+    // sums, so partitioning by relation needs no synchronization), and each
+    // gets a worker span; the serial scan stays covered by exs.scan alone,
+    // keeping serial traces from growing one span per relation.
+    const bool pooled = pool_ != nullptr;
+    MIRA_RETURN_NOT_OK(ParallelForCancellable(
+        pool_.get(), 0, num_relations, control.active() ? &control : nullptr,
+        [&](size_t rid) {
+          const uint32_t cells = corpus_->cells_per_relation[rid];
+          std::optional<obs::TraceSpan> span;
+          if (pooled) {
+            span.emplace("exs.scan_relation");
+            span->AddCounter("cells", static_cast<int64_t>(cells));
+          }
+          const table::Relation& relation =
+              federation_->relation(static_cast<table::RelationId>(rid));
+          double sum = 0.0;
+          for (const auto& row : relation.rows) {
+            for (const auto& cell : row) {
+              if (cell.empty()) continue;
+              vecmath::Vec w = encoder_->EncodeText(cell);
+              vecmath::NormalizeInPlace(&w);
+              sum += vecmath::Dot(q.data(), w.data(), d);
+            }
+          }
+          if (cells > 0) {
+            avg[rid] = static_cast<float>(sum / static_cast<double>(cells));
+          }
+          return Status::OK();
+        }));
   }
 
+  const size_t cells_scanned = corpus_->num_cells();
   scan_span.AddCounter("cells_scanned", static_cast<int64_t>(cells_scanned));
   scan_span.AddCounter("dist_comps", static_cast<int64_t>(cells_scanned));
-  scan_span.AddCounter("relations_scanned", static_cast<int64_t>(reached));
+  scan_span.AddCounter("relations_scanned",
+                       static_cast<int64_t>(num_relations));
   scan_span.AddCounter("reused_embeddings",
                        options_.reuse_corpus_embeddings ? 1 : 0);
   scan_span.Finish();
@@ -174,16 +125,14 @@ Result<Ranking> ExhaustiveSearcher::Search(const std::string& query,
     cells_metric.Add(cells_scanned);
   }
 
-  // Sort / threshold / top-k over the relations reached (lines 10-13).
+  // Sort / threshold / top-k (lines 10-13).
   Ranking ranking;
-  ranking.reserve(reached);
-  for (table::RelationId rid = 0; rid < reached; ++rid) {
+  ranking.reserve(num_relations);
+  for (table::RelationId rid = 0; rid < num_relations; ++rid) {
     if (corpus_->cells_per_relation[rid] == 0) continue;
     ranking.push_back({rid, avg[rid]});
   }
   ApplyThresholdAndTopK(&ranking, options);
-  ranking.partial = reached < num_relations;
-  ranking.degraded = ranking.partial;
   return ranking;
 }
 

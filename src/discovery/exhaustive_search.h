@@ -28,14 +28,6 @@ struct ExsOptions {
   /// is one dot per relation and always runs on the calling thread, so it
   /// ignores this.
   size_t num_threads = 1;
-  /// How an active DiscoveryOptions::control firing mid-scan is handled.
-  /// false (default): the scan aborts and Search returns
-  /// kDeadlineExceeded/kCancelled. true: the scan stops at a relation
-  /// boundary — after at least one run of relations, so even a pre-expired
-  /// deadline yields hits — and Search returns the relations reached so far,
-  /// each scored exactly, with `partial` and `degraded` set. The engine's
-  /// last-resort fallback uses this mode; see docs/ROBUSTNESS.md.
-  bool allow_partial = false;
 };
 
 /// Exhaustive Search — Algorithm 1 (§4.1).
@@ -50,6 +42,11 @@ struct ExsOptions {
 /// linear, so with cached embeddings avg_s(r) = q·m_r, where m_r is the mean
 /// of r's normalized cell vectors: the cached scan is one dot per relation
 /// against a matrix of means built at construction.
+///
+/// There is no partial answer: an active DiscoveryOptions::control that fires
+/// before the scan completes makes Search return kDeadlineExceeded or
+/// kCancelled. The cached scan checks it once, before its single batch; the
+/// faithful scan checks it per relation (per chunk of relations on a pool).
 class ExhaustiveSearcher final : public Searcher {
  public:
   /// Shares ownership of pre-built corpus embeddings. `federation` must

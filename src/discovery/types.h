@@ -23,8 +23,8 @@ struct DiscoveryOptions {
   float threshold = -1.0f;
   /// Deadline + cancellation budget for the query. Default-constructed =
   /// unbounded, which keeps the uncontrolled path bit-identical to builds
-  /// without this field. See docs/ROBUSTNESS.md for the degradation ladder
-  /// the engine walks when the budget fires mid-query.
+  /// without this field. See docs/ROBUSTNESS.md for how the engine degrades
+  /// when the budget fires mid-query.
   QueryControl control;
 };
 
@@ -42,8 +42,8 @@ struct DiscoveryHit {
 ///  - `degraded`: the engine reduced effort to meet the budget (lower ef,
 ///    fewer probed clusters, or a fallback method). Scores are real but the
 ///    ranking may differ from an unbounded run.
-///  - `partial`: stronger — the scan did not cover the whole corpus, so
-///    relations may be missing entirely (partial ExS fallback).
+///  - `partial`: stronger — the search did not cover the whole corpus, so
+///    relations may be missing entirely (CTS stopped probing clusters).
 /// `partial` implies `degraded` on every path the engine produces.
 struct Ranking {
   std::vector<DiscoveryHit> hits;

@@ -15,6 +15,7 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "common/deadline.h"
 #include "common/rng.h"
 
 #include "datagen/workload.h"
@@ -579,17 +580,28 @@ TEST_F(GeneratedWorkloadTest, ParallelExhaustiveMatchesSerial) {
                                   &engine_->encoder(),
                                   [](const embed::SemanticEncoder*) {}),
                               parallel_options);
+  const Searcher& serial_searcher = *engine_->searcher(Method::kExhaustive);
   DiscoveryOptions options;
   options.top_k = 15;
+  // A generous active deadline takes the checked scan of each searcher; it
+  // must not change a score.
+  DiscoveryOptions bounded = options;
+  bounded.control.deadline = Deadline::After(600'000.0);
   for (size_t qi = 0; qi < 3; ++qi) {
     const auto& q = workload_->queries[qi];
-    auto serial =
-        engine_->Search(Method::kExhaustive, q.text, options).MoveValue();
-    auto threaded = parallel.Search(q.text, options).MoveValue();
-    ASSERT_EQ(serial.size(), threaded.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].relation, threaded[i].relation);
-      EXPECT_NEAR(serial[i].score, threaded[i].score, 1e-5);
+    SCOPED_TRACE(q.text);
+    auto serial = serial_searcher.Search(q.text, options).MoveValue();
+    const Ranking others[] = {
+        serial_searcher.Search(q.text, bounded).MoveValue(),
+        parallel.Search(q.text, options).MoveValue(),
+        parallel.Search(q.text, bounded).MoveValue()};
+    for (const Ranking& other : others) {
+      ASSERT_EQ(serial.size(), other.size());
+      EXPECT_FALSE(other.degraded);
+      for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].relation, other[i].relation);
+        EXPECT_NEAR(serial[i].score, other[i].score, 1e-5);
+      }
     }
   }
 }

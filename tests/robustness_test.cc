@@ -20,7 +20,9 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "discovery/engine.h"
 #include "discovery/exhaustive_search.h"
 #include "discovery/types.h"
+#include "obs/trace.h"
 #include "service/discovery_service.h"
 
 namespace mira::discovery {
@@ -332,6 +335,41 @@ TEST(ParallelForCancellableTest, EmptyRangeIsOk) {
       &pool, 5, 5, nullptr,
       [](size_t) { return Status::Internal("must not run"); });
   EXPECT_TRUE(status.ok());
+}
+
+TEST(ParallelForCancellableTest, PoolPathBodyThrowIsRethrownAfterTheJoin) {
+  ThreadPool pool(4);
+  std::atomic<int> in_body{0};
+  bool caught = false;
+  try {
+    Status status =
+        ParallelForCancellable(&pool, 0, 512, nullptr, [&](size_t i) {
+          in_body.fetch_add(1);
+          struct Leave {
+            std::atomic<int>* count;
+            ~Leave() { count->fetch_sub(1); }
+          } leave{&in_body};
+          if (i == 37) throw std::runtime_error("boom at 37");
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          return Status::OK();
+        });
+    ADD_FAILURE() << "no exception, status " << status.ToString();
+  } catch (const std::runtime_error& error) {
+    caught = true;
+    EXPECT_STREQ(error.what(), "boom at 37");
+    // Every chunk has joined: no body is still running on a worker.
+    EXPECT_EQ(in_body.load(), 0);
+  }
+  EXPECT_TRUE(caught);
+
+  // The pool keeps serving after the throw.
+  std::atomic<uint64_t> sum{0};
+  Status status = ParallelForCancellable(&pool, 0, 1000, nullptr, [&](size_t i) {
+    sum += i;
+    return Status::OK();
+  });
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(sum.load(), 1000u * 999u / 2);
 }
 
 // ---------- Checksum64 ----------
@@ -1289,8 +1327,25 @@ TEST(EngineDeadlineTest, GenerousDeadlineMatchesUnbounded) {
   }
 }
 
+// The unbounded cached ExS over the shared engine's corpus: the ranking the
+// engine's deadline fallback must reproduce.
+Ranking UnboundedCachedExs(const EngineFixture& fx, const std::string& query) {
+  ExsOptions exs;
+  exs.reuse_corpus_embeddings = true;
+  const ExhaustiveSearcher cached(
+      &fx.engine->federation(),
+      std::shared_ptr<const CorpusEmbeddings>(std::shared_ptr<void>(),
+                                              &fx.engine->corpus()),
+      std::shared_ptr<const embed::SemanticEncoder>(std::shared_ptr<void>(),
+                                                    &fx.engine->encoder()),
+      exs);
+  return cached.Search(query, DiscoveryOptions{}).MoveValue();
+}
+
 TEST(EngineDeadlineTest, PreExpiredDeadlineStillAnswersDegraded) {
   const EngineFixture& fx = SharedEngine();
+  const Ranking expected = UnboundedCachedExs(fx, "covid vaccine");
+  ASSERT_FALSE(expected.empty());
   for (Method method : kAllMethods) {
     SCOPED_TRACE(std::string(MethodToString(method)));
     DiscoveryOptions options;
@@ -1298,13 +1353,14 @@ TEST(EngineDeadlineTest, PreExpiredDeadlineStillAnswersDegraded) {
     auto t0 = std::chrono::steady_clock::now();
     auto result = fx.engine->Search(method, "covid vaccine", options);
     double ms = ElapsedMs(t0);
-    // The ladder bottoms out in the partial exhaustive scan, which always
-    // scans at least one block — so even a zero budget yields a ranking.
+    // Every primary fails fast on a zero budget; the fallback is the cached
+    // ExS with the deadline lifted: the full, exact ranking, never partial.
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(result->degraded);
-    EXPECT_FALSE(result->empty());
+    EXPECT_FALSE(result->partial);
+    ExpectSameRanking(*result, expected);
     // Bound is deliberately loose for shared CI runners; a hang or a full
-    // un-budgeted scan would blow far past it.
+    // un-budgeted faithful scan would blow far past it.
     EXPECT_LT(ms, 2000.0);
   }
 }
@@ -1336,14 +1392,20 @@ TEST(EngineDeadlineTest, CancellationPropagatesWithoutFallback) {
   }
 }
 
-TEST(EngineDeadlineTest, SearchTracedHonorsTheLadderToo) {
+TEST(EngineDeadlineTest, SearchTracedFallsBackToCachedExsOnly) {
   const EngineFixture& fx = SharedEngine();
   DiscoveryOptions options;
   options.control.deadline = Deadline::After(0.0);
   auto traced = fx.engine->SearchTraced(Method::kCts, "covid vaccine", options);
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
   EXPECT_TRUE(traced->ranking.degraded);
+  EXPECT_FALSE(traced->ranking.partial);
   EXPECT_FALSE(traced->ranking.empty());
+  // A missed CTS deadline goes straight to the cached ExS: no other index
+  // is tried under the expired budget.
+  for (const obs::SpanRecord& span : traced->trace.spans()) {
+    EXPECT_NE(std::string_view(span.name).substr(0, 5), "anns.") << span.name;
+  }
 }
 
 TEST(SearcherDeadlineTest, PrimarySearchersFailFastWithoutTheLadder) {
@@ -1361,54 +1423,6 @@ TEST(SearcherDeadlineTest, PrimarySearchersFailFastWithoutTheLadder) {
     EXPECT_TRUE(result.status().IsDeadlineExceeded())
         << result.status().ToString();
   }
-}
-
-TEST(SearcherDeadlineTest, PartialExhaustiveScanCutsMidCorpus) {
-  // A corpus larger than one scan block (1024 cells) makes the partial cut
-  // observable: with a pre-expired budget only block 0 is scanned, so later
-  // relations are missing entirely and the ranking is flagged partial.
-  table::Federation big;
-  for (int r = 0; r < 3; ++r) {
-    table::Relation relation;
-    relation.name = "rel_" + std::to_string(r);
-    relation.schema = {"a", "b", "c"};
-    for (int row = 0; row < 200; ++row) {
-      relation
-          .AddRow({"r" + std::to_string(r) + "_a" + std::to_string(row),
-                   "r" + std::to_string(r) + "_b" + std::to_string(row),
-                   "r" + std::to_string(r) + "_c" + std::to_string(row)})
-          .Abort("");
-    }
-    big.AddRelation(std::move(relation));
-  }
-  embed::EncoderOptions opts;
-  opts.dim = 32;
-  auto encoder = std::make_shared<embed::SemanticEncoder>(
-      opts, std::make_shared<embed::Lexicon>());
-  auto corpus = std::make_shared<CorpusEmbeddings>(
-      CorpusEmbeddings::Build(big, *encoder).MoveValue());
-  ASSERT_EQ(corpus->num_cells(), 1800u);
-
-  ExsOptions exs;
-  exs.reuse_corpus_embeddings = true;
-  exs.allow_partial = true;
-  exs.num_threads = 1;
-  ExhaustiveSearcher searcher(&big, corpus, encoder, exs);
-
-  DiscoveryOptions unbounded;
-  auto full = searcher.Search("anything", unbounded).MoveValue();
-  EXPECT_FALSE(full.partial);
-  EXPECT_EQ(full.size(), 3u);
-
-  DiscoveryOptions expired;
-  expired.control.deadline = Deadline::After(0.0);
-  auto cut = searcher.Search("anything", expired).MoveValue();
-  EXPECT_TRUE(cut.partial);
-  EXPECT_TRUE(cut.degraded);
-  // Block 0 covers relation 0 (600 cells) and part of relation 1; relation 2
-  // was never reached.
-  EXPECT_FALSE(cut.empty());
-  EXPECT_LT(cut.size(), full.size());
 }
 
 TEST(SearcherDeadlineTest, UncontrolledQueryFlagsStayClean) {
