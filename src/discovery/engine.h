@@ -136,8 +136,8 @@ class DiscoveryEngine {
   /// Refreshes the `mira.mem.*` (corpus / ANNS / CTS resident bytes, from
   /// the Collection and index MemoryUsage() breakdowns) and `mira.pool.*`
   /// (ExS scan-pool queue depth / utilization) gauges. Pull-style: call
-  /// before a scrape, or register as an obs::StatsReporter collector. No-op
-  /// when observability is compiled out.
+  /// before a scrape, or register it with obs::DebugServer::AddCollector.
+  /// No-op when observability is compiled out.
   void PublishResourceMetrics() const;
 
   const table::Federation& federation() const { return federation_; }

@@ -241,7 +241,7 @@ Response RenderStatusz(
 #endif
   body.append("<tr><th>obs</th><td>enabled</td></tr>");
   body.append(StrFormat("<tr><th>trace_sampling</th><td>every %u</td></tr>",
-                        TraceSamplingRate()));
+                        GetTraceSampling()));
   body.append(StrFormat("<tr><th>cpu_profile_active</th><td>%s</td></tr>",
                         CpuProfileActive() ? "yes" : "no"));
   body.append("</table>");

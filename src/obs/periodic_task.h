@@ -10,7 +10,7 @@
 namespace mira::obs {
 
 /// One background thread that runs a body once per interval: the lifecycle
-/// StatsReporter, SloEngine and StuckQueryWatchdog share.
+/// SloEngine and StuckQueryWatchdog share.
 ///
 /// Start() spawns the thread; the body first runs one interval later, then
 /// once per interval after it returns. Stop() wakes the thread at once (no

@@ -93,13 +93,19 @@ std::vector<QueryLog::SlowTrace> QueryLog::SlowTraces() const {
 }
 
 std::vector<QueryLogEntry> QueryLog::Snapshot() const {
-  const uint64_t next = next_.load(std::memory_order_acquire);
-  const uint64_t begin = next > capacity() ? next - capacity() : 0;
+  // A reader descheduled for a whole ring lap finds every slot recycled by
+  // the writers; it tries again while the log is advancing.
+  constexpr int kAttempts = 4;
   std::vector<QueryLogEntry> out;
-  out.reserve(static_cast<size_t>(next - begin));
   QueryLogEntry entry;
-  for (uint64_t ticket = begin; ticket < next; ++ticket) {
-    if (ring_.Read(ticket, &entry)) out.push_back(entry);
+  for (int attempt = 0; attempt < kAttempts && out.empty(); ++attempt) {
+    const uint64_t next = next_.load(std::memory_order_acquire);
+    const uint64_t begin = next > capacity() ? next - capacity() : 0;
+    out.reserve(static_cast<size_t>(next - begin));
+    for (uint64_t ticket = begin; ticket < next; ++ticket) {
+      if (ring_.Read(ticket, &entry)) out.push_back(entry);
+    }
+    if (next_.load(std::memory_order_relaxed) == next) break;
   }
   return out;
 }

@@ -28,8 +28,6 @@ uint32_t GetTraceSampling() {
   return g_sample_every.load(std::memory_order_relaxed);
 }
 
-uint32_t TraceSamplingRate() { return GetTraceSampling(); }
-
 const SpanRecord* QueryTrace::Find(std::string_view name) const {
   for (const SpanRecord& span : spans_) {
     if (span.name == name) return &span;

@@ -110,9 +110,6 @@ class QueryTrace {
 /// up in /metricsz instead of silently vanishing.
 void SetTraceSampling(uint32_t sample_every);
 uint32_t GetTraceSampling();
-/// Canonical getter for the sampling knob (same value as GetTraceSampling):
-/// the every-Nth rate currently armed, 0 when tracing is disarmed.
-uint32_t TraceSamplingRate();
 
 namespace internal {
 

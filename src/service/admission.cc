@@ -119,4 +119,19 @@ std::vector<AdmissionController::TenantState> AdmissionController::TenantStates(
   return out;
 }
 
+std::string RenderTenantStates(
+    const std::vector<AdmissionController::TenantState>& tenants) {
+  if (tenants.empty()) return "  (none seen yet)\n";
+  std::string body;
+  for (const AdmissionController::TenantState& tenant : tenants) {
+    body.append(StrFormat(
+        "  %s: tokens %.1f/%.0f refill %.1f qps priority %d admitted %llu "
+        "rejected %llu\n",
+        tenant.tenant.c_str(), tenant.tokens, tenant.burst, tenant.refill_qps,
+        tenant.priority, static_cast<unsigned long long>(tenant.admitted),
+        static_cast<unsigned long long>(tenant.rejected)));
+  }
+  return body;
+}
+
 }  // namespace mira::service

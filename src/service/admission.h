@@ -108,11 +108,12 @@ class AdmissionController {
   };
   std::vector<TenantState> TenantStates(double now_s) const;
 
+  /// `tenant`'s configured quota, or the default one.
+  const TenantQuota& QuotaFor(const std::string& tenant) const;
+
   const AdmissionOptions& options() const { return options_; }
 
  private:
-  const TenantQuota& QuotaFor(const std::string& tenant) const;
-
   AdmissionOptions options_;
   RetryPolicy retry_policy_;
 
@@ -124,6 +125,11 @@ class AdmissionController {
   mutable Mutex mu_;
   std::map<std::string, Bucket> buckets_ MIRA_GUARDED_BY(mu_);
 };
+
+/// The per-tenant admission table that /servicez and /tenantz both print:
+/// one indented line per tenant, or "(none seen yet)".
+std::string RenderTenantStates(
+    const std::vector<AdmissionController::TenantState>& tenants);
 
 }  // namespace mira::service
 

@@ -40,17 +40,16 @@ DiscoveryService::DiscoveryService(QueryRunner runner, ServiceOptions options)
       runner_(std::move(runner)),
       admission_(options_.admission) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  metrics_.admitted = &registry.GetCounter("mira.service.admitted");
-  metrics_.completed = &registry.GetCounter("mira.service.completed");
-  metrics_.errors = &registry.GetCounter("mira.service.errors");
-  metrics_.rejected_quota =
-      &registry.GetCounter("mira.service.rejected.quota");
-  metrics_.rejected_queue_full =
-      &registry.GetCounter("mira.service.rejected.queue_full");
-  metrics_.evicted_deadline =
-      &registry.GetCounter("mira.service.evicted.deadline");
-  metrics_.degraded_preemptive =
-      &registry.GetCounter("mira.service.degraded.preemptive");
+  auto counter = [&registry](const std::string& name) {
+    return &registry.GetCounter("mira.service." + name);
+  };
+  metrics_.admitted = counter("admitted");
+  metrics_.completed = counter("completed");
+  metrics_.errors = counter("errors");
+  metrics_.rejected_quota = counter("rejected.quota");
+  metrics_.rejected_queue_full = counter("rejected.queue_full");
+  metrics_.evicted_deadline = counter("evicted.deadline");
+  metrics_.degraded_preemptive = counter("degraded.preemptive");
   metrics_.queue_depth = &registry.GetGauge("mira.service.queue_depth");
   metrics_.inflight = &registry.GetGauge("mira.service.inflight");
   metrics_.mode_fanout = &registry.GetGauge("mira.service.mode.fanout");
@@ -59,10 +58,8 @@ DiscoveryService::DiscoveryService(QueryRunner runner, ServiceOptions options)
   for (discovery::Method method :
        {discovery::Method::kExhaustive, discovery::Method::kAnns,
         discovery::Method::kCts}) {
-    metrics_.method_dispatched[static_cast<size_t>(method)] =
-        &registry.GetCounter(
-            "mira.service.method." +
-            ToLower(discovery::MethodToString(method)) + ".dispatched");
+    metrics_.method_dispatched[static_cast<size_t>(method)] = counter(
+        "method." + ToLower(discovery::MethodToString(method)) + ".dispatched");
   }
 }
 
@@ -74,11 +71,10 @@ size_t DiscoveryService::QueueDepthLocked() const {
   return depth;
 }
 
-int DiscoveryService::TenantPriority(const std::string& tenant) const {
-  const auto it = options_.admission.tenant_quotas.find(tenant);
-  return it != options_.admission.tenant_quotas.end()
-             ? it->second.priority
-             : options_.admission.default_quota.priority;
+DispatchMode DiscoveryService::ModeFor(size_t queue_depth) const {
+  return queue_depth <= options_.fanout_queue_threshold
+             ? DispatchMode::kFanOut
+             : DispatchMode::kThroughput;
 }
 
 DiscoveryService::TenantMetrics* DiscoveryService::TenantSlice(
@@ -98,14 +94,17 @@ DiscoveryService::TenantMetrics* DiscoveryService::TenantSlice(
     obs::MetricRegistry& registry = obs::MetricRegistry::Global();
     const std::string prefix = "mira.tenant." + name + ".";
     slice->admitted = &registry.GetCounter(prefix + "admitted");
-    slice->completed = &registry.GetCounter(prefix + "completed");
-    slice->rejected = &registry.GetCounter(prefix + "rejected");
-    slice->evicted = &registry.GetCounter(prefix + "evicted");
-    slice->failed = &registry.GetCounter(prefix + "failed");
+    // RequestOutcome order.
+    const char* outcome_names[kOutcomes] = {"completed", "rejected", "evicted",
+                                            "failed"};
+    for (size_t i = 0; i < kOutcomes; ++i) {
+      slice->outcomes[i] = &registry.GetCounter(prefix + outcome_names[i]);
+    }
     slice->preemptive = &registry.GetCounter(prefix + "preemptive");
     slice->priority = &registry.GetGauge(prefix + "priority");
     slice->latency_ms = &registry.GetHistogram(prefix + "latency_ms");
-    slice->priority->Set(static_cast<double>(TenantPriority(name)));
+    slice->priority->Set(
+        static_cast<double>(admission_.QuotaFor(name).priority));
     it = tenant_metrics_.emplace(std::move(name), std::move(slice)).first;
   }
   return it->second.get();
@@ -150,59 +149,52 @@ void DiscoveryService::Stop() {
   // Requests admitted but never dispatched complete with kUnavailable: the
   // admission contract ("queued means it will be answered") holds through
   // shutdown.
-  std::vector<Queued> drained;
+  decltype(queues_) drained;
   {
     MutexLock lock(mu_);
-    for (auto& [priority, fifo] : queues_) {
-      for (Queued& item : fifo) drained.push_back(std::move(item));
-    }
-    queues_.clear();
-    failed_ += drained.size();
+    drained.swap(queues_);
+    metrics_.queue_depth->Set(0.0);
   }
-  metrics_.queue_depth->Set(0.0);
-  for (Queued& item : drained) {
-    ServiceResponse response;
-    response.status =
-        Status::Unavailable("service: shutting down before dispatch");
-    response.outcome = RequestOutcome::kFailed;
-    metrics_.errors->Increment();
-    Complete(item.request, std::move(response), item.done);
+  for (auto& [priority, fifo] : drained) {
+    for (Queued& item : fifo) {
+      ServiceResponse response;
+      response.status =
+          Status::Unavailable("service: shutting down before dispatch");
+      Finish(item, Exit::kDrained, std::move(response));
+    }
   }
 }
 
 void DiscoveryService::Submit(ServiceRequest request, Callback done) {
+  // Admit: the tenant's slice and priority are resolved once, here, and ride
+  // with the request to Finish (the priority comes with the admission
+  // decision).
+  Queued item;
+  item.tenant = TenantSlice(request.tenant);
+  item.request = std::move(request);
+  item.done = std::move(done);
   AdmissionDecision decision;
-  const std::string tenant_for_metrics = request.tenant;
+  bool queued = false;
   {
     MutexLock lock(mu_);
     ++submitted_;
     // Admission under mu_ keeps the depth the controller sees exact, so the
     // queue bound is strict even with concurrent submitters. Lock order is
     // service mu_ -> controller mu_ (never reversed).
-    decision = admission_.Admit(request.tenant, QueueDepthLocked(),
+    decision = admission_.Admit(item.request.tenant, QueueDepthLocked(),
                                 MonotonicSeconds());
-    if (decision.outcome == AdmitOutcome::kAdmit) {
-      if (!running_) {
-        decision.status =
-            Status::Unavailable("service: not running (Start not called "
-                                "or Stop already ran)");
-        ++failed_;
-      } else {
-        ++admitted_count_;
-        queues_[decision.priority].push_back(
-            Queued{std::move(request), std::move(done), MonotonicSeconds()});
-        metrics_.queue_depth->Set(static_cast<double>(QueueDepthLocked()));
-      }
-    } else {
-      ++rejected_;
+    item.priority = decision.priority;
+    if (decision.outcome == AdmitOutcome::kAdmit && running_) {
+      ++admitted_;
+      metrics_.admitted->Increment();
+      item.tenant->admitted->Increment();
+      item.enqueue_s = MonotonicSeconds();
+      queues_[item.priority].push_back(std::move(item));
+      metrics_.queue_depth->Set(static_cast<double>(QueueDepthLocked()));
+      queued = true;
     }
   }
-
-  if (decision.outcome == AdmitOutcome::kAdmit && decision.status.ok()) {
-    metrics_.admitted->Increment();
-    // Slice resolution stays outside mu_ (it may take the registry lock);
-    // `request` was moved into the queue, hence the saved tenant copy.
-    TenantSlice(tenant_for_metrics)->admitted->Increment();
+  if (queued) {
     work_cv_.NotifyAll();
     return;
   }
@@ -211,21 +203,21 @@ void DiscoveryService::Submit(ServiceRequest request, Callback done) {
   // submitting thread — no service resources are held by a shed request.
   ServiceResponse response;
   response.status = std::move(decision.status);
-  response.outcome = decision.outcome == AdmitOutcome::kAdmit
-                         ? RequestOutcome::kFailed  // submit-after-stop
-                         : RequestOutcome::kRejected;
   response.retry_after_ms = decision.retry_after_ms;
-  if (decision.outcome == AdmitOutcome::kRejectQuota) {
-    metrics_.rejected_quota->Increment();
-    TenantSlice(tenant_for_metrics)->rejected->Increment();
-  } else if (decision.outcome == AdmitOutcome::kRejectQueueFull) {
-    metrics_.rejected_queue_full->Increment();
-    TenantSlice(tenant_for_metrics)->rejected->Increment();
-  } else {
-    metrics_.errors->Increment();
-    TenantSlice(tenant_for_metrics)->failed->Increment();
+  Exit exit = Exit::kNotRunning;
+  switch (decision.outcome) {
+    case AdmitOutcome::kAdmit:
+      response.status = Status::Unavailable(
+          "service: not running (Start not called or Stop already ran)");
+      break;
+    case AdmitOutcome::kRejectQuota:
+      exit = Exit::kRejectedQuota;
+      break;
+    case AdmitOutcome::kRejectQueueFull:
+      exit = Exit::kRejectedQueueFull;
+      break;
   }
-  Complete(request, std::move(response), done);
+  Finish(item, exit, std::move(response));
 }
 
 ServiceResponse DiscoveryService::Search(ServiceRequest request) {
@@ -250,185 +242,160 @@ ServiceResponse DiscoveryService::Search(ServiceRequest request) {
 void DiscoveryService::WorkerLoop() {
   for (;;) {
     Queued item;
-    size_t depth_before = 0;
-    DispatchMode mode = DispatchMode::kThroughput;
+    ServiceResponse response;
+    bool evict = false;
+    // Dispatch: dequeue, eviction check, pressure ladder and inflight-table
+    // registration in one critical section.
     {
       MutexLock lock(mu_);
+      size_t depth = 0;
       for (;;) {
         if (!running_) return;
-        depth_before = QueueDepthLocked();
-        if (depth_before == 0) {
-          work_cv_.Wait(lock);
-          continue;
+        depth = QueueDepthLocked();
+        // A shallow queue holds extra workers back so the few running
+        // queries keep the engine's intra-query ParallelFor fan-out to
+        // themselves. A deepening queue (or a finished run) re-wakes us.
+        if (depth > 0 &&
+            (ModeFor(depth) == DispatchMode::kThroughput ||
+             inflight_requests_.size() < options_.fanout_inflight_limit)) {
+          break;
         }
-        mode = depth_before <= options_.fanout_queue_threshold
-                   ? DispatchMode::kFanOut
-                   : DispatchMode::kThroughput;
-        if (mode == DispatchMode::kFanOut &&
-            inflight_ >= options_.fanout_inflight_limit) {
-          // Shallow queue: hold extra workers back so the few running
-          // queries keep the engine's intra-query ParallelFor fan-out to
-          // themselves. A deepening queue (or a completion) re-wakes us.
-          work_cv_.Wait(lock);
-          continue;
-        }
-        break;
+        work_cv_.Wait(lock);
       }
+      response.mode = ModeFor(depth);
       auto it = queues_.begin();
       item = std::move(it->second.front());
       it->second.pop_front();
       if (it->second.empty()) queues_.erase(it);
-      ++inflight_;
       metrics_.queue_depth->Set(static_cast<double>(QueueDepthLocked()));
-      metrics_.inflight->Set(static_cast<double>(inflight_));
-      metrics_.mode_fanout->Set(mode == DispatchMode::kFanOut ? 1.0 : 0.0);
+      metrics_.mode_fanout->Set(
+          response.mode == DispatchMode::kFanOut ? 1.0 : 0.0);
+
+      // Eviction: a budget that died in the queue never reaches the engine.
+      QueryControl& control = item.request.options.control;
+      evict = control.cancel.cancelled() || control.deadline.expired();
+      if (!evict) {
+        // Pressure ladder: sustained depth means later queued requests are
+        // already aging; tighten this one's budget so the engine degrades
+        // now instead of blowing its (and everyone else's) deadline.
+        const size_t pressure_threshold = std::max<size_t>(
+            1, static_cast<size_t>(options_.pressure_degrade_fraction *
+                                   static_cast<double>(
+                                       options_.admission.max_queue_depth)));
+        if (depth >= pressure_threshold) {
+          response.preemptively_degraded = true;
+          control.deadline =
+              control.deadline.infinite()
+                  ? Deadline::After(options_.pressure_budget_ms)
+                  : Deadline::After(control.deadline.remaining_ms() *
+                                    options_.pressure_budget_scale);
+          ++preemptive_;
+          metrics_.degraded_preemptive->Increment();
+          item.tenant->preemptive->Increment();
+        }
+        // Register in the inflight table: it holds the run's slot, and the
+        // stuck-query watchdog sees the request (and its budget) there.
+        item.dispatch_id = ++next_dispatch_id_;
+        InflightInfo& info = inflight_requests_[item.dispatch_id];
+        info.id = item.dispatch_id;
+        info.tenant = item.request.tenant;
+        info.method = item.request.method;
+        info.start_s = MonotonicSeconds();
+        info.budget_ms =
+            control.deadline.infinite() ? 0.0 : control.deadline.remaining_ms();
+        info.preemptively_degraded = response.preemptively_degraded;
+        metrics_.inflight->Set(static_cast<double>(inflight_requests_.size()));
+      }
+    }
+    response.queue_ms = (MonotonicSeconds() - item.enqueue_s) * 1000.0;
+    metrics_.queue_ms->Record(response.queue_ms);
+
+    if (evict) {
+      response.status =
+          item.request.options.control.cancel.cancelled()
+              ? Status::Cancelled("service: request cancelled while queued")
+              : Status::DeadlineExceeded(
+                    "service: deadline expired in queue (evicted, never ran)");
+      Finish(item, Exit::kEvicted, std::move(response));
+      continue;
     }
 
-    Dispatch(std::move(item), depth_before, mode);
-
-    {
-      MutexLock lock(mu_);
-      --inflight_;
-      metrics_.inflight->Set(static_cast<double>(inflight_));
-    }
-    // Completions can shift the regime (fan-out slots free up) and unblock
-    // held-back workers.
-    work_cv_.NotifyAll();
+    Run(item, std::move(response));
   }
 }
 
-void DiscoveryService::Dispatch(Queued item, size_t depth_at_dispatch,
-                                DispatchMode mode) {
-  ServiceRequest& request = item.request;
-  ServiceResponse response;
-  response.mode = mode;
-  response.queue_ms = (MonotonicSeconds() - item.enqueue_s) * 1000.0;
-  metrics_.queue_ms->Record(response.queue_ms);
-
-  // Eviction: a budget that died in the queue never reaches the engine.
-  const QueryControl& control = request.options.control;
-  if (control.cancel.cancelled() || control.deadline.expired()) {
-    response.outcome = RequestOutcome::kEvicted;
-    response.status =
-        control.cancel.cancelled()
-            ? Status::Cancelled("service: request cancelled while queued")
-            : Status::DeadlineExceeded(
-                  "service: deadline expired in queue (evicted, never ran)");
-    {
-      MutexLock lock(mu_);
-      ++evicted_;
-    }
-    metrics_.evicted_deadline->Increment();
-    TenantSlice(request.tenant)->evicted->Increment();
-    Complete(request, std::move(response), item.done);
-    return;
-  }
-
+void DiscoveryService::Run(Queued& item, ServiceResponse response) {
   // Fault injection on the dispatch path: an injected error fails this
   // request; an injected delay stalls this worker (deterministic queue
   // pressure for the robustness matrix).
   if (Status injected = failpoint::Trigger("service.dispatch");
       !injected.ok()) {
-    response.outcome = RequestOutcome::kFailed;
     response.status = std::move(injected);
-    {
-      MutexLock lock(mu_);
-      ++failed_;
-    }
-    metrics_.errors->Increment();
-    TenantSlice(request.tenant)->failed->Increment();
-    Complete(request, std::move(response), item.done);
+    Finish(item, Exit::kInjectedFailure, std::move(response));
     return;
   }
-
-  // Pressure ladder: sustained depth means later queued requests are
-  // already aging; tighten this one's budget so the engine degrades now
-  // instead of blowing its (and everyone else's) deadline.
-  const size_t pressure_threshold = std::max<size_t>(
-      1, static_cast<size_t>(options_.pressure_degrade_fraction *
-                             static_cast<double>(
-                                 options_.admission.max_queue_depth)));
-  if (depth_at_dispatch >= pressure_threshold) {
-    response.preemptively_degraded = true;
-    Deadline& deadline = request.options.control.deadline;
-    if (deadline.infinite()) {
-      deadline = Deadline::After(options_.pressure_budget_ms);
-    } else {
-      deadline =
-          Deadline::After(deadline.remaining_ms() *
-                          options_.pressure_budget_scale);
-    }
-    {
-      MutexLock lock(mu_);
-      ++preemptive_;
-    }
-    metrics_.degraded_preemptive->Increment();
-    TenantSlice(request.tenant)->preemptive->Increment();
-  }
-
-  TenantMetrics* tenant = TenantSlice(request.tenant);
-  metrics_.method_dispatched[static_cast<size_t>(request.method)]->Increment();
-
-  // Register in the inflight table so the stuck-query watchdog can see this
-  // request (and its budget) while the engine runs it.
+  metrics_.method_dispatched[static_cast<size_t>(item.request.method)]
+      ->Increment();
   const double run_start_s = MonotonicSeconds();
-  uint64_t dispatch_id = 0;
-  {
-    MutexLock lock(mu_);
-    dispatch_id = ++next_dispatch_id_;
-    InflightInfo info;
-    info.id = dispatch_id;
-    info.tenant = request.tenant;
-    info.method = request.method;
-    info.start_s = run_start_s;
-    const Deadline& deadline = request.options.control.deadline;
-    info.budget_ms = deadline.infinite() ? 0.0 : deadline.remaining_ms();
-    info.preemptively_degraded = response.preemptively_degraded;
-    inflight_requests_.emplace(dispatch_id, std::move(info));
-  }
-  Result<discovery::Ranking> result = runner_(request);
+  Result<discovery::Ranking> result = runner_(item.request);
   response.run_ms = (MonotonicSeconds() - run_start_s) * 1000.0;
-  {
-    MutexLock lock(mu_);
-    inflight_requests_.erase(dispatch_id);
-  }
-
-  if (result.ok()) {
-    response.ranking = std::move(result).ValueOrDie();
-    response.outcome = RequestOutcome::kCompleted;
-    {
-      MutexLock lock(mu_);
-      ++completed_;
-    }
-    metrics_.completed->Increment();
-    tenant->completed->Increment();
-  } else {
+  if (!result.ok()) {
     response.status = result.status();
-    response.outcome = RequestOutcome::kFailed;
-    {
-      MutexLock lock(mu_);
-      ++failed_;
-    }
-    metrics_.errors->Increment();
-    tenant->failed->Increment();
+    Finish(item, Exit::kRanFailed, std::move(response));
+    return;
   }
-  const double total_ms = response.queue_ms + response.run_ms;
-  // Complete() records the query log first so its entry id can ride along as
-  // the latency exemplar — /metricsz tail buckets then name the request.
-  const uint64_t log_id = Complete(request, std::move(response), item.done);
-  metrics_.latency_ms->RecordWithExemplar(total_ms, log_id);
-  tenant->latency_ms->RecordWithExemplar(total_ms, log_id);
+  response.ranking = std::move(result).ValueOrDie();
+  Finish(item, Exit::kRanOk, std::move(response));
 }
 
-uint64_t DiscoveryService::Complete(const ServiceRequest& request,
-                                    ServiceResponse response,
-                                    const Callback& done) {
+void DiscoveryService::Finish(Queued& item, Exit exit,
+                              ServiceResponse response) {
+  obs::Counter* service_counter = metrics_.errors;
+  response.outcome = RequestOutcome::kFailed;
+  switch (exit) {
+    case Exit::kRejectedQuota:
+      response.outcome = RequestOutcome::kRejected;
+      service_counter = metrics_.rejected_quota;
+      break;
+    case Exit::kRejectedQueueFull:
+      response.outcome = RequestOutcome::kRejected;
+      service_counter = metrics_.rejected_queue_full;
+      break;
+    case Exit::kEvicted:
+      response.outcome = RequestOutcome::kEvicted;
+      service_counter = metrics_.evicted_deadline;
+      break;
+    case Exit::kRanOk:
+      response.outcome = RequestOutcome::kCompleted;
+      service_counter = metrics_.completed;
+      break;
+    case Exit::kNotRunning:
+    case Exit::kDrained:
+    case Exit::kInjectedFailure:
+    case Exit::kRanFailed:
+      break;
+  }
+  const size_t outcome = static_cast<size_t>(response.outcome);
+  {
+    MutexLock lock(mu_);
+    ++outcomes_[outcome];
+    if (item.dispatch_id != 0) {
+      inflight_requests_.erase(item.dispatch_id);
+      metrics_.inflight->Set(static_cast<double>(inflight_requests_.size()));
+    }
+  }
+  // Release: a freed slot can shift the regime and unblock held-back workers.
+  if (item.dispatch_id != 0) work_cv_.NotifyAll();
+  service_counter->Increment();
+  item.tenant->outcomes[outcome]->Increment();
+
+  const ServiceRequest& request = item.request;
   uint64_t log_id = 0;
   if (options_.record_query_log) {
     obs::QueryLogEntry entry;
     entry.SetMethod(discovery::MethodToString(request.method));
     entry.SetTenant(request.tenant);
-    entry.priority = static_cast<int8_t>(TenantPriority(request.tenant));
+    entry.priority = static_cast<int8_t>(item.priority);
     entry.ok = response.status.ok();
     entry.k = static_cast<uint32_t>(request.options.top_k);
     entry.result_count = static_cast<uint32_t>(response.ranking.size());
@@ -444,25 +411,29 @@ uint64_t DiscoveryService::Complete(const ServiceRequest& request,
     }
     log_id = obs::QueryLog::Global().Record(entry);
   }
-  if (done) done(std::move(response));
-  return log_id;
+  // Only requests the runner saw count toward latency; the query-log id
+  // rides along as the exemplar, so /metricsz tail buckets name the request.
+  if (exit == Exit::kRanOk || exit == Exit::kRanFailed) {
+    const double total_ms = response.queue_ms + response.run_ms;
+    metrics_.latency_ms->RecordWithExemplar(total_ms, log_id);
+    item.tenant->latency_ms->RecordWithExemplar(total_ms, log_id);
+  }
+  if (item.done) item.done(std::move(response));
 }
 
 DiscoveryService::Stats DiscoveryService::GetStats() const {
   Stats stats;
   MutexLock lock(mu_);
   stats.queue_depth = QueueDepthLocked();
-  stats.inflight = inflight_;
+  stats.inflight = inflight_requests_.size();
   stats.submitted = submitted_;
-  stats.admitted = admitted_count_;
-  stats.completed = completed_;
-  stats.rejected = rejected_;
-  stats.evicted = evicted_;
-  stats.failed = failed_;
+  stats.admitted = admitted_;
+  stats.completed = outcomes_[static_cast<size_t>(RequestOutcome::kCompleted)];
+  stats.rejected = outcomes_[static_cast<size_t>(RequestOutcome::kRejected)];
+  stats.evicted = outcomes_[static_cast<size_t>(RequestOutcome::kEvicted)];
+  stats.failed = outcomes_[static_cast<size_t>(RequestOutcome::kFailed)];
   stats.preemptively_degraded = preemptive_;
-  stats.mode = stats.queue_depth <= options_.fanout_queue_threshold
-                   ? DispatchMode::kFanOut
-                   : DispatchMode::kThroughput;
+  stats.mode = ModeFor(stats.queue_depth);
   return stats;
 }
 
@@ -481,32 +452,20 @@ std::string DiscoveryService::RenderServicez() const {
                         options_.worker_threads));
   body.append(StrFormat("  mode: %s\n",
                         std::string(DispatchModeToString(stats.mode)).c_str()));
-  body.append(StrFormat("  submitted: %llu\n",
-                        static_cast<unsigned long long>(stats.submitted)));
-  body.append(StrFormat("  admitted: %llu\n",
-                        static_cast<unsigned long long>(stats.admitted)));
-  body.append(StrFormat("  completed: %llu\n",
-                        static_cast<unsigned long long>(stats.completed)));
-  body.append(StrFormat("  rejected (shed): %llu\n",
-                        static_cast<unsigned long long>(stats.rejected)));
-  body.append(StrFormat("  evicted (deadline in queue): %llu\n",
-                        static_cast<unsigned long long>(stats.evicted)));
-  body.append(StrFormat("  failed: %llu\n",
-                        static_cast<unsigned long long>(stats.failed)));
-  body.append(
-      StrFormat("  preemptively_degraded: %llu\n",
-                static_cast<unsigned long long>(stats.preemptively_degraded)));
-  body.append("tenants\n");
-  std::vector<AdmissionController::TenantState> tenants = TenantStates();
-  if (tenants.empty()) body.append("  (none seen yet)\n");
-  for (const AdmissionController::TenantState& tenant : tenants) {
-    body.append(StrFormat(
-        "  %s: tokens %.1f/%.0f refill %.1f qps priority %d admitted %llu "
-        "rejected %llu\n",
-        tenant.tenant.c_str(), tenant.tokens, tenant.burst, tenant.refill_qps,
-        tenant.priority, static_cast<unsigned long long>(tenant.admitted),
-        static_cast<unsigned long long>(tenant.rejected)));
+  const std::pair<const char*, uint64_t> counters[] = {
+      {"submitted", stats.submitted},
+      {"admitted", stats.admitted},
+      {"completed", stats.completed},
+      {"rejected (shed)", stats.rejected},
+      {"evicted (deadline in queue)", stats.evicted},
+      {"failed", stats.failed},
+      {"preemptively_degraded", stats.preemptively_degraded}};
+  for (const auto& [label, value] : counters) {
+    body.append(StrFormat("  %s: %llu\n", label,
+                          static_cast<unsigned long long>(value)));
   }
+  body.append("tenants\n");
+  body.append(RenderTenantStates(TenantStates()));
   return body;
 }
 

@@ -50,7 +50,9 @@ enum class RequestOutcome {
   /// Admitted, but its deadline expired (or it was cancelled) while queued;
   /// evicted at dispatch time without running.
   kEvicted,
-  /// Dispatched but the engine (or an injected fault) returned an error.
+  /// Dispatched but the engine (or an injected fault) returned an error, or
+  /// never dispatched because the service was not running (submitted before
+  /// Start or after Stop, or still queued when Stop ran).
   kFailed,
 };
 
@@ -181,41 +183,59 @@ class DiscoveryService {
   const ServiceOptions& options() const { return options_; }
 
  private:
-  struct Queued {
-    ServiceRequest request;
-    Callback done;
-    double enqueue_s = 0.0;
-  };
+  static constexpr size_t kOutcomes = 4;  ///< RequestOutcome enumerators.
 
   /// Per-tenant metric slice (mira.tenant.<name>.*) — a bounded label
   /// dimension over the service counters. Handles are resolved once per
   /// tenant and cached; the increments themselves are lock-free.
   struct TenantMetrics {
     obs::Counter* admitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* evicted = nullptr;
-    obs::Counter* failed = nullptr;
+    /// completed / rejected / evicted / failed, indexed by RequestOutcome.
+    std::array<obs::Counter*, kOutcomes> outcomes{};
     obs::Counter* preemptive = nullptr;
     obs::Gauge* priority = nullptr;
     obs::Histogram* latency_ms = nullptr;
   };
 
+  /// One request from Submit to Finish, carrying what Submit resolved for it
+  /// once: the tenant's metric slice and its dispatch priority.
+  struct Queued {
+    ServiceRequest request;
+    Callback done;
+    TenantMetrics* tenant = nullptr;
+    int priority = 0;
+    double enqueue_s = 0.0;
+    /// Inflight-table key once dispatched; 0 otherwise.
+    uint64_t dispatch_id = 0;
+  };
+
+  /// Every way a request leaves the service. Finish() maps each one to its
+  /// RequestOutcome and to the counter it bumps in each family.
+  enum class Exit {
+    kRejectedQuota,
+    kRejectedQueueFull,
+    kNotRunning,       ///< Submitted before Start or after Stop.
+    kDrained,          ///< Still queued when Stop ran.
+    kEvicted,          ///< Deadline expired or cancelled while queued.
+    kInjectedFailure,  ///< The `service.dispatch` failpoint failed it.
+    kRanOk,
+    kRanFailed,
+  };
+
   void WorkerLoop();
-  /// Runs one dequeued request end to end and invokes its callback.
-  void Dispatch(Queued item, size_t depth_at_dispatch, DispatchMode mode);
-  /// Logs the finished request (query log gets tenant + priority) and fires
-  /// the callback. Returns the query-log entry id (0 when logging is off) so
-  /// the caller can pin it to a latency histogram as an exemplar.
-  uint64_t Complete(const ServiceRequest& request, ServiceResponse response,
-                    const Callback& done);
+  /// Runs a dispatched request (failpoint, then the runner) and finishes it.
+  void Run(Queued& item, ServiceResponse response);
+  /// The one place a request is accounted: bumps the instance counter, the
+  /// mira.service.* counter and the tenant slice, releases the inflight-table
+  /// slot, writes the query log and the latency exemplars, then runs the
+  /// callback.
+  void Finish(Queued& item, Exit exit, ServiceResponse response);
   size_t QueueDepthLocked() const MIRA_REQUIRES(mu_);
+  DispatchMode ModeFor(size_t queue_depth) const;
   /// The cached slice for `tenant`, creating it on first sight (the slice
   /// directory is capped at options_.max_tenant_slices; overflow tenants
   /// share "_other").
   TenantMetrics* TenantSlice(const std::string& tenant);
-  /// Configured quota priority for `tenant` (default quota's otherwise).
-  int TenantPriority(const std::string& tenant) const;
 
   ServiceOptions options_;
   QueryRunner runner_;
@@ -227,21 +247,19 @@ class DiscoveryService {
   /// Priority -> FIFO of that priority; highest priority dispatches first.
   std::map<int, std::deque<Queued>, std::greater<int>> queues_
       MIRA_GUARDED_BY(mu_);
-  size_t inflight_ MIRA_GUARDED_BY(mu_) = 0;
   uint64_t submitted_ MIRA_GUARDED_BY(mu_) = 0;
-  uint64_t admitted_count_ MIRA_GUARDED_BY(mu_) = 0;
-  uint64_t completed_ MIRA_GUARDED_BY(mu_) = 0;
-  uint64_t rejected_ MIRA_GUARDED_BY(mu_) = 0;
-  uint64_t evicted_ MIRA_GUARDED_BY(mu_) = 0;
-  uint64_t failed_ MIRA_GUARDED_BY(mu_) = 0;
+  uint64_t admitted_ MIRA_GUARDED_BY(mu_) = 0;
+  /// Finished requests, indexed by RequestOutcome.
+  std::array<uint64_t, kOutcomes> outcomes_ MIRA_GUARDED_BY(mu_){};
   uint64_t preemptive_ MIRA_GUARDED_BY(mu_) = 0;
-  /// Requests currently running in workers, keyed by dispatch sequence.
+  /// Requests currently running in workers, keyed by dispatch sequence; its
+  /// size is the number of busy slots the fan-out cap counts.
   uint64_t next_dispatch_id_ MIRA_GUARDED_BY(mu_) = 0;
   std::map<uint64_t, InflightInfo> inflight_requests_ MIRA_GUARDED_BY(mu_);
 
-  /// Separate lock for the tenant-slice directory: slices are resolved from
-  /// outside mu_ (resolution touches the registry lock), so watchers of mu_
-  /// never wait on registry I/O.
+  /// Separate lock for the tenant-slice directory: Submit resolves the slice
+  /// before taking mu_ (resolution touches the registry lock), so watchers of
+  /// mu_ never wait on registry I/O.
   mutable Mutex tenant_mu_;
   std::map<std::string, std::unique_ptr<TenantMetrics>> tenant_metrics_
       MIRA_GUARDED_BY(tenant_mu_);

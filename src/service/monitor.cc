@@ -193,36 +193,24 @@ std::string ServiceMonitor::RenderTenantz() const {
   body.append("tenants (admission view)\n");
   std::set<std::string> names(options_.tenants.begin(),
                               options_.tenants.end());
-  for (const AdmissionController::TenantState& tenant :
-       service_->TenantStates()) {
+  const std::vector<AdmissionController::TenantState> tenants =
+      service_->TenantStates();
+  for (const AdmissionController::TenantState& tenant : tenants) {
     names.insert(tenant.tenant);
-    body.append(StrFormat(
-        "  %s: tokens %.1f/%.0f refill %.1f qps priority %d admitted %llu "
-        "rejected %llu\n",
-        tenant.tenant.c_str(), tenant.tokens, tenant.burst, tenant.refill_qps,
-        tenant.priority, static_cast<unsigned long long>(tenant.admitted),
-        static_cast<unsigned long long>(tenant.rejected)));
   }
+  body.append(RenderTenantStates(tenants));
   body.append("slices (cumulative mira.tenant.* counters)\n");
   if (names.empty()) body.append("  (none seen yet)\n");
   for (const std::string& name : names) {
-    const std::string prefix = "mira.tenant." + name + ".";
-    body.append(StrFormat(
-        "  %s: admitted %llu completed %llu rejected %llu evicted %llu "
-        "failed %llu preemptive %llu\n",
-        name.c_str(),
-        static_cast<unsigned long long>(
-            registry.GetCounter(prefix + "admitted").value()),
-        static_cast<unsigned long long>(
-            registry.GetCounter(prefix + "completed").value()),
-        static_cast<unsigned long long>(
-            registry.GetCounter(prefix + "rejected").value()),
-        static_cast<unsigned long long>(
-            registry.GetCounter(prefix + "evicted").value()),
-        static_cast<unsigned long long>(
-            registry.GetCounter(prefix + "failed").value()),
-        static_cast<unsigned long long>(
-            registry.GetCounter(prefix + "preemptive").value())));
+    body.append("  " + name + ":");
+    for (const char* field : {"admitted", "completed", "rejected", "evicted",
+                              "failed", "preemptive"}) {
+      const obs::Counter& counter =
+          registry.GetCounter("mira.tenant." + name + "." + field);
+      body.append(StrFormat(" %s %llu", field,
+                            static_cast<unsigned long long>(counter.value())));
+    }
+    body.append("\n");
   }
   body.append(StrFormat("rates (trailing %.0fs window)\n",
                         options_.fast_window_s));

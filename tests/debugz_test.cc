@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -282,6 +283,12 @@ TEST(DebugServerStressTest, ConcurrentWritersAndScrapes) {
     });
   }
 
+  // An empty log exports an empty body, so scrape only once the log writers
+  // have started (on a loaded host they can trail the scrapers by several
+  // requests).
+  while (QueryLog::Global().total_recorded() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   const char* kPaths[] = {"/metricsz", "/varz", "/querylogz?format=jsonl",
                           "/healthz"};
   std::atomic<int> failures{0};

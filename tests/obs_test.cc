@@ -1,8 +1,7 @@
 // Unit tests for src/obs: metric registry semantics, histogram bucket math
 // against exact quantiles, exporter output, span-tree collection, the runtime
 // sampling knob, cross-thread trace propagation, Chrome trace export, the
-// seqlock ring and the structured query log on it, the periodic task, and the
-// stats reporter.
+// seqlock ring and the structured query log on it, and the periodic task.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -25,7 +21,6 @@
 #include "obs/periodic_task.h"
 #include "obs/query_log.h"
 #include "obs/seq_ring.h"
-#include "obs/stats_reporter.h"
 #include "obs/trace.h"
 #include "obs/trace_export.h"
 
@@ -755,91 +750,6 @@ TEST(PeriodicTaskTest, ConcurrentStopsJoinOnceAndTheBodyNeverOutlivesThem) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     EXPECT_EQ(late_runs.load(), 0);
   }
-}
-
-// ---------- StatsReporter ----------
-
-TEST(StatsReporterTest, StopTakesAFinalSnapshot) {
-  MetricRegistry registry;
-  registry.GetCounter("mira.test.events").Add(5);
-  CapturingStatsSink sink;
-  StatsReporter::Options options;
-  options.interval = std::chrono::milliseconds(10'000);  // never fires
-  options.registry = &registry;
-  StatsReporter reporter(&sink, options);
-  reporter.Start();
-  EXPECT_TRUE(reporter.running());
-  reporter.Stop();
-  EXPECT_FALSE(reporter.running());
-  std::vector<StatsSnapshot> snapshots = sink.snapshots();
-  ASSERT_GE(snapshots.size(), 1u);
-  EXPECT_EQ(snapshots.back().sequence, snapshots.size());
-  EXPECT_NE(snapshots.back().registry_json.find("mira.test.events"),
-            std::string::npos);
-  reporter.Stop();  // idempotent
-}
-
-TEST(StatsReporterTest, CollectorsRefreshGaugesBeforeEachSnapshot) {
-  MetricRegistry registry;
-  CapturingStatsSink sink;
-  StatsReporter::Options options;
-  options.interval = std::chrono::milliseconds(10'000);
-  options.registry = &registry;
-  StatsReporter reporter(&sink, options);
-  int collector_runs = 0;
-  reporter.AddCollector([&registry, &collector_runs] {
-    ++collector_runs;
-    registry.GetGauge("mira.test.pull_gauge").Set(123.0);
-  });
-  reporter.Start();
-  reporter.Stop();
-  EXPECT_GE(collector_runs, 1);
-  std::vector<StatsSnapshot> snapshots = sink.snapshots();
-  ASSERT_GE(snapshots.size(), 1u);
-  EXPECT_NE(snapshots.back().registry_json.find("\"mira.test.pull_gauge\": 123"),
-            std::string::npos);
-  EXPECT_EQ(reporter.snapshots_taken(), snapshots.size());
-}
-
-TEST(StatsReporterTest, PeriodicSnapshotsFire) {
-  MetricRegistry registry;
-  CapturingStatsSink sink;
-  StatsReporter::Options options;
-  options.interval = std::chrono::milliseconds(5);
-  options.registry = &registry;
-  StatsReporter reporter(&sink, options);
-  reporter.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  reporter.Stop();
-  // At 5 ms intervals over 40 ms, several interval snapshots fired before the
-  // final one; exact counts depend on scheduling.
-  EXPECT_GE(sink.snapshots().size(), 2u);
-  double last_uptime = -1.0;
-  for (const StatsSnapshot& snapshot : sink.snapshots()) {
-    EXPECT_GE(snapshot.uptime_ms, last_uptime);
-    last_uptime = snapshot.uptime_ms;
-  }
-}
-
-TEST(StatsReporterTest, FileSinkWritesLatestSnapshot) {
-  MetricRegistry registry;
-  registry.GetCounter("mira.test.file_sink").Add(3);
-  std::string path = ::testing::TempDir() + "/mira_stats_snapshot.json";
-  FileStatsSink sink(path);
-  StatsReporter::Options options;
-  options.interval = std::chrono::milliseconds(10'000);
-  options.registry = &registry;
-  {
-    StatsReporter reporter(&sink, options);
-    reporter.Start();
-  }  // destructor stops + final snapshot
-  EXPECT_TRUE(sink.status().ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("mira.test.file_sink"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 // ---------- Tracing ----------

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -640,48 +641,173 @@ uint64_t TenantCounter(const std::string& tenant, const std::string& field) {
       .value();
 }
 
-TEST(DiscoveryServiceTest, TenantSlicesSumToServiceTotals) {
-  // The global registry accumulates across tests, so diff against a baseline
-  // even though these tenant names are unique to this test.
-  const std::vector<std::string> tenants = {"slice-a", "slice-b", "slice-c"};
-  std::map<std::string, uint64_t> admitted_before;
-  std::map<std::string, uint64_t> completed_before;
-  for (const std::string& tenant : tenants) {
-    admitted_before[tenant] = TenantCounter(tenant, "admitted");
-    completed_before[tenant] = TenantCounter(tenant, "completed");
-  }
+uint64_t ServiceCounter(const std::string& name) {
+  return obs::MetricRegistry::Global()
+      .GetCounter("mira.service." + name)
+      .value();
+}
 
-  DiscoveryService svc([](const ServiceRequest&) { return OneHit(); },
-                       SyntheticOptions());
-  ASSERT_TRUE(svc.Start().ok());
-  constexpr int kPerTenant = 4;
-  for (int i = 0; i < kPerTenant; ++i) {
-    for (const std::string& tenant : tenants) {
-      ServiceRequest request;
-      request.tenant = tenant;
-      ServiceResponse response = svc.Search(std::move(request));
-      EXPECT_EQ(response.outcome, RequestOutcome::kCompleted);
+TEST(DiscoveryServiceTest, TenantSlicesSumToServiceTotals) {
+  // Every outcome, per tenant: completed, runner failure, eviction, quota
+  // reject, queue-full reject, Stop drain and submit-after-stop. Per tenant
+  // and service-wide, submitted = admitted + rejected + submit-after-stop and
+  // admitted = completed + evicted + failed, where failed also counts the
+  // submit-after-stop answers. The global registry accumulates
+  // across tests, so slices and service counters are diffed against a
+  // baseline.
+  const std::vector<std::string> tenants = {"slice-a", "slice-b", "slice-c"};
+  const std::vector<std::string> fields = {"admitted", "completed", "rejected",
+                                           "evicted", "failed"};
+  const std::vector<std::string> service_fields = {
+      "admitted",          "completed",        "errors", "rejected.quota",
+      "rejected.queue_full", "evicted.deadline"};
+  std::map<std::string, uint64_t> before;
+  for (const std::string& tenant : tenants) {
+    for (const std::string& field : fields) {
+      before[tenant + "." + field] = TenantCounter(tenant, field);
     }
   }
-  svc.Stop();
-
-  // Each slice saw exactly its own requests; the slices sum to the service
-  // totals (no request double-counted or dropped from the label dimension).
-  uint64_t slice_admitted = 0;
-  uint64_t slice_completed = 0;
-  for (const std::string& tenant : tenants) {
-    const uint64_t admitted =
-        TenantCounter(tenant, "admitted") - admitted_before[tenant];
-    const uint64_t completed =
-        TenantCounter(tenant, "completed") - completed_before[tenant];
-    EXPECT_EQ(admitted, static_cast<uint64_t>(kPerTenant)) << tenant;
-    EXPECT_EQ(completed, static_cast<uint64_t>(kPerTenant)) << tenant;
-    slice_admitted += admitted;
-    slice_completed += completed;
+  for (const std::string& field : service_fields) {
+    before[field] = ServiceCounter(field);
   }
-  DiscoveryService::Stats stats = svc.GetStats();
-  EXPECT_EQ(slice_admitted, stats.admitted);
-  EXPECT_EQ(slice_completed, stats.completed);
+  auto slice = [&](const std::string& tenant, const std::string& field) {
+    return TenantCounter(tenant, field) - before[tenant + "." + field];
+  };
+  auto service = [&](const std::string& field) {
+    return ServiceCounter(field) - before[field];
+  };
+  auto request = [](const std::string& tenant, const std::string& query) {
+    ServiceRequest out;
+    out.tenant = tenant;
+    out.query = query;
+    return out;
+  };
+
+  // Live service: one worker, three tokens per tenant.
+  ServiceOptions live_options = SyntheticOptions();
+  live_options.worker_threads = 1;
+  live_options.pressure_degrade_fraction = 1.1;
+  live_options.admission.default_quota.refill_qps = 0.0;
+  live_options.admission.default_quota.burst = 3.0;
+  DiscoveryService live(
+      [](const ServiceRequest& r) -> Result<Ranking> {
+        if (r.query == "fail") return Status::Internal("runner failed");
+        return OneHit();
+      },
+      live_options);
+  ASSERT_TRUE(live.Start().ok());
+  for (const std::string& tenant : tenants) {
+    EXPECT_EQ(live.Search(request(tenant, "ok")).outcome,
+              RequestOutcome::kCompleted);
+    EXPECT_EQ(live.Search(request(tenant, "fail")).outcome,
+              RequestOutcome::kFailed);
+    ServiceRequest cancelled = request(tenant, "cancelled");
+    cancelled.options.control.cancel = CancellationToken::Make();
+    cancelled.options.control.cancel.RequestCancel();
+    EXPECT_EQ(live.Search(std::move(cancelled)).outcome,
+              RequestOutcome::kEvicted);
+    ServiceResponse over_quota = live.Search(request(tenant, "over quota"));
+    EXPECT_EQ(over_quota.outcome, RequestOutcome::kRejected);
+    EXPECT_NE(over_quota.status.message().find("quota"), std::string::npos)
+        << over_quota.status.ToString();
+  }
+  live.Stop();
+
+  // Idle service: no workers, so admitted requests stay queued until Stop
+  // drains them; one more per tenant finds the queue full.
+  ServiceOptions idle_options = SyntheticOptions();
+  idle_options.worker_threads = 0;
+  idle_options.admission.max_queue_depth = tenants.size();
+  DiscoveryService idle([](const ServiceRequest&) { return OneHit(); },
+                        idle_options);
+  ASSERT_TRUE(idle.Start().ok());
+  Collector collector;
+  collector.Expect(static_cast<int>(2 * tenants.size()));
+  for (const std::string& tenant : tenants) {
+    idle.Submit(request(tenant, "queued"), collector.Callback());
+  }
+  for (const std::string& tenant : tenants) {
+    idle.Submit(request(tenant, "queue full"), collector.Callback());
+  }
+  idle.Stop();
+  int drained = 0;
+  int queue_full = 0;
+  for (const ServiceResponse& response : collector.Await()) {
+    if (response.outcome == RequestOutcome::kFailed &&
+        response.status.IsUnavailable()) {
+      ++drained;
+    }
+    if (response.outcome == RequestOutcome::kRejected) ++queue_full;
+  }
+  EXPECT_EQ(drained, 3);
+  EXPECT_EQ(queue_full, 3);
+
+  auto check_identities = [&](uint64_t after_stop) {
+    SCOPED_TRACE("submit-after-stop per tenant: " +
+                 std::to_string(after_stop));
+    // Per tenant: 4 live submissions, 2 idle ones, plus the late ones.
+    for (const std::string& tenant : tenants) {
+      SCOPED_TRACE(tenant);
+      EXPECT_EQ(slice(tenant, "admitted"), 4u);
+      EXPECT_EQ(slice(tenant, "completed"), 1u);
+      EXPECT_EQ(slice(tenant, "evicted"), 1u);
+      EXPECT_EQ(slice(tenant, "rejected"), 2u);
+      EXPECT_EQ(slice(tenant, "failed"), 2u + after_stop);
+      EXPECT_EQ(6u + after_stop, slice(tenant, "admitted") +
+                                     slice(tenant, "rejected") + after_stop);
+      EXPECT_EQ(slice(tenant, "admitted"),
+                slice(tenant, "completed") + slice(tenant, "evicted") +
+                    slice(tenant, "failed") - after_stop);
+    }
+    // Service-wide: the instance counters of both services, and the
+    // mira.service.* family, agree with the slices.
+    const DiscoveryService::Stats a = live.GetStats();
+    const DiscoveryService::Stats b = idle.GetStats();
+    const uint64_t submitted = a.submitted + b.submitted;
+    const uint64_t admitted = a.admitted + b.admitted;
+    const uint64_t completed = a.completed + b.completed;
+    const uint64_t rejected = a.rejected + b.rejected;
+    const uint64_t evicted = a.evicted + b.evicted;
+    const uint64_t failed = a.failed + b.failed;
+    const uint64_t late = after_stop * tenants.size();
+    EXPECT_EQ(submitted, 6u * tenants.size() + late);
+    EXPECT_EQ(submitted, admitted + rejected + late);
+    EXPECT_EQ(admitted, completed + evicted + failed - late);
+    uint64_t slice_admitted = 0;
+    uint64_t slice_completed = 0;
+    uint64_t slice_rejected = 0;
+    uint64_t slice_evicted = 0;
+    uint64_t slice_failed = 0;
+    for (const std::string& tenant : tenants) {
+      slice_admitted += slice(tenant, "admitted");
+      slice_completed += slice(tenant, "completed");
+      slice_rejected += slice(tenant, "rejected");
+      slice_evicted += slice(tenant, "evicted");
+      slice_failed += slice(tenant, "failed");
+    }
+    EXPECT_EQ(slice_admitted, admitted);
+    EXPECT_EQ(slice_completed, completed);
+    EXPECT_EQ(slice_rejected, rejected);
+    EXPECT_EQ(slice_evicted, evicted);
+    EXPECT_EQ(slice_failed, failed);
+    EXPECT_EQ(service("admitted"), admitted);
+    EXPECT_EQ(service("completed"), completed);
+    EXPECT_EQ(service("rejected.quota"), 3u);
+    EXPECT_EQ(service("rejected.queue_full"), 3u);
+    EXPECT_EQ(service("rejected.quota") + service("rejected.queue_full"),
+              rejected);
+    EXPECT_EQ(service("evicted.deadline"), evicted);
+    EXPECT_EQ(service("errors"), failed);
+  };
+  check_identities(0);
+
+  // Submit-after-stop is answered inline as failed and never admitted.
+  for (const std::string& tenant : tenants) {
+    ServiceResponse late = idle.Search(request(tenant, "late"));
+    EXPECT_EQ(late.outcome, RequestOutcome::kFailed);
+    EXPECT_TRUE(late.status.IsUnavailable()) << late.status.ToString();
+  }
+  check_identities(1);
 }
 
 TEST(DiscoveryServiceTest, TenantSliceDirectoryIsBoundedByOther) {

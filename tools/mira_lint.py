@@ -23,7 +23,7 @@ Rules (see docs/STATIC_ANALYSIS.md for rationale and triage policy):
                 the dispatched kernels in vecmath/simd.h, so portability and
                 the scalar fallback stay in one place.
   obs-in-kernels no observability in src/vecmath/ (no "obs/..." includes, no
-                TraceSpan/MetricRegistry/QueryLog/StatsReporter use): the SIMD
+                TraceSpan/MetricRegistry/QueryLog use): the SIMD
                 kernels are the innermost hot loops, and even a no-op span
                 constructor or a relaxed atomic bump is measurable there.
                 Instrument the callers (index/discovery layers) instead.
@@ -243,7 +243,7 @@ def check_intrinsics(path: Path, lines: list[str]) -> None:
 
 OBS_USE_RE = re.compile(
     r"\bTraceSpan\b|\bScopedTrace\b|\bMetricRegistry\b"
-    r"|\bQueryLog\b|\bStatsReporter\b")
+    r"|\bQueryLog\b")
 # Include directives keep their quoted path (strip_comments_and_strings blanks
 # string literals, which would hide them); only trailing comments are dropped.
 OBS_INCLUDE_RE = re.compile(r"#\s*include\s*\"obs/")
