@@ -23,7 +23,7 @@ vecmath::Vec PcaModel::Transform(const vecmath::Vec& input) const {
   return out;
 }
 
-vecmath::Matrix PcaModel::TransformAll(const vecmath::Matrix& input) const {
+vecmath::Matrix PcaModel::TransformAll(const vecmath::RowsView& input) const {
   vecmath::Matrix out(input.rows(), components.rows());
   for (size_t i = 0; i < input.rows(); ++i) {
     out.SetRow(i, Transform(input.RowVec(i)));
@@ -31,7 +31,7 @@ vecmath::Matrix PcaModel::TransformAll(const vecmath::Matrix& input) const {
   return out;
 }
 
-Result<PcaModel> FitPca(const vecmath::Matrix& data, const PcaOptions& options) {
+Result<PcaModel> FitPca(const vecmath::RowsView& data, const PcaOptions& options) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   if (n < 2) return Status::InvalidArgument("pca: need at least 2 rows");

@@ -29,12 +29,12 @@ struct PcaModel {
   /// Projects one vector into the principal subspace.
   vecmath::Vec Transform(const vecmath::Vec& input) const;
   /// Projects all rows.
-  vecmath::Matrix TransformAll(const vecmath::Matrix& input) const;
+  vecmath::Matrix TransformAll(const vecmath::RowsView& input) const;
 };
 
 /// Fits PCA on the rows of `data`. target_dim must be <= input dim and
 /// data must have >= 2 rows.
-[[nodiscard]] Result<PcaModel> FitPca(const vecmath::Matrix& data, const PcaOptions& options);
+[[nodiscard]] Result<PcaModel> FitPca(const vecmath::RowsView& data, const PcaOptions& options);
 
 }  // namespace mira::dimred
 

@@ -137,7 +137,7 @@ void FitAbParams(float min_dist, float spread, float* a, float* b) {
   *b = best_b;
 }
 
-Result<UmapModel> FitUmap(const vecmath::Matrix& data,
+Result<UmapModel> FitUmap(const vecmath::RowsView& data,
                           const UmapOptions& options, ThreadPool* pool) {
   const size_t n = data.rows();
   const size_t d = data.cols();

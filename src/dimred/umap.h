@@ -42,8 +42,8 @@ struct UmapModel {
   float b = 0.f;
 };
 
-/// Reduces the rows of `data`. Requires data.rows() >= 4 and target_dim <=
-/// data.cols().
+/// Reduces the rows of `data` (a matrix, or a store's rows read once per
+/// point). Requires data.rows() >= 4 and target_dim <= data.cols().
 ///
 /// With a `pool`, the steps whose result does not depend on execution order
 /// run in parallel: the PCA initialization and a/b fit on a second thread
@@ -51,7 +51,7 @@ struct UmapModel {
 /// The graph build, the fuzzy-set edge order and the SGD epochs stay serial,
 /// so the layout is bit-identical to a null-pool run. Must not be called
 /// from a task of `pool`.
-[[nodiscard]] Result<UmapModel> FitUmap(const vecmath::Matrix& data,
+[[nodiscard]] Result<UmapModel> FitUmap(const vecmath::RowsView& data,
                                         const UmapOptions& options,
                                         ThreadPool* pool = nullptr);
 

@@ -1,9 +1,7 @@
 #include "discovery/anns_search.h"
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/checksum.h"
 #include "common/failpoint.h"
 #include "index/hnsw_index.h"
 #include "obs/trace.h"
@@ -46,74 +44,29 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
   }
   searcher->index_ = std::make_unique<index::HnswIndex>(hnsw);
 
-  // Step 1 of Algorithm 2: index every distinct cell embedding once, under
-  // its distinct-row number, in the order of its first cell.
-  const size_t num_distinct = searcher->GroupCells(corpus->vectors);
-  searcher->index_->Reserve(num_distinct);
-  for (size_t d = 0; d < num_distinct; ++d) {
-    MIRA_RETURN_NOT_OK(searcher->index_->Add(
-        d, corpus->vectors.RowVec(
-               searcher->posting_cells_[searcher->posting_offsets_[d]])));
+  // Step 1 of Algorithm 2: index every distinct cell embedding once: the
+  // store's rows, under their row numbers.
+  const size_t num_rows = corpus->num_rows();
+  searcher->index_->Reserve(num_rows);
+  for (size_t d = 0; d < num_rows; ++d) {
+    MIRA_RETURN_NOT_OK(searcher->index_->Add(d, corpus->rows.RowVec(d)));
   }
-  searcher->cell_relation_.reserve(corpus->num_cells());
-  for (const CellRef& ref : corpus->refs) {
-    searcher->cell_relation_.push_back(ref.relation);
+  // CSR posting lists from the store's cell -> row index, filled in
+  // ascending cell order, and each cell's relation.
+  std::vector<uint32_t>& offsets = searcher->posting_offsets_;
+  offsets.assign(num_rows + 1, 0);
+  for (uint32_t d : corpus->cell_rows) ++offsets[d + 1];
+  for (size_t d = 0; d < num_rows; ++d) offsets[d + 1] += offsets[d];
+  searcher->posting_cells_.resize(corpus->num_cells());
+  searcher->cell_relation_.resize(corpus->num_cells());
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (uint32_t i = 0; i < corpus->num_cells(); ++i) {
+    searcher->posting_cells_[cursor[corpus->cell_rows[i]]++] = i;
+    searcher->cell_relation_[i] = corpus->refs[i].relation;
   }
   MIRA_FAILPOINT("index.build");
   MIRA_RETURN_NOT_OK(searcher->index_->Build(pool));
   return searcher;
-}
-
-size_t AnnsSearcher::GroupCells(const vecmath::Matrix& vectors) {
-  const size_t n = vectors.rows();
-  const size_t row_bytes = vectors.cols() * sizeof(float);
-  // One sort over (row hash, cell) puts every copy of a row in one run of
-  // equal hashes, cells ascending; memcmp confirms each match, so a hash
-  // collision only costs a comparison. node[cell] becomes the cell's first
-  // copy, then (below) its distinct-row number.
-  std::vector<std::pair<uint64_t, uint32_t>> keyed(n);
-  for (size_t i = 0; i < n; ++i) {
-    keyed[i] = {Checksum64::Hash(vectors.Row(i), row_bytes),
-                static_cast<uint32_t>(i)};
-  }
-  std::sort(keyed.begin(), keyed.end());
-  std::vector<uint32_t> node(n);
-  std::vector<uint32_t> firsts;  // first cells of the current run's rows
-  for (size_t begin = 0, end = 0; begin < n; begin = end) {
-    firsts.clear();
-    for (end = begin; end < n && keyed[end].first == keyed[begin].first;
-         ++end) {
-      const uint32_t cell = keyed[end].second;
-      node[cell] = cell;
-      for (uint32_t first : firsts) {
-        if (std::memcmp(vectors.Row(first), vectors.Row(cell), row_bytes) ==
-            0) {
-          node[cell] = first;
-          break;
-        }
-      }
-      if (node[cell] == cell) firsts.push_back(cell);
-    }
-  }
-  // Number the distinct rows in first-cell order: a copy's first cell is
-  // lower, so it is already numbered.
-  uint32_t num_distinct = 0;
-  for (size_t i = 0; i < n; ++i) {
-    node[i] = node[i] == i ? num_distinct++ : node[node[i]];
-  }
-  // CSR posting lists, filled in ascending cell order.
-  posting_offsets_.assign(num_distinct + 1, 0);
-  for (uint32_t d : node) ++posting_offsets_[d + 1];
-  for (size_t d = 0; d < num_distinct; ++d) {
-    posting_offsets_[d + 1] += posting_offsets_[d];
-  }
-  posting_cells_.resize(n);
-  std::vector<uint32_t> cursor(posting_offsets_.begin(),
-                               posting_offsets_.end() - 1);
-  for (size_t i = 0; i < n; ++i) {
-    posting_cells_[cursor[node[i]]++] = static_cast<uint32_t>(i);
-  }
-  return num_distinct;
 }
 
 Result<Ranking> AnnsSearcher::Search(const std::string& query,

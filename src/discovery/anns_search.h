@@ -37,16 +37,14 @@ struct AnnsOptions {
 
 /// Approximate Nearest Neighbors Search — Algorithm 2 (§4.2).
 ///
-/// Build: the cells are grouped by the exact bytes of their embeddings
-/// (repeated attribute values embed identically), and each distinct vector
-/// is HNSW indexed once, with Product-Quantization compressed traversal and
-/// exact rescoring. CSR posting lists map each distinct vector to its cells,
-/// ascending. Search: embed the query, fetch `cell_candidates` approximate
-/// nearest distinct vectors, take their cells in hit order (each hit's in
-/// ascending cell id) until `cell_candidates` cells are taken, and rank
-/// relations by the average similarity of their taken cells. Grouping by
-/// bytes, not by text, makes a loaded corpus build the same index as the
-/// corpus it was saved from.
+/// Build: each distinct cell vector — a row of the CorpusEmbeddings store —
+/// is HNSW indexed once, under its row number, with Product-Quantization
+/// compressed traversal and exact rescoring. CSR posting lists, built from
+/// the store's cell -> row index, map each row to its cells, ascending.
+/// Search: embed the query, fetch `cell_candidates` approximate nearest
+/// distinct vectors, take their cells in hit order (each hit's in ascending
+/// cell id) until `cell_candidates` cells are taken, and rank relations by
+/// the average similarity of their taken cells.
 class AnnsSearcher final : public Searcher {
  public:
   /// Builds the index from pre-computed corpus embeddings. A non-null
@@ -80,16 +78,11 @@ class AnnsSearcher final : public Searcher {
  private:
   AnnsSearcher(AnnsOptions options, size_t num_relations);
 
-  /// Groups the rows of `vectors` by exact bytes and fills the posting
-  /// lists; distinct rows are numbered in the order of their first cells.
-  /// Returns the number of distinct rows.
-  size_t GroupCells(const vecmath::Matrix& vectors);
-
   AnnsOptions options_;
   size_t num_relations_;
   /// cell_relation_[cell] = the cell's relation.
   std::vector<table::RelationId> cell_relation_;
-  /// Distinct vector d (the HNSW id) has the cells
+  /// Store row d (the HNSW id) has the cells
   /// posting_cells_[posting_offsets_[d] .. posting_offsets_[d + 1]),
   /// ascending; posting_cells_[posting_offsets_[d]] is its first cell.
   std::vector<uint32_t> posting_offsets_;

@@ -29,11 +29,9 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Build(
   corpus.num_relations = federation.size();
   corpus.cells_per_relation.assign(federation.size(), 0);
 
-  // Group the cells by text: each distinct text is embedded once, into the
-  // row of its first cell, and copied to the rows of its repeats.
+  // Group the cells by text; cell_rows holds each cell's text id until the
+  // texts are grouped by their vectors below.
   std::vector<std::string_view> texts;
-  std::vector<size_t> first_row;      // per distinct text
-  std::vector<uint32_t> text_of_row;  // per cell
   {
     std::unordered_map<std::string_view, uint32_t> text_ids;
     for (table::RelationId rid = 0; rid < federation.size(); ++rid) {
@@ -44,11 +42,8 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Build(
           if (cell.empty()) continue;
           auto [it, inserted] = text_ids.try_emplace(
               cell, static_cast<uint32_t>(texts.size()));
-          if (inserted) {
-            texts.push_back(cell);
-            first_row.push_back(corpus.refs.size());
-          }
-          text_of_row.push_back(it->second);
+          if (inserted) texts.push_back(cell);
+          corpus.cell_rows.push_back(it->second);
           corpus.refs.push_back(CellRef{rid, r, c});
           ++corpus.cells_per_relation[rid];
         }
@@ -59,22 +54,17 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Build(
     return Status::InvalidArgument("corpus embeddings: no non-empty cells");
   }
 
-  // The batch keeps its direction table in the cell matrix, whose rows are
-  // written only after the table is dead, so the table needs no memory of
-  // its own: a separate one raised peak RSS whenever a build ran on a heap
-  // that still held a freed earlier build.
+  // Each distinct text is embedded once, into its own row.
   const size_t dim = encoder.dim();
-  corpus.vectors = vecmath::Matrix(corpus.refs.size(), dim);
-  embed::TokenBatch batch =
-      encoder.PrepareBatch(texts, pool, corpus.vectors.data().data(),
-                           corpus.vectors.data().size());
+  corpus.rows = vecmath::Matrix(texts.size(), dim);
+  embed::TokenBatch batch = encoder.PrepareBatch(texts, pool);
 
   // Cancellable loop (runs inline when pool is null) so an injected encode
   // failure aborts the build with a typed Status instead of finishing with a
   // silently wrong row — first non-OK wins, remaining texts are skipped.
   auto embed_one = [&](size_t t) -> Status {
     MIRA_FAILPOINT("embed.encode");
-    float* row = corpus.vectors.Row(first_row[t]);
+    float* row = corpus.rows.Row(t);
     encoder.PoolBatchText(batch, t, row);
     // Normalized a second time (PoolBatchText already normalizes): the
     // corpus bytes, pinned by ParallelBuildStressTest, include this pass.
@@ -83,38 +73,79 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Build(
   };
   MIRA_RETURN_NOT_OK(
       ParallelForCancellable(pool, 0, texts.size(), nullptr, embed_one));
-  ParallelFor(pool, 0, corpus.refs.size(), [&](size_t i) {
-    const size_t source = first_row[text_of_row[i]];
-    if (source != i) {
-      std::memcpy(corpus.vectors.Row(i), corpus.vectors.Row(source),
-                  dim * sizeof(float));
-    }
-  });
   encoder.CacheTokens(std::move(batch));
+
+  // Group the text rows by exact bytes, compacting them in place: text t's
+  // row moves down to the next free row, and stays there only if no earlier
+  // row has its bytes. The map's keys view rows that no longer move, so a
+  // hash collision only costs a comparison. Rows are numbered in the order
+  // of their first texts, which is the order of their first cells.
+  const size_t row_bytes = dim * sizeof(float);
+  std::vector<uint32_t> row_of_text(texts.size());
+  std::unordered_map<std::string_view, uint32_t> row_ids;
+  uint32_t num_rows = 0;
+  for (size_t t = 0; t < texts.size(); ++t) {
+    float* row = corpus.rows.Row(num_rows);
+    if (num_rows != t) std::memcpy(row, corpus.rows.Row(t), row_bytes);
+    auto [it, inserted] = row_ids.try_emplace(
+        std::string_view(reinterpret_cast<const char*>(row), row_bytes),
+        num_rows);
+    if (inserted) ++num_rows;
+    row_of_text[t] = it->second;
+  }
+  corpus.rows.TruncateRows(num_rows);
+  for (uint32_t& row : corpus.cell_rows) row = row_of_text[row];
   return corpus;
 }
 
 namespace {
 
-// Format v2 ("MIRACOR2"): magic, then five little-endian uint64 header
-// words {num_relations, rows, cols, payload_checksum, header_checksum},
-// then the payload (vectors, refs, cells_per_relation). header_checksum
-// covers the magic + the first four words; payload_checksum covers every
-// payload byte in file order. v1 files (no checksums) are not readable —
-// Load reports them as kDataLoss with the version in the message.
-constexpr char kCorpusMagic[8] = {'M', 'I', 'R', 'A', 'C', 'O', 'R', '2'};
-constexpr size_t kHeaderWords = 5;
+// Format v3 ("MIRACOR3"): magic, then six little-endian uint64 header words
+// {num_relations, cells, cols, rows, payload_checksum, header_checksum},
+// then the payload (rows, refs, cell_rows). header_checksum covers the
+// magic + the first five words; payload_checksum covers every payload byte
+// in file order. v1 and v2 files (a row per cell) are not readable — Load
+// reports them as kDataLoss naming the format it reads.
+constexpr char kCorpusMagic[8] = {'M', 'I', 'R', 'A', 'C', 'O', 'R', '3'};
+constexpr size_t kHeaderWords = 6;
 
 // The payload size of a header's shape; false when it overflows.
-bool PayloadBytes(uint64_t num_relations, uint64_t rows, uint64_t cols,
+bool PayloadBytes(uint64_t cells, uint64_t cols, uint64_t rows,
                   uint64_t* bytes) {
-  uint64_t vectors = 0, refs = 0, counts = 0;
+  uint64_t vectors = 0, per_cell = 0;
   return !__builtin_mul_overflow(rows, cols, &vectors) &&
          !__builtin_mul_overflow(vectors, sizeof(float), &vectors) &&
-         !__builtin_mul_overflow(rows, sizeof(CellRef), &refs) &&
-         !__builtin_mul_overflow(num_relations, sizeof(uint32_t), &counts) &&
-         !__builtin_add_overflow(vectors, refs, bytes) &&
-         !__builtin_add_overflow(*bytes, counts, bytes);
+         !__builtin_mul_overflow(cells, sizeof(CellRef) + sizeof(uint32_t),
+                                 &per_cell) &&
+         !__builtin_add_overflow(vectors, per_cell, bytes);
+}
+
+// Calls visit(data, bytes) on each part of the payload, in file order,
+// while it returns true.
+template <typename Corpus, typename Visit>
+bool ForEachPayloadPart(Corpus& corpus, const Visit& visit) {
+  return visit(corpus.rows.data().data(),
+               corpus.rows.data().size() * sizeof(float)) &&
+         visit(corpus.refs.data(), corpus.refs.size() * sizeof(CellRef)) &&
+         visit(corpus.cell_rows.data(),
+               corpus.cell_rows.size() * sizeof(uint32_t));
+}
+
+uint64_t PayloadChecksum(const CorpusEmbeddings& corpus) {
+  Checksum64 sum;
+  ForEachPayloadPart(corpus, [&sum](const void* data, size_t bytes) {
+    sum.Update(data, bytes);
+    return true;
+  });
+  return sum.Digest();
+}
+
+// Covers the magic and every header word but the last, which holds it.
+uint64_t HeaderChecksum(const uint64_t (&header)[kHeaderWords]) {
+  Checksum64 sum;
+  sum.Update(kCorpusMagic, sizeof(kCorpusMagic));
+  sum.Update(header, (kHeaderWords - 1) * sizeof(uint64_t));
+  return sum.Digest();
 }
 
 }  // namespace
@@ -122,21 +153,9 @@ bool PayloadBytes(uint64_t num_relations, uint64_t rows, uint64_t cols,
 Status CorpusEmbeddings::Save(const std::string& path) const {
   MIRA_FAILPOINT("corpus.save");
 
-  const size_t vectors_bytes = vectors.data().size() * sizeof(float);
-  const size_t refs_bytes = refs.size() * sizeof(CellRef);
-  const size_t counts_bytes = cells_per_relation.size() * sizeof(uint32_t);
-
-  uint64_t header[kHeaderWords] = {num_relations, vectors.rows(),
-                                   vectors.cols(), 0, 0};
-  Checksum64 payload_sum;
-  payload_sum.Update(vectors.data().data(), vectors_bytes);
-  payload_sum.Update(refs.data(), refs_bytes);
-  payload_sum.Update(cells_per_relation.data(), counts_bytes);
-  header[3] = payload_sum.Digest();
-  Checksum64 header_sum;
-  header_sum.Update(kCorpusMagic, sizeof(kCorpusMagic));
-  header_sum.Update(header, 4 * sizeof(uint64_t));
-  header[4] = header_sum.Digest();
+  uint64_t header[kHeaderWords] = {num_relations, refs.size(), rows.cols(),
+                                   rows.rows(), PayloadChecksum(*this), 0};
+  header[5] = HeaderChecksum(header);
 
   // Write to a sibling tmp file, fsync, then atomically rename into place:
   // a crash (or injected fault) at any point leaves either the old good
@@ -162,9 +181,7 @@ Status CorpusEmbeddings::Save(const std::string& path) const {
 
   bool ok = write_chunk(kCorpusMagic, sizeof(kCorpusMagic)) &&
             write_chunk(header, sizeof(header)) &&
-            write_chunk(vectors.data().data(), vectors_bytes) &&
-            write_chunk(refs.data(), refs_bytes) &&
-            write_chunk(cells_per_relation.data(), counts_bytes);
+            ForEachPayloadPart(*this, write_chunk);
   // fsync before close: rename-over is only atomic-durable if the tmp's
   // bytes reached the device first.
   if (ok) ok = std::fflush(out) == 0 && ::fsync(fileno(out)) == 0;
@@ -193,8 +210,8 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Load(const std::string& path) {
   if (in.gcount() != sizeof(magic) ||
       std::memcmp(magic, kCorpusMagic, sizeof(kCorpusMagic)) != 0) {
     return Status::DataLoss(StrFormat(
-        "corpus load: '%s' is not a MIRACOR2 file (corrupt, truncated, or "
-        "pre-checksum format)",
+        "corpus load: '%s' is not a MIRACOR3 file (corrupt, truncated, or "
+        "an older format)",
         path.c_str()));
   }
   uint64_t header[kHeaderWords];
@@ -203,10 +220,7 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Load(const std::string& path) {
     return Status::DataLoss(
         StrFormat("corpus load: '%s' truncated in header", path.c_str()));
   }
-  Checksum64 header_sum;
-  header_sum.Update(kCorpusMagic, sizeof(kCorpusMagic));
-  header_sum.Update(header, 4 * sizeof(uint64_t));
-  if (header_sum.Digest() != header[4]) {
+  if (HeaderChecksum(header) != header[5]) {
     return Status::DataLoss(
         StrFormat("corpus load: '%s' header checksum mismatch", path.c_str()));
   }
@@ -219,9 +233,16 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Load(const std::string& path) {
   const uint64_t file_payload =
       file_size - sizeof(kCorpusMagic) - sizeof(header);
   uint64_t payload_bytes = 0;
-  if (!PayloadBytes(header[0], header[1], header[2], &payload_bytes)) {
+  if (!PayloadBytes(header[1], header[2], header[3], &payload_bytes)) {
     return Status::DataLoss(StrFormat(
         "corpus load: '%s' header shape overflows", path.c_str()));
+  }
+  // Every row is the vector of at least one cell, and the per-relation
+  // counts derived below take no more memory than the payload.
+  if (header[3] > header[1] || header[0] > payload_bytes / sizeof(uint32_t)) {
+    return Status::DataLoss(StrFormat(
+        "corpus load: '%s' has more rows than cells or more relations than "
+        "its payload holds", path.c_str()));
   }
   if (payload_bytes > file_payload) {
     return Status::DataLoss(
@@ -234,48 +255,40 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Load(const std::string& path) {
 
   CorpusEmbeddings corpus;
   corpus.num_relations = header[0];
-  corpus.vectors = vecmath::Matrix(header[1], header[2]);
   corpus.refs.resize(header[1]);
-  corpus.cells_per_relation.resize(corpus.num_relations);
+  corpus.cell_rows.resize(header[1]);
+  corpus.rows = vecmath::Matrix(header[3], header[2]);
 
-  const size_t vectors_bytes = corpus.vectors.data().size() * sizeof(float);
-  const size_t refs_bytes = corpus.refs.size() * sizeof(CellRef);
-  const size_t counts_bytes =
-      corpus.cells_per_relation.size() * sizeof(uint32_t);
   auto read_chunk = [&](void* data, size_t len) {
     in.read(reinterpret_cast<char*>(data),
             static_cast<std::streamsize>(len));
     return static_cast<size_t>(in.gcount()) == len;
   };
-  if (!read_chunk(corpus.vectors.data().data(), vectors_bytes) ||
-      !read_chunk(corpus.refs.data(), refs_bytes) ||
-      !read_chunk(corpus.cells_per_relation.data(), counts_bytes)) {
+  if (!ForEachPayloadPart(corpus, read_chunk)) {
     return Status::DataLoss(
         StrFormat("corpus load: '%s' truncated in payload", path.c_str()));
   }
-  Checksum64 payload_sum;
-  payload_sum.Update(corpus.vectors.data().data(), vectors_bytes);
-  payload_sum.Update(corpus.refs.data(), refs_bytes);
-  payload_sum.Update(corpus.cells_per_relation.data(), counts_bytes);
-  if (payload_sum.Digest() != header[3]) {
+  if (PayloadChecksum(corpus) != header[4]) {
     return Status::DataLoss(StrFormat(
         "corpus load: '%s' payload checksum mismatch (flipped or torn bytes)",
         path.c_str()));
   }
-  // Searchers index per-relation arrays by refs[i].relation.
-  std::vector<uint32_t> counted(corpus.num_relations, 0);
-  for (const CellRef& ref : corpus.refs) {
+  // Searchers index per-relation arrays by refs[i].relation and the rows by
+  // cell_rows[i].
+  corpus.cells_per_relation.assign(corpus.num_relations, 0);
+  for (size_t i = 0; i < corpus.num_cells(); ++i) {
+    const CellRef& ref = corpus.refs[i];
     if (ref.relation >= corpus.num_relations) {
       return Status::DataLoss(StrFormat(
           "corpus load: '%s' has a cell of relation %u of %zu", path.c_str(),
           ref.relation, corpus.num_relations));
     }
-    ++counted[ref.relation];
-  }
-  if (counted != corpus.cells_per_relation) {
-    return Status::DataLoss(StrFormat(
-        "corpus load: '%s' per-relation cell counts disagree with its cells",
-        path.c_str()));
+    if (corpus.cell_rows[i] >= corpus.num_rows()) {
+      return Status::DataLoss(StrFormat(
+          "corpus load: '%s' has a cell of row %u of %zu", path.c_str(),
+          corpus.cell_rows[i], corpus.num_rows()));
+    }
+    ++corpus.cells_per_relation[ref.relation];
   }
   return corpus;
 }

@@ -48,6 +48,7 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
     return Status::InvalidArgument("cts: null corpus/encoder");
   }
   const size_t n = corpus->num_cells();
+  const vecmath::RowsView cells = corpus->CellVectors();
   std::unique_ptr<CtsSearcher> searcher(new CtsSearcher(options));
   searcher->encoder_ = encoder;
   searcher->num_relations_ = corpus->num_relations;
@@ -64,7 +65,7 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
   if (n >= min_for_clustering) {
     WallTimer umap_timer;
     MIRA_ASSIGN_OR_RETURN(dimred::UmapModel umap,
-                          dimred::FitUmap(corpus->vectors, options.umap, pool));
+                          dimred::FitUmap(cells, options.umap, pool));
     searcher->umap_ms_ = umap_timer.ElapsedMillis();
     const vecmath::Matrix& reduced = umap.embedding;
     const size_t rd = reduced.cols();
@@ -99,9 +100,9 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
       vecmath::Matrix medoid_reduced(num_clusters, rd);
       medoids = vecmath::Matrix(num_clusters, corpus->dim());
       for (size_t m = 0; m < num_clusters; ++m) {
-        size_t corpus_row = sample_rows[medoid_sample_rows[m]];
-        medoid_reduced.SetRow(m, reduced.RowVec(corpus_row));
-        medoids.SetRow(m, corpus->vectors.RowVec(corpus_row));
+        const size_t cell = sample_rows[medoid_sample_rows[m]];
+        medoid_reduced.SetRow(m, reduced.RowVec(cell));
+        medoids.SetRow(m, cells.RowVec(cell));
       }
 
       // Cluster of each cell: HDBSCAN label for sampled+clustered cells,
@@ -124,16 +125,17 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
 
   if (num_clusters == 1) {
     // Degenerate case: one cluster holding everything; its medoid is the
-    // cell closest to the corpus centroid.
+    // cell closest to the (per-cell) corpus centroid. Cells that share a row
+    // are equally close, so the nearest distinct row is that cell's vector.
     vecmath::Vec centroid(corpus->dim(), 0.f);
     for (size_t i = 0; i < n; ++i) {
-      vecmath::AddInPlace(centroid.data(), corpus->vectors.Row(i), corpus->dim());
+      vecmath::AddInPlace(centroid.data(), cells.Row(i), corpus->dim());
     }
     vecmath::ScaleInPlace(&centroid, 1.0f / static_cast<float>(n));
     std::vector<float> dist;
-    const size_t best = NearestRow(corpus->vectors, centroid.data(), &dist);
+    const size_t best = NearestRow(corpus->rows, centroid.data(), &dist);
     medoids = vecmath::Matrix(1, corpus->dim());
-    medoids.SetRow(0, corpus->vectors.RowVec(best));
+    medoids.SetRow(0, corpus->rows.RowVec(best));
   }
   searcher->num_clusters_ = num_clusters;
 
@@ -168,12 +170,12 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
     const size_t c = static_cast<size_t>(cell_cluster[i]);
     const size_t row = next_row[c]++;
     float* out = searcher->rows_.Row(row);
-    std::copy(corpus->vectors.Row(i), corpus->vectors.Row(i) + dim, out);
+    std::copy(cells.Row(i), cells.Row(i) + dim, out);
     vecmath::NormalizeInPlace(out, dim);
     searcher->row_relation_[row] = corpus->refs[i].relation;
     // A graph takes the raw row, keyed by row, and normalizes it itself.
     if (const auto& graph = searcher->cluster_graphs_[c]) {
-      MIRA_RETURN_NOT_OK(graph->Add(row, corpus->vectors.RowVec(i)));
+      MIRA_RETURN_NOT_OK(graph->Add(row, cells.RowVec(i)));
     }
   }
   for (const auto& graph : searcher->cluster_graphs_) {

@@ -310,9 +310,10 @@ void DiscoveryEngine::PublishResourceMetrics() const {
     size_t total = 0;
     if (corpus_ != nullptr) {
       const size_t corpus_bytes =
-          corpus_->vectors.data().size() * sizeof(float) +
+          corpus_->rows.data().size() * sizeof(float) +
           corpus_->refs.size() * sizeof(CellRef) +
-          corpus_->cells_per_relation.size() * sizeof(uint32_t);
+          (corpus_->cell_rows.size() + corpus_->cells_per_relation.size()) *
+              sizeof(uint32_t);
       registry.GetGauge("mira.mem.corpus_bytes")
           .Set(static_cast<double>(corpus_bytes));
       total += corpus_bytes;

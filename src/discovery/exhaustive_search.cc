@@ -25,14 +25,16 @@ ExhaustiveSearcher::ExhaustiveSearcher(
     }
     return;
   }
-  // avg_s(r) = (1/n_r) Σ q·c_i = q·m_r: sum each relation's rows in double,
-  // in corpus row order (a relation's rows need not be contiguous), and
-  // store the mean as float. Relations without cells keep a zero row and
-  // are skipped at ranking time.
+  // avg_s(r) = (1/n_r) Σ q·c_i = q·m_r: sum each relation's cell vectors in
+  // double, cell by cell in corpus order (a relation's cells need not be
+  // contiguous, and a repeated vector is added once per cell), and store
+  // the mean as float. Relations without cells keep a zero row and are
+  // skipped at ranking time.
   const size_t d = corpus_->dim();
+  const vecmath::RowsView cells = corpus_->CellVectors();
   std::vector<double> sums(corpus_->num_relations * d, 0.0);
   for (size_t i = 0; i < corpus_->num_cells(); ++i) {
-    const float* row = corpus_->vectors.Row(i);
+    const float* row = cells.Row(i);
     double* sum = &sums[corpus_->refs[i].relation * d];
     for (size_t j = 0; j < d; ++j) sum[j] += row[j];
   }

@@ -309,8 +309,7 @@ vecmath::Vec SemanticEncoder::EncodeText(std::string_view text) const {
 }
 
 TokenBatch SemanticEncoder::PrepareBatch(
-    const std::vector<std::string_view>& texts, ThreadPool* pool,
-    float* scratch, size_t scratch_floats) const {
+    const std::vector<std::string_view>& texts, ThreadPool* pool) const {
   const size_t dim = options_.dim;
   TokenBatch batch;
   batch.offsets.reserve(texts.size() + 1);
@@ -351,21 +350,17 @@ TokenBatch SemanticEncoder::PrepareBatch(
       add_seed(recipe.blend_seeds[i]);
     }
   }
-  std::vector<float> own_table;
-  float* table = scratch;
-  if (scratch_floats < seeds.size() * dim) {
-    own_table.resize(seeds.size() * dim);
-    table = own_table.data();
-  }
-  ParallelFor(pool, 0, seeds.size(),
-              [&](size_t r) { DrawDirection(seeds[r], table + r * dim); });
+  std::vector<float> table(seeds.size() * dim);
+  ParallelFor(pool, 0, seeds.size(), [&](size_t r) {
+    DrawDirection(seeds[r], table.data() + r * dim);
+  });
 
   // Compose each distinct token vector; the table and the seed index are
   // only read here, so no lock is needed.
   batch.vectors.resize(num_tokens);
   batch.weights.resize(num_tokens);
   const auto direction = [&](uint64_t seed) -> const float* {
-    return table + size_t{rows.find(seed)->second} * dim;
+    return table.data() + size_t{rows.find(seed)->second} * dim;
   };
   ParallelFor(pool, 0, num_tokens, [&](size_t i) {
     batch.vectors[i].resize(dim);

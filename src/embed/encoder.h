@@ -121,12 +121,8 @@ class SemanticEncoder {
   /// exactly EncodeText's vector. PrepareBatch tokenizes every text, draws
   /// each distinct pseudo-random direction once and composes each distinct
   /// token vector once, on `pool` (inline when null) and without a lock.
-  /// The distinct directions are kept in a table in the `scratch_floats`
-  /// floats at `scratch` when they have room, else in memory of its own; a
-  /// corpus build passes the cell matrix, which it writes only afterwards.
   TokenBatch PrepareBatch(const std::vector<std::string_view>& texts,
-                          ThreadPool* pool, float* scratch,
-                          size_t scratch_floats) const;
+                          ThreadPool* pool) const;
   /// Pools text `t` of `batch` into `out` (dim() floats).
   void PoolBatchText(const TokenBatch& batch, size_t t, float* out) const;
   /// Moves the batch's token vectors into the token cache in one locked

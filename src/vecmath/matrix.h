@@ -115,6 +115,14 @@ class Matrix {
     }
   }
 
+  /// Drops the rows from `rows` on; the storage keeps its capacity.
+  void TruncateRows(size_t rows) {
+    MIRA_DCHECK(rows <= rows_);
+    rows_ = rows;
+    data_.erase(data_.begin() + static_cast<std::ptrdiff_t>(rows * cols_),
+                data_.end());
+  }
+
   const Storage& data() const { return data_; }
   Storage& data() { return data_; }
 
@@ -123,6 +131,31 @@ class Matrix {
   size_t cols_ = 0;
   size_t pending_reserve_rows_ = 0;
   Storage data_;
+};
+
+/// Read-only rows of a matrix picked through an index (row i is
+/// matrix.Row(index[i]), or matrix.Row(i) without one), so a store of
+/// distinct vectors reads as one row per point without a copy. The matrix
+/// and the index must outlive the view.
+class RowsView {
+ public:
+  RowsView(const Matrix& matrix)  // NOLINT(google-explicit-constructor) -- every matrix is a view of itself
+      : matrix_(&matrix), rows_(matrix.rows()) {}
+  RowsView(const Matrix& matrix, const std::vector<uint32_t>& index)
+      : matrix_(&matrix), index_(index.data()), rows_(index.size()) {}
+
+  size_t rows() const { return rows_; }
+  size_t cols() const { return matrix_->cols(); }
+  const float* Row(size_t r) const {
+    MIRA_DCHECK(r < rows_);
+    return matrix_->Row(index_ == nullptr ? r : index_[r]);
+  }
+  Vec RowVec(size_t r) const { return Vec(Row(r), Row(r) + cols()); }
+
+ private:
+  const Matrix* matrix_;
+  const uint32_t* index_ = nullptr;
+  size_t rows_;
 };
 
 }  // namespace mira::vecmath

@@ -364,11 +364,15 @@ discovery::CorpusEmbeddings BuildCorpus(const table::Federation& federation,
                      : discovery::CorpusEmbeddings{};
 }
 
-// Checksum64 over the corpus vectors' bytes, then over its refs' bytes.
+// Checksum64 over each cell's vector bytes in cell order, then over the
+// cells' refs: the per-cell bytes, however the corpus stores them (the
+// digest does not depend on how the bytes are split into updates).
 uint64_t CorpusFingerprint(const discovery::CorpusEmbeddings& corpus) {
   Checksum64 sum;
-  sum.Update(corpus.vectors.data().data(),
-             corpus.vectors.data().size() * sizeof(float));
+  const vecmath::RowsView cells = corpus.CellVectors();
+  for (size_t i = 0; i < cells.rows(); ++i) {
+    sum.Update(cells.Row(i), cells.cols() * sizeof(float));
+  }
   sum.Update(corpus.refs.data(),
              corpus.refs.size() * sizeof(discovery::CellRef));
   return sum.Digest();
@@ -387,11 +391,11 @@ std::optional<uint64_t> FingerprintForTier(uint64_t scalar, uint64_t avx2) {
   }
 }
 
-void ExpectRowsBitEqual(const vecmath::Matrix& got, size_t row,
+void ExpectRowsBitEqual(const vecmath::RowsView& got, size_t row,
                         const vecmath::Vec& want, const std::string& text) {
   ASSERT_EQ(got.cols(), want.size());
   for (size_t j = 0; j < want.size(); ++j) {
-    ASSERT_EQ(std::bit_cast<uint32_t>(got.At(row, j)),
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.Row(row)[j]),
               std::bit_cast<uint32_t>(want[j]))
         << "row " << row << " ('" << text << "') dim " << j;
   }
@@ -461,17 +465,15 @@ size_t ExpectRowsMatchPerCellEncoding(const table::Federation& federation,
         federation.relation(ref.relation).Cell(ref.row, ref.col);
     vecmath::Vec want = fresh->EncodeText(text);
     vecmath::NormalizeInPlace(&want);
-    ExpectRowsBitEqual(corpus.vectors, i, want, text);
+    ExpectRowsBitEqual(corpus.CellVectors(), i, want, text);
     if (vecmath::Norm(want) == 0.f) ++zero_rows;
   }
   return zero_rows;
 }
 
 TEST(ParallelBuildStressTest, CorpusRowsMatchPerCellEncoding) {
-  // Serial and pooled. The edge-case federation has more distinct
-  // directions than cells, so the batch keeps its direction table in memory
-  // of its own; four copies of it have more cells than distinct directions,
-  // so the table lives in the cell matrix, as it does at LD scale.
+  // Serial and pooled, over the edge-case federation and over four copies
+  // of it, where every text repeats across relations.
   const table::Federation federation = EdgeCaseFederation();
   table::Federation repeated;
   for (int copy = 0; copy < 4; ++copy) {

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -139,6 +140,24 @@ Workload SmallWorkload() {
 
 // ---------- CorpusEmbeddings ----------
 
+// The cells grouped by the exact bytes of their vectors: one entry per
+// distinct vector, in first-cell order, each listing its cells ascending.
+std::vector<std::vector<uint32_t>> CellsByDistinctRow(
+    const CorpusEmbeddings& corpus) {
+  std::map<std::string, size_t> group_of;
+  std::vector<std::vector<uint32_t>> groups;
+  const size_t row_bytes = corpus.dim() * sizeof(float);
+  for (uint32_t i = 0; i < corpus.num_cells(); ++i) {
+    std::string key(
+        reinterpret_cast<const char*>(corpus.CellVectors().Row(i)),
+        row_bytes);
+    auto [it, inserted] = group_of.emplace(std::move(key), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  return groups;
+}
+
 TEST(CorpusEmbeddingsTest, OneRowPerNonEmptyCell) {
   CovidFixture fx = MakeCovidFixture();
   embed::EncoderOptions opts;
@@ -151,6 +170,63 @@ TEST(CorpusEmbeddingsTest, OneRowPerNonEmptyCell) {
   uint32_t total = 0;
   for (uint32_t c : corpus.cells_per_relation) total += c;
   EXPECT_EQ(total, corpus.num_cells());
+}
+
+TEST(CorpusEmbeddingsTest, RowsAreTheDistinctCellVectors) {
+  // The store keeps one row per distinct cell vector: two cells share a row
+  // iff their per-cell encodings are the same bytes, and rows are numbered
+  // in first-cell order. The edge cases of the batch build (repeats, a
+  // punctuation-only cell, numbers, stopword-only cells, an empty cell)
+  // plus case variants: "Foo" and "foo" are distinct texts that tokenize
+  // alike, so a store grouping by text alone fails here.
+  CovidFixture fx = MakeCovidFixture();
+  table::Relation edge;
+  edge.name = "edge_cases";
+  edge.schema = {"a", "b", "c"};
+  const std::vector<std::vector<std::string>> rows = {
+      {"Foo", "1995", "Moderna"},
+      {"foo", "--- !!", "moderna"},
+      {"", "the of and", "FOO"},
+      {"--- !!", "1995", "Sales by Region"},
+      {"sales by region", "a an the", "3.5e9"},
+  };
+  for (const auto& row : rows) ASSERT_TRUE(edge.AddRow(row).ok());
+  fx.federation.AddRelation(edge);
+  fx.federation.AddRelation(std::move(edge));
+  embed::EncoderOptions opts;
+  opts.dim = 32;
+  embed::SemanticEncoder encoder(opts, fx.lexicon);
+  const auto corpus =
+      CorpusEmbeddings::Build(fx.federation, encoder).MoveValue();
+  ASSERT_EQ(corpus.cell_rows.size(), corpus.num_cells());
+
+  const embed::SemanticEncoder fresh(opts, fx.lexicon);
+  const size_t row_bytes = corpus.dim() * sizeof(float);
+  std::map<std::string, uint32_t> row_of_bytes;
+  std::unordered_set<std::string> texts;
+  for (size_t i = 0; i < corpus.num_cells(); ++i) {
+    const CellRef& ref = corpus.refs[i];
+    const std::string& text =
+        fx.federation.relation(ref.relation).Cell(ref.row, ref.col);
+    SCOPED_TRACE(text);
+    texts.insert(text);
+    vecmath::Vec want = fresh.EncodeText(text);
+    vecmath::NormalizeInPlace(&want);
+    auto [it, inserted] = row_of_bytes.try_emplace(
+        std::string(reinterpret_cast<const char*>(want.data()), row_bytes),
+        static_cast<uint32_t>(row_of_bytes.size()));
+    EXPECT_EQ(corpus.cell_rows[i], it->second);
+    EXPECT_EQ(std::memcmp(corpus.CellVectors().Row(i), want.data(), row_bytes),
+              0);
+  }
+  EXPECT_EQ(corpus.num_rows(), row_of_bytes.size());
+  EXPECT_LT(corpus.num_rows(), texts.size());
+  // The tests' byte grouping of the cells agrees: row d holds its cells.
+  const auto groups = CellsByDistinctRow(corpus);
+  ASSERT_EQ(groups.size(), corpus.num_rows());
+  for (uint32_t d = 0; d < groups.size(); ++d) {
+    for (uint32_t cell : groups[d]) EXPECT_EQ(corpus.cell_rows[cell], d);
+  }
 }
 
 TEST(CorpusEmbeddingsTest, SkipsEmptyCells) {
@@ -188,27 +264,11 @@ TEST(CorpusEmbeddingsTest, ParallelMatchesSerial) {
   auto parallel =
       CorpusEmbeddings::Build(fx.federation, encoder, &pool).MoveValue();
   ASSERT_EQ(serial.num_cells(), parallel.num_cells());
-  EXPECT_EQ(serial.vectors.data(), parallel.vectors.data());
+  EXPECT_EQ(serial.rows.data(), parallel.rows.data());
+  EXPECT_EQ(serial.cell_rows, parallel.cell_rows);
 }
 
 // ---------- AnnsSearcher ----------
-
-// The corpus rows grouped by exact bytes: one entry per distinct row, in
-// first-cell order, each listing its cells ascending.
-std::vector<std::vector<uint32_t>> CellsByDistinctRow(
-    const CorpusEmbeddings& corpus) {
-  std::map<std::string, size_t> group_of;
-  std::vector<std::vector<uint32_t>> groups;
-  const size_t row_bytes = corpus.dim() * sizeof(float);
-  for (uint32_t i = 0; i < corpus.num_cells(); ++i) {
-    std::string key(reinterpret_cast<const char*>(corpus.vectors.Row(i)),
-                    row_bytes);
-    auto [it, inserted] = group_of.emplace(std::move(key), groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
-  }
-  return groups;
-}
 
 // The small generated workload with its encoder and corpus, for searchers
 // built outside an engine.
@@ -276,7 +336,7 @@ TEST(AnnsSearcherTest, ExactSearchTakesBruteForceCells) {
     // Distinct rows by exact similarity, descending; ties by first cell.
     std::vector<std::pair<double, size_t>> scored;
     for (size_t d = 0; d < rows.size(); ++d) {
-      const float* row = corpus.vectors.Row(rows[d].front());
+      const float* row = corpus.CellVectors().Row(rows[d].front());
       double dot = 0.0;
       for (size_t j = 0; j < corpus.dim(); ++j) {
         dot += static_cast<double>(embedding[j]) * row[j];
@@ -535,34 +595,38 @@ TEST_F(GeneratedWorkloadTest, ExhaustiveDeterministic) {
 TEST_F(GeneratedWorkloadTest, CachedExhaustiveMatchesFaithful) {
   // The ExS-cached ablation (one dot per relation against its mean cell
   // vector) must return the rankings of the faithful per-cell scan on every
-  // query — only speed differs.
-  auto corpus = std::make_shared<CorpusEmbeddings>(
-      CorpusEmbeddings::Build(workload_->corpus.federation, engine_->encoder())
-          .MoveValue());
-  auto encoder = std::make_shared<embed::SemanticEncoder>(
-      engine_->encoder().options(), workload_->bank.lexicon());
-  if (engine_->encoder().token_frequencies() != nullptr) {
+  // query — only speed differs. Two inputs: the small workload, and every
+  // query of a 250-table federation, the size of the benchmark's.
+  const Workload large = Workload::Generate(datagen::WikiTablesWorkload(250));
+  const Workload* const inputs[] = {workload_, &large};
+  for (const Workload* workload : inputs) {
+    const table::Federation& federation = workload->corpus.federation;
+    SCOPED_TRACE(federation.size());
+    auto encoder = std::make_shared<embed::SemanticEncoder>(
+        engine_->encoder().options(), workload->bank.lexicon());
     auto freqs = std::make_shared<embed::TokenFrequencies>();
-    for (const auto& rel : workload_->corpus.federation.relations()) {
+    for (const auto& rel : federation.relations()) {
       freqs->AddText(rel.ConsolidatedText());
     }
     encoder->SetTokenFrequencies(freqs);
-  }
-  ExsOptions cached;
-  cached.reuse_corpus_embeddings = true;
-  ExhaustiveSearcher fast(nullptr, corpus, encoder, cached);
-  DiscoveryOptions options;
-  options.top_k = 20;
-  ASSERT_FALSE(workload_->queries.empty());
-  for (const auto& q : workload_->queries) {
-    SCOPED_TRACE(q.text);
-    auto faithful =
-        engine_->Search(Method::kExhaustive, q.text, options).MoveValue();
-    auto quick = fast.Search(q.text, options).MoveValue();
-    ASSERT_EQ(faithful.size(), quick.size());
-    for (size_t i = 0; i < faithful.size(); ++i) {
-      EXPECT_EQ(faithful[i].relation, quick[i].relation);
-      EXPECT_NEAR(faithful[i].score, quick[i].score, 1e-4);
+    auto corpus = std::make_shared<CorpusEmbeddings>(
+        CorpusEmbeddings::Build(federation, *encoder).MoveValue());
+    ExhaustiveSearcher faithful(&federation, corpus, encoder);
+    ExsOptions cached;
+    cached.reuse_corpus_embeddings = true;
+    ExhaustiveSearcher fast(nullptr, corpus, encoder, cached);
+    DiscoveryOptions options;
+    options.top_k = 20;
+    ASSERT_FALSE(workload->queries.empty());
+    for (const auto& q : workload->queries) {
+      SCOPED_TRACE(q.text);
+      auto slow = faithful.Search(q.text, options).MoveValue();
+      auto quick = fast.Search(q.text, options).MoveValue();
+      ASSERT_EQ(slow.size(), quick.size());
+      for (size_t i = 0; i < slow.size(); ++i) {
+        EXPECT_EQ(slow[i].relation, quick[i].relation);
+        EXPECT_NEAR(slow[i].score, quick[i].score, 1e-4);
+      }
     }
   }
 }
@@ -767,7 +831,8 @@ TEST_F(GeneratedWorkloadTest, AnnsGroupingMatchesPayloadGrouping) {
   const auto rows = CellsByDistinctRow(corpus);
   index::HnswIndex distinct(hnsw);
   for (size_t d = 0; d < rows.size(); ++d) {
-    ASSERT_TRUE(distinct.Add(d, corpus.vectors.RowVec(rows[d].front())).ok());
+    ASSERT_TRUE(
+        distinct.Add(d, corpus.CellVectors().RowVec(rows[d].front())).ok());
   }
   ASSERT_TRUE(distinct.Build().ok());
 
@@ -1089,8 +1154,11 @@ TEST(CachedExhaustiveTest, MeanVectorScoresMatchPerCellAverage) {
     corpus->refs.push_back({static_cast<table::RelationId>(rid), 0, 0});
     ++corpus->cells_per_relation[rid];
   }
-  corpus->vectors = vecmath::Matrix(rows.size(), kDim);
-  for (size_t i = 0; i < rows.size(); ++i) corpus->vectors.SetRow(i, rows[i]);
+  corpus->rows = vecmath::Matrix(rows.size(), kDim);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    corpus->rows.SetRow(i, rows[i]);
+    corpus->cell_rows.push_back(static_cast<uint32_t>(i));
+  }
   ASSERT_NE(corpus->cells_per_relation[1], corpus->cells_per_relation[0]);
   ASSERT_NE(corpus->cells_per_relation[5], corpus->cells_per_relation[0]);
 
@@ -1111,7 +1179,7 @@ TEST(CachedExhaustiveTest, MeanVectorScoresMatchPerCellAverage) {
     double dot = 0.0;
     for (size_t j = 0; j < kDim; ++j) {
       dot += static_cast<double>(q[j]) *
-             static_cast<double>(corpus->vectors.At(i, j));
+             static_cast<double>(corpus->CellVectors().Row(i)[j]);
     }
     expected[corpus->refs[i].relation] += dot;
   }
@@ -1232,7 +1300,8 @@ TEST(CorpusPersistenceTest, SaveLoadRoundTrip) {
   auto loaded = CorpusEmbeddings::Load(path.string()).MoveValue();
   EXPECT_EQ(loaded.num_relations, corpus.num_relations);
   EXPECT_EQ(loaded.num_cells(), corpus.num_cells());
-  EXPECT_EQ(loaded.vectors.data(), corpus.vectors.data());
+  EXPECT_EQ(loaded.rows.data(), corpus.rows.data());
+  EXPECT_EQ(loaded.cell_rows, corpus.cell_rows);
   EXPECT_EQ(loaded.cells_per_relation, corpus.cells_per_relation);
   for (size_t i = 0; i < corpus.num_cells(); ++i) {
     EXPECT_EQ(loaded.refs[i].relation, corpus.refs[i].relation);

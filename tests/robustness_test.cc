@@ -540,9 +540,10 @@ TEST(RetryPolicyTest, JitterSourceReceivesRetryIndices) {
 
 // ---------- Corpus persistence: checksums, truncation, atomicity ----------
 
-// MIRACOR2 layout: an 8-byte magic, five uint64 header words {num_relations,
-// rows, cols, payload checksum, header checksum}, then the payload.
-constexpr size_t kPayloadOffset = 8 + 5 * sizeof(uint64_t);
+// MIRACOR3 layout: an 8-byte magic, six uint64 header words {num_relations,
+// cells, cols, rows, payload checksum, header checksum}, then the payload
+// (rows, refs, cell rows).
+constexpr size_t kPayloadOffset = 8 + 6 * sizeof(uint64_t);
 
 std::vector<char> ReadBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -563,12 +564,12 @@ void SetHeaderWord(std::vector<char>* bytes, size_t word, uint64_t value) {
 // file can: Checksum64 is an unkeyed public hash.
 void ResealChecksums(std::vector<char>* bytes) {
   if (bytes->size() < kPayloadOffset) return;
-  SetHeaderWord(bytes, 3,
+  SetHeaderWord(bytes, 4,
                 Checksum64::Hash(bytes->data() + kPayloadOffset,
                                  bytes->size() - kPayloadOffset));
   Checksum64 header_sum;
-  header_sum.Update(bytes->data(), 8 + 4 * sizeof(uint64_t));
-  SetHeaderWord(bytes, 4, header_sum.Digest());
+  header_sum.Update(bytes->data(), 8 + 5 * sizeof(uint64_t));
+  SetHeaderWord(bytes, 5, header_sum.Digest());
 }
 
 class CorpusIntegrityTest : public ::testing::Test {
@@ -609,11 +610,11 @@ class CorpusIntegrityTest : public ::testing::Test {
     WriteBytes(path_, bytes);
   }
 
-  // Offsets of the refs and of cells_per_relation in the saved file.
+  // Offsets of the refs and of the cell rows in the saved file.
   size_t RefsOffset() const {
-    return kPayloadOffset + corpus_.vectors.data().size() * sizeof(float);
+    return kPayloadOffset + corpus_.rows.data().size() * sizeof(float);
   }
-  size_t CountsOffset() const {
+  size_t CellRowsOffset() const {
     return RefsOffset() + corpus_.refs.size() * sizeof(CellRef);
   }
 
@@ -630,14 +631,27 @@ TEST_F(CorpusIntegrityTest, RoundTripPreservesEverything) {
   auto loaded = CorpusEmbeddings::Load(path_).MoveValue();
   EXPECT_EQ(loaded.num_cells(), corpus_.num_cells());
   EXPECT_EQ(loaded.num_relations, corpus_.num_relations);
-  EXPECT_EQ(loaded.vectors.data(), corpus_.vectors.data());
+  EXPECT_EQ(loaded.rows.data(), corpus_.rows.data());
+  EXPECT_EQ(loaded.cell_rows, corpus_.cell_rows);
+  EXPECT_EQ(loaded.cells_per_relation, corpus_.cells_per_relation);
 }
 
 TEST_F(CorpusIntegrityTest, BadMagicIsDataLoss) {
-  ASSERT_TRUE(corpus_.Save(path_).ok());
-  CorruptByteAt(0);
-  Status status = CorpusEmbeddings::Load(path_).status();
-  EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+  // A flipped magic byte, and a v2 file ("MIRACOR2", one row per cell):
+  // both are kDataLoss naming the format Load reads.
+  for (const bool v2 : {false, true}) {
+    SCOPED_TRACE(v2 ? "v2" : "flipped");
+    if (v2) {
+      SaveCrafted([](std::vector<char>* bytes) { (*bytes)[7] = '2'; });
+    } else {
+      ASSERT_TRUE(corpus_.Save(path_).ok());
+      CorruptByteAt(0);
+    }
+    Status status = CorpusEmbeddings::Load(path_).status();
+    EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
+    EXPECT_NE(status.message().find("MIRACOR3"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST_F(CorpusIntegrityTest, FlippedHeaderByteIsDataLoss) {
@@ -711,19 +725,23 @@ TEST_F(CorpusIntegrityTest, PartialWriteNeverClobbersTheTarget) {
 }
 
 TEST_F(CorpusIntegrityTest, CraftedShapeBeyondTheFileIsDataLoss) {
-  // Valid checksums over a row count the file cannot hold, over one whose
-  // payload size overflows, and over one row fewer than the file holds:
-  // Load must refuse each before it allocates anything.
+  // Valid checksums over a cell count the file cannot hold, over one whose
+  // payload size overflows, over one cell fewer than the file holds, over
+  // more rows than cells, and over more relations than the payload could
+  // count: Load must refuse each before it allocates anything.
   const struct {
-    uint64_t rows;
+    size_t word;
+    uint64_t value;
     const char* message;
-  } cases[] = {{uint64_t{1} << 40, "truncated in payload"},
-               {~uint64_t{0} / 4, "overflows"},
-               {corpus_.refs.size() - 1, "longer than"}};
+  } cases[] = {{1, uint64_t{1} << 40, "truncated in payload"},
+               {1, ~uint64_t{0} / 4, "overflows"},
+               {1, corpus_.refs.size() - 1, "longer than"},
+               {3, corpus_.refs.size() + 1, "more rows than cells"},
+               {0, uint64_t{1} << 40, "more relations than"}};
   for (const auto& c : cases) {
-    SCOPED_TRACE(c.rows);
+    SCOPED_TRACE(c.message);
     SaveCrafted([&c](std::vector<char>* bytes) {
-      SetHeaderWord(bytes, 1, c.rows);
+      SetHeaderWord(bytes, c.word, c.value);
     });
     Status status = CorpusEmbeddings::Load(path_).status();
     EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
@@ -744,19 +762,15 @@ TEST_F(CorpusIntegrityTest, CraftedRelationOutOfRangeIsDataLoss) {
       << status.ToString();
 }
 
-TEST_F(CorpusIntegrityTest, CraftedCellCountsDisagreeingIsDataLoss) {
-  // One cell moved between the first two relations' counts: the total
-  // still matches, the per-relation split does not.
-  ASSERT_GE(corpus_.num_relations, 2u);
-  ASSERT_GE(corpus_.cells_per_relation[0], 1u);
+TEST_F(CorpusIntegrityTest, CraftedRowOutOfRangeIsDataLoss) {
+  // The searchers read a cell's vector at rows.Row(cell_rows[i]).
+  const auto row = static_cast<uint32_t>(corpus_.num_rows());
   SaveCrafted([&](std::vector<char>* bytes) {
-    uint32_t counts[2] = {corpus_.cells_per_relation[0] - 1,
-                          corpus_.cells_per_relation[1] + 1};
-    std::memcpy(bytes->data() + CountsOffset(), counts, sizeof(counts));
+    std::memcpy(bytes->data() + CellRowsOffset(), &row, sizeof(row));
   });
   Status status = CorpusEmbeddings::Load(path_).status();
   EXPECT_TRUE(status.IsDataLoss()) << status.ToString();
-  EXPECT_NE(status.message().find("counts"), std::string::npos)
+  EXPECT_NE(status.message().find("row"), std::string::npos)
       << status.ToString();
 }
 
@@ -805,7 +819,10 @@ TEST_F(CorpusIntegrityTest, SeededMutationsLoadOrFailTyped) {
       for (const CellRef& ref : loaded->refs) {
         ASSERT_LT(ref.relation, loaded->num_relations) << "mutation " << m;
       }
-      ASSERT_EQ(loaded->refs.size(), loaded->vectors.rows());
+      ASSERT_EQ(loaded->refs.size(), loaded->cell_rows.size());
+      for (uint32_t row : loaded->cell_rows) {
+        ASSERT_LT(row, loaded->num_rows()) << "mutation " << m;
+      }
     } else if (reseal && bytes.size() >= kPayloadOffset &&
                std::memcmp(bytes.data(), good.data(), 8) == 0) {
       ++resealed_rejected;

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <set>
 
+#include "common/rng.h"
 #include "table/csv_reader.h"
 #include "table/relation.h"
 
@@ -201,6 +202,59 @@ TEST(CsvTest, ReadFileNamesRelationAfterStem) {
   EXPECT_EQ(r.name, "who_vaccines");
   EXPECT_EQ(r.Cell(0, 1), "Vaxzevria");
   std::remove(path.c_str());
+}
+
+TEST(CsvTest, SeededMutationsParseOrFailTyped) {
+  // A few hundred seeded byte flips, truncations and inserted quotes,
+  // delimiters and newlines over a valid CSV. Each parse must return OK or
+  // kInvalidArgument, and an OK relation must be rectangular; none may
+  // crash (the sanitizer jobs run this binary).
+  const std::string good =
+      "Region,Date,\"Vaccine, trade name\",Notes\r\n"
+      "North America,2021-01-01,Comirnaty,\"said \"\"first\"\"\"\n"
+      "  Europe ,2021-02-01,Vaxzevria,\"two\nlines\"\n"
+      "Asia,2021-03-01,CoronaVac,\n";
+  ASSERT_TRUE(ParseCsv(good, "good").ok());
+  constexpr char kInserts[] = {'"', ',', '\n', '\r', ';'};
+  Rng rng(20261019);
+  size_t parsed = 0, rejected = 0;
+  for (int m = 0; m < 600; ++m) {
+    std::string text = good;
+    for (uint64_t edits = 1 + rng.NextBounded(4); edits > 0; --edits) {
+      switch (rng.NextBounded(3)) {
+        case 0: {
+          const size_t at = rng.NextBounded(text.size());
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.NextBounded(8)));
+          break;
+        }
+        case 1:
+          text.resize(rng.NextBounded(text.size() + 1));
+          break;
+        default:
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.NextBounded(text.size() + 1)),
+                      kInserts[rng.NextBounded(sizeof(kInserts))]);
+          break;
+      }
+      if (text.empty()) break;
+    }
+    CsvOptions options;
+    options.has_header = m % 3 != 0;
+    options.trim_fields = m % 2 == 0;
+    auto relation = ParseCsv(text, "mutated", options);
+    ASSERT_TRUE(relation.ok() || relation.status().IsInvalidArgument())
+        << "mutation " << m << ": " << relation.status().ToString();
+    if (!relation.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    for (const auto& row : relation->rows) {
+      ASSERT_EQ(row.size(), relation->num_columns()) << "mutation " << m;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(CsvTest, ReadMissingFileFails) {
