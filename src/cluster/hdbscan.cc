@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "vecmath/simd.h"
+#include "vecmath/top_k.h"
 #include "vecmath/vector_ops.h"
 
 namespace mira::cluster {
@@ -195,11 +196,12 @@ std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
   if (n <= 1) return core;
   k = std::min(k, n - 1);
   // One scalar-reference batch per row (clustering must be bit-reproducible
-  // across SIMD tiers, see vecmath/simd.h), self dropped by moving the last
-  // distance into its slot. The k-th smallest squared distance is selected
-  // in float and its root taken once: x -> sqrt(double(x)) is monotone, so
-  // this is the k-th smallest of the distances exactly. Rows are
-  // independent; blocks of them run on the pool.
+  // across SIMD tiers, see vecmath/simd.h), self skipped. The k-th smallest
+  // squared distance is kept by a running top-k over negated distances (the
+  // k-th smallest float is one value, whatever the tie-break) and its root
+  // taken once: x -> sqrt(double(x)) is monotone, so this is the k-th
+  // smallest of the distances exactly. Rows are independent; blocks of them
+  // run on the pool.
   constexpr size_t kBlockRows = 64;
   ParallelFor(pool, 0, (n + kBlockRows - 1) / kBlockRows, [&](size_t block) {
     std::vector<float> dists(n);
@@ -207,10 +209,11 @@ std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
     for (size_t i = block * kBlockRows; i < end; ++i) {
       vecmath::ScalarSquaredL2Batch(data.Row(i), data.Row(0), n, d,
                                     dists.data());
-      dists[i] = dists[n - 1];
-      std::nth_element(dists.begin(), dists.begin() + (k - 1),
-                       dists.begin() + (n - 1));
-      core[i] = std::sqrt(static_cast<double>(dists[k - 1]));
+      vecmath::TopK nearest(k);
+      for (size_t j = 0; j < n; ++j) {
+        if (j != i) nearest.Push(j, -dists[j]);
+      }
+      core[i] = std::sqrt(static_cast<double>(-nearest.WorstScore()));
     }
   });
   return core;
