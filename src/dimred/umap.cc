@@ -4,13 +4,14 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "dimred/pca.h"
-#include "index/hnsw_index.h"
+#include "vecmath/top_k.h"
 #include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
 
@@ -72,6 +73,131 @@ void SmoothKnnDist(const std::vector<float>& dists, float* rho, float* sigma) {
 }
 
 }  // namespace
+
+namespace internal {
+
+KnnGraph ExactKnn(const vecmath::RowsView& data, size_t k, ThreadPool* pool) {
+  const vecmath::Matrix& rows = data.matrix();
+  const size_t n = data.rows();
+  const size_t m = rows.rows();
+  const size_t dim = rows.cols();
+  KnnGraph graph;
+  graph.k = k;
+  graph.ids.resize(n * k);
+  graph.sq_dists.resize(n * k);
+  if (k == 0) return graph;
+
+  // The points that read each row, ascending: row r's are
+  // points[first[r], first[r + 1]). A row no point reads is skipped.
+  std::vector<uint32_t> first(m + 1, 0);
+  for (size_t i = 0; i < n; ++i) ++first[data.MatrixRow(i) + 1];
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<uint32_t> points(n);
+  {
+    std::vector<uint32_t> next(first.begin(), first.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      points[next[data.MatrixRow(i)]++] = static_cast<uint32_t>(i);
+    }
+  }
+  auto copies = [&first](size_t r) { return first[r + 1] - first[r]; };
+
+  // All copies of a row share one list of the other points by (distance,
+  // point id), and each copy drops only itself from it, so the first k + 1
+  // points of that list serve them all. The k + 1 nearest rows cover at
+  // least k + 1 points. Each block of query rows is scored against blocks of
+  // rows that stay in cache, with one tile of distances per task; a running
+  // top-k over negated distances keeps each query's nearest rows.
+  constexpr size_t kQueryBlock = 16;
+  constexpr size_t kRowBlock = 256;
+  ParallelFor(pool, 0, (m + kQueryBlock - 1) / kQueryBlock, [&](size_t block) {
+    const size_t q_begin = block * kQueryBlock;
+    const size_t q_end = std::min(m, q_begin + kQueryBlock);
+    std::vector<float> tile(kQueryBlock * kRowBlock);
+    std::vector<vecmath::TopK> nearest;
+    for (size_t q = q_begin; q < q_end; ++q) {
+      nearest.emplace_back(copies(q) == 0 ? 0 : k + 1);
+    }
+    // The nearest distance among rows the top-k let go: a row tied with the
+    // boundary may be among them.
+    std::vector<float> min_dropped(q_end - q_begin,
+                                   std::numeric_limits<float>::infinity());
+    for (size_t r_begin = 0; r_begin < m; r_begin += kRowBlock) {
+      const size_t r_end = std::min(m, r_begin + kRowBlock);
+      vecmath::ScalarSquaredL2Tile(rows.Row(q_begin), q_end - q_begin,
+                                   rows.Row(r_begin), r_end - r_begin, dim,
+                                   tile.data());
+      for (size_t q = q_begin; q < q_end; ++q) {
+        vecmath::TopK& top = nearest[q - q_begin];
+        if (copies(q) == 0) continue;
+        const float* dist = tile.data() + (q - q_begin) * (r_end - r_begin);
+        for (size_t r = r_begin; r < r_end; ++r) {
+          if (copies(r) == 0) continue;
+          const float d = dist[r - r_begin];
+          if (top.full()) {
+            // Of the pushed row and the worst kept one, the row that leaves
+            // is at the larger distance.
+            const float worst = -top.WorstScore();
+            float& dropped = min_dropped[q - q_begin];
+            dropped = std::min(dropped, std::max(d, worst));
+            if (d > worst) continue;
+          }
+          top.Push(r, -d);
+        }
+      }
+    }
+
+    std::vector<std::pair<float, uint32_t>> list;
+    for (size_t q = q_begin; q < q_end; ++q) {
+      if (copies(q) == 0) continue;
+      std::vector<vecmath::ScoredId> kept = nearest[q - q_begin].Take();
+      // The boundary: the distance at which the kept rows cover k + 1 points.
+      // Past it no row is needed; at it, every tied row is.
+      float boundary = 0.f;
+      size_t covered = 0;
+      for (const vecmath::ScoredId& row : kept) {
+        covered += copies(row.id);
+        if (covered >= k + 1) {
+          boundary = -row.score;
+          break;
+        }
+      }
+      while (-kept.back().score > boundary) kept.pop_back();
+      if (min_dropped[q - q_begin] == boundary) {
+        while (!kept.empty() && -kept.back().score == boundary) {
+          kept.pop_back();
+        }
+        for (size_t r = 0; r < m; ++r) {
+          if (copies(r) > 0 && vecmath::ScalarSquaredL2(rows.Row(q), rows.Row(r),
+                                                        dim) == boundary) {
+            kept.push_back({r, -boundary});
+          }
+        }
+      }
+
+      list.clear();
+      for (const vecmath::ScoredId& row : kept) {
+        for (uint32_t p = first[row.id]; p < first[row.id + 1]; ++p) {
+          list.emplace_back(-row.score, points[p]);
+        }
+      }
+      std::sort(list.begin(), list.end());
+      for (uint32_t p = first[q]; p < first[q + 1]; ++p) {
+        const uint32_t self = points[p];
+        size_t out = static_cast<size_t>(self) * k;
+        const size_t end = out + k;
+        for (const auto& [sq_dist, point] : list) {
+          if (point == self) continue;
+          graph.ids[out] = point;
+          graph.sq_dists[out] = sq_dist;
+          if (++out == end) break;
+        }
+      }
+    }
+  });
+  return graph;
+}
+
+}  // namespace internal
 
 void FitAbParams(float min_dist, float spread, float* a, float* b) {
   // Least-squares fit of phi(x) = 1/(1 + a x^(2b)) to the target curve
@@ -151,7 +277,7 @@ Result<UmapModel> FitUmap(const vecmath::RowsView& data,
 
   // --- 4 & 5. curve parameters and PCA init, scaled to a ~10-unit box ---
   // Both depend only on `data` and the options, so with a pool they run on
-  // their own thread while this one builds the kNN graph.
+  // their own thread while the pool scans for the kNN graph.
   auto fit_initial_layout = [&data, &options]() -> Result<UmapModel> {
     UmapModel model;
     FitAbParams(options.min_dist, options.spread, &model.a, &model.b);
@@ -173,54 +299,21 @@ Result<UmapModel> FitUmap(const vecmath::RowsView& data,
     initial_layout = std::async(std::launch::async, fit_initial_layout);
   }
 
-  // --- 1. approximate kNN graph via HNSW ---
-  index::HnswOptions hnsw_opts;
-  hnsw_opts.metric = vecmath::Metric::kL2;
-  hnsw_opts.M = 16;
-  hnsw_opts.ef_construction = std::max<size_t>(100, 2 * k);
-  hnsw_opts.seed = options.seed ^ 0xA11CE;
-  // The embedding feeds clustering, which must be bit-reproducible across
-  // SIMD tiers (see vecmath/simd.h) — tier-dependent rounding in the kNN
-  // graph would cascade through the whole layout.
-  hnsw_opts.deterministic = true;
-  index::HnswIndex knn_index(hnsw_opts);
-  for (size_t i = 0; i < n; ++i) {
-    MIRA_RETURN_NOT_OK(knn_index.Add(i, data.RowVec(i)));
-  }
-  MIRA_RETURN_NOT_OK(knn_index.Build());
-
-  // Each query reads the finished graph and writes only its own row, so
-  // the queries run on the pool.
-  std::vector<std::vector<uint32_t>> knn_ids(n);
-  std::vector<std::vector<float>> knn_dists(n);
-  index::SearchParams params;
-  params.k = k + 1;  // self likely included
-  params.ef = std::max<size_t>(64, 2 * (k + 1));
-  MIRA_RETURN_NOT_OK(ParallelForCancellable(
-      pool, 0, n, nullptr, [&](size_t i) -> Status {
-        MIRA_ASSIGN_OR_RETURN(auto hits,
-                              knn_index.Search(data.RowVec(i), params));
-        for (const auto& hit : hits) {
-          if (hit.id == i) continue;
-          if (knn_ids[i].size() >= k) break;
-          knn_ids[i].push_back(static_cast<uint32_t>(hit.id));
-          // kL2 similarity is the negated squared distance.
-          knn_dists[i].push_back(std::sqrt(std::max(0.f, -hit.score)));
-        }
-        return Status::OK();
-      }));
+  // --- 1. exact kNN graph ---
+  const internal::KnnGraph knn = internal::ExactKnn(data, k, pool);
 
   // --- 2 & 3. fuzzy simplicial set ---
   // Directed membership strengths, then symmetrize: w = u + v - u*v.
   std::vector<std::unordered_map<uint32_t, float>> directed(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (knn_ids[i].empty()) continue;
+  std::vector<float> dists(k);
+  for (size_t i = 0; i < n && k > 0; ++i) {
+    for (size_t j = 0; j < k; ++j) dists[j] = std::sqrt(knn.sq_dists[i * k + j]);
     float rho, sigma;
-    SmoothKnnDist(knn_dists[i], &rho, &sigma);
-    for (size_t j = 0; j < knn_ids[i].size(); ++j) {
-      float adj = knn_dists[i][j] - rho;
+    SmoothKnnDist(dists, &rho, &sigma);
+    for (size_t j = 0; j < k; ++j) {
+      float adj = dists[j] - rho;
       float w = adj > 0.f ? std::exp(-adj / sigma) : 1.0f;
-      directed[i][knn_ids[i][j]] = w;
+      directed[i][knn.ids[i * k + j]] = w;
     }
   }
   std::vector<Edge> edges;

@@ -2,6 +2,7 @@
 #define MIRA_DIMRED_UMAP_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/result.h"
 #include "common/threadpool.h"
@@ -15,8 +16,8 @@ namespace mira::dimred {
 /// clustering (§4.3).
 ///
 /// Pipeline (matching umap-learn):
-///   1. approximate kNN graph (HNSW; the "precomputed KNN" optimization the
-///      paper mentions);
+///   1. exact kNN graph (umap-learn too computes exact neighbours for small
+///      inputs), from one scan over the distinct rows of the input;
 ///   2. per-point smooth kernel calibration (rho_i = nearest distance, sigma_i
 ///      solved by bisection so the smoothed neighborhood has log2(k) mass);
 ///   3. fuzzy simplicial set symmetrization: w = w_ij + w_ji - w_ij * w_ji;
@@ -46,11 +47,10 @@ struct UmapModel {
 /// point). Requires data.rows() >= 4 and target_dim <= data.cols().
 ///
 /// With a `pool`, the steps whose result does not depend on execution order
-/// run in parallel: the PCA initialization and a/b fit on a second thread
-/// beside the kNN graph build, and the per-point kNN queries on the pool.
-/// The graph build, the fuzzy-set edge order and the SGD epochs stay serial,
-/// so the layout is bit-identical to a null-pool run. Must not be called
-/// from a task of `pool`.
+/// run in parallel: the kNN scan on the pool, and the PCA initialization and
+/// a/b fit on a second thread beside it. The fuzzy-set edge order and the
+/// SGD epochs stay serial, so the layout is bit-identical to a null-pool
+/// run. Must not be called from a task of `pool`.
 [[nodiscard]] Result<UmapModel> FitUmap(const vecmath::RowsView& data,
                                         const UmapOptions& options,
                                         ThreadPool* pool = nullptr);
@@ -58,6 +58,26 @@ struct UmapModel {
 /// Least-squares fit of a, b in phi(x) = 1 / (1 + a x^(2b)) to the target
 /// membership curve defined by (min_dist, spread). Exposed for tests.
 void FitAbParams(float min_dist, float spread, float* a, float* b);
+
+/// FitUmap's stages, exposed for tests.
+namespace internal {
+
+/// Each point's k nearest other points: ids[i * k + j] is point i's j-th
+/// nearest by (squared L2, point id), and sq_dists[i * k + j] its
+/// ScalarSquaredL2 distance. So a point's copies come first, at distance 0.
+struct KnnGraph {
+  size_t k = 0;
+  std::vector<uint32_t> ids;
+  std::vector<float> sq_dists;
+};
+
+/// The exact kNN graph of `data`, equal to a per-point brute force. It scans
+/// the matrix rows the points read, each once per row instead of once per
+/// point (a plain matrix reads every row once), in blocks on `pool`; the
+/// result does not depend on the pool. Requires k < data.rows().
+KnnGraph ExactKnn(const vecmath::RowsView& data, size_t k, ThreadPool* pool);
+
+}  // namespace internal
 
 }  // namespace mira::dimred
 

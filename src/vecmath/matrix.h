@@ -146,11 +146,16 @@ class RowsView {
 
   size_t rows() const { return rows_; }
   size_t cols() const { return matrix_->cols(); }
-  const float* Row(size_t r) const {
-    MIRA_DCHECK(r < rows_);
-    return matrix_->Row(index_ == nullptr ? r : index_[r]);
-  }
+  const float* Row(size_t r) const { return matrix_->Row(MatrixRow(r)); }
   Vec RowVec(size_t r) const { return Vec(Row(r), Row(r) + cols()); }
+
+  /// The matrix the rows are read from, and the matrix row of point r
+  /// (every matrix row is a point once when the view has no index).
+  const Matrix& matrix() const { return *matrix_; }
+  size_t MatrixRow(size_t r) const {
+    MIRA_DCHECK(r < rows_);
+    return index_ == nullptr ? r : index_[r];
+  }
 
  private:
   const Matrix* matrix_;

@@ -119,6 +119,76 @@ void SquaredL2Batch(const float* query, const float* rows, size_t num_rows,
 
 #if defined(MIRA_SIMD_X86)
 
+// The bit-reproducible all-pairs tile. SSE2 is part of x86-64, so this needs
+// no dispatch; it is kept free of FMA, which would round each d * d + s once
+// instead of twice and so leave the scalar reference's bits.
+namespace sse2 {
+
+// One pair's distance from its lane sums, in the reference's order: the
+// tail from element `i` on into lane 0, then (s0 + s1) + (s2 + s3).
+inline float FinishSquaredL2(__m128 acc, const float* a, const float* b,
+                             size_t i, size_t n) {
+  alignas(16) float s[4];
+  _mm_store_ps(s, acc);
+  for (; i < n; ++i) {
+    float d = a[i] - b[i];
+    s[0] += d * d;
+  }
+  return (s[0] + s[1]) + (s[2] + s[3]);
+}
+
+// Lane j of a pair's accumulator sums the squares of the elements at j mod 4,
+// as the scalar reference's s_j does. Each row is loaded once per four
+// queries.
+void SquaredL2Tile(const float* queries, size_t num_queries, const float* rows,
+                   size_t num_rows, size_t dim, float* out) {
+  const size_t body = dim - dim % 4;
+  size_t q = 0;
+  for (; q + 4 <= num_queries; q += 4) {
+    const float* q0 = queries + q * dim;
+    const float* q1 = q0 + dim;
+    const float* q2 = q1 + dim;
+    const float* q3 = q2 + dim;
+    float* out0 = out + q * num_rows;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const float* x = rows + r * dim;
+      __m128 a0 = _mm_setzero_ps();
+      __m128 a1 = _mm_setzero_ps();
+      __m128 a2 = _mm_setzero_ps();
+      __m128 a3 = _mm_setzero_ps();
+      for (size_t i = 0; i < body; i += 4) {
+        const __m128 v = _mm_loadu_ps(x + i);
+        const __m128 d0 = _mm_sub_ps(_mm_loadu_ps(q0 + i), v);
+        const __m128 d1 = _mm_sub_ps(_mm_loadu_ps(q1 + i), v);
+        const __m128 d2 = _mm_sub_ps(_mm_loadu_ps(q2 + i), v);
+        const __m128 d3 = _mm_sub_ps(_mm_loadu_ps(q3 + i), v);
+        a0 = _mm_add_ps(a0, _mm_mul_ps(d0, d0));
+        a1 = _mm_add_ps(a1, _mm_mul_ps(d1, d1));
+        a2 = _mm_add_ps(a2, _mm_mul_ps(d2, d2));
+        a3 = _mm_add_ps(a3, _mm_mul_ps(d3, d3));
+      }
+      out0[r] = FinishSquaredL2(a0, q0, x, body, dim);
+      out0[num_rows + r] = FinishSquaredL2(a1, q1, x, body, dim);
+      out0[2 * num_rows + r] = FinishSquaredL2(a2, q2, x, body, dim);
+      out0[3 * num_rows + r] = FinishSquaredL2(a3, q3, x, body, dim);
+    }
+  }
+  for (; q < num_queries; ++q) {
+    const float* q0 = queries + q * dim;
+    for (size_t r = 0; r < num_rows; ++r) {
+      const float* x = rows + r * dim;
+      __m128 a0 = _mm_setzero_ps();
+      for (size_t i = 0; i < body; i += 4) {
+        const __m128 d0 = _mm_sub_ps(_mm_loadu_ps(q0 + i), _mm_loadu_ps(x + i));
+        a0 = _mm_add_ps(a0, _mm_mul_ps(d0, d0));
+      }
+      out[q * num_rows + r] = FinishSquaredL2(a0, q0, x, body, dim);
+    }
+  }
+}
+
+}  // namespace sse2
+
 namespace avx2 {
 
 __attribute__((target("avx2,fma"))) static inline float HSum(__m256 v) {
@@ -658,6 +728,22 @@ void ScalarSquaredL2Batch(const float* query, const float* rows,
                           size_t num_rows, size_t dim, float* out) {
   simd_internal::ScalarKernels().squared_l2_batch(query, rows, num_rows, dim,
                                                   out);
+}
+
+void ScalarSquaredL2Tile(const float* queries, size_t num_queries,
+                         const float* rows, size_t num_rows, size_t dim,
+                         float* out) {
+#if defined(MIRA_SIMD_X86)
+  simd_internal::sse2::SquaredL2Tile(queries, num_queries, rows, num_rows, dim,
+                                     out);
+#else
+  for (size_t q = 0; q < num_queries; ++q) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      out[q * num_rows + r] =
+          ScalarSquaredL2(queries + q * dim, rows + r * dim, dim);
+    }
+  }
+#endif
 }
 
 }  // namespace mira::vecmath

@@ -44,6 +44,16 @@ float ScalarSquaredL2(const float* a, const float* b, size_t n);
 void ScalarSquaredL2Batch(const float* query, const float* rows,
                           size_t num_rows, size_t dim, float* out);
 
+/// All pairs of two dense slabs, for exact scans whose `rows` block stays in
+/// cache: out[q * num_rows + r] = ScalarSquaredL2(queries + q * dim,
+/// rows + r * dim, dim), bit for bit on every tier. On x86-64 it runs SSE2
+/// (no FMA) over four queries per row, each pair keeping the reference's
+/// order: four lane sums, the tail into lane 0, then (s0 + s1) + (s2 + s3).
+/// Other targets call ScalarSquaredL2 per pair.
+void ScalarSquaredL2Tile(const float* queries, size_t num_queries,
+                         const float* rows, size_t num_rows, size_t dim,
+                         float* out);
+
 namespace simd_internal {
 
 /// Per-tier kernel entry points. vector_ops.cc routes the public scalar API

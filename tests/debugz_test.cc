@@ -17,6 +17,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -24,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "obs/cpu_profiler.h"
 #include "obs/debug_server.h"
 #include "obs/metrics.h"
@@ -80,6 +82,49 @@ struct HttpResponse {
     response.status = std::atoi(response.headers.c_str() + 9);
   }
   return response;
+}
+
+// What the server sent back for `bytes`, sent raw on one connection whose
+// write side is then closed. `reset` when the server reset the connection,
+// `timed_out` when it neither answered nor closed within 10 s.
+struct RawReply {
+  std::string bytes;
+  bool reset = false;
+  bool timed_out = false;
+};
+
+[[maybe_unused]] RawReply RawExchange(uint16_t port, const std::string& bytes) {
+  RawReply reply;
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return reply;
+  struct timeval timeout{10, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    close(fd);
+    return reply;
+  }
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    ssize_t n = send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may close before it has read everything
+    sent += static_cast<size_t>(n);
+  }
+  shutdown(fd, SHUT_WR);
+  char buf[4096];
+  ssize_t n;
+  while ((n = recv(fd, buf, sizeof(buf), 0)) > 0) {
+    reply.bytes.append(buf, static_cast<size_t>(n));
+  }
+  if (n < 0) {
+    reply.reset = errno == ECONNRESET;
+    reply.timed_out = errno == EAGAIN || errno == EWOULDBLOCK;
+  }
+  close(fd);
+  return reply;
 }
 
 #if MIRA_OBS_ENABLED
@@ -248,6 +293,75 @@ TEST_F(DebugServerTest, StatusSectionAndCollectorAreServed) {
   EXPECT_NE(varz.body.find("mira.test.debugz_collector_gauge"),
             std::string::npos);
   EXPECT_GE(collector_runs.load(), 2);
+}
+
+TEST_F(DebugServerTest, SeededMutatedRequestsAreAnsweredOrClosed) {
+  // The request reader and parser take untrusted bytes. A few hundred seeded
+  // bit flips, truncations, oversized requests and odd request lines (the
+  // sanitizer jobs run this binary): each must get an HTTP status line back
+  // or a closed connection, never a hang or garbage, and the server must
+  // still serve /healthz afterwards. /profilez is left out: a valid mutation
+  // would run the profiler for seconds.
+  const std::vector<std::string> seeds = {
+      "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n",
+      "GET /varz HTTP/1.1\r\n\r\n",
+      "GET /querylogz?format=jsonl&limit=3 HTTP/1.1\r\n\r\n",
+      "GET /tracez?id=7&format=chrome HTTP/1.1\r\n\r\n",
+      "GET /nope?a=b&&=c&d HTTP/1.0\n\n",
+  };
+  const std::vector<std::string> odd_lines = {
+      "",
+      "\r\n\r\n",
+      "GET\r\n\r\n",
+      "GET / HTTP/1.1 extra\r\n\r\n",
+      "  GET   /   HTTP/1.1  \r\n\r\n",
+      "POST /healthz HTTP/1.1\r\n\r\n",
+      std::string("GET /\0healthz HTTP/1.1\r\n\r\n", 28),
+      "GET /?" + std::string(6000, '&') + " HTTP/1.1\r\n\r\n",
+      "GET /" + std::string(7000, 'a') + "?=&=" + " HTTP/1.1\r\n\r\n",
+      "GET /healthz HTTP/1.1\r\n" + std::string(20000, 'x'),
+  };
+  Rng rng(20261019);
+  for (int m = 0; m < 300; ++m) {
+    std::string bytes = seeds[rng.NextBounded(seeds.size())];
+    switch (rng.NextBounded(4)) {
+      case 0:
+        for (uint64_t flips = 1 + rng.NextBounded(4); flips > 0; --flips) {
+          const size_t at = rng.NextBounded(bytes.size());
+          bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.NextBounded(8)));
+        }
+        break;
+      case 1:
+        bytes.resize(rng.NextBounded(bytes.size()));
+        break;
+      case 2:
+        // Past the reader's 8 KiB cap before the header ends.
+        bytes.insert(5, std::string(8192 + rng.NextBounded(8192),
+                                    static_cast<char>(rng.NextBounded(256))));
+        break;
+      default:
+        bytes = odd_lines[rng.NextBounded(odd_lines.size())];
+        break;
+    }
+    const RawReply reply = RawExchange(server_.port(), bytes);
+    ASSERT_FALSE(reply.timed_out) << "mutation " << m;
+    const std::string status_line = "HTTP/1.1 ";
+    if (reply.bytes.size() < status_line.size() + 3) {
+      // Closed; after a reset, what arrived can only be a cut status line.
+      ASSERT_TRUE(reply.bytes.empty() ||
+                  (reply.reset &&
+                   status_line.compare(0, reply.bytes.size(), reply.bytes) == 0))
+          << "mutation " << m;
+      continue;
+    }
+    ASSERT_EQ(reply.bytes.compare(0, status_line.size(), status_line), 0)
+        << "mutation " << m;
+    const int status = std::atoi(reply.bytes.c_str() + status_line.size());
+    EXPECT_GE(status, 200) << "mutation " << m;
+    EXPECT_LT(status, 600) << "mutation " << m;
+  }
+  HttpResponse health = HttpGet(server_.port(), "/healthz");
+  EXPECT_EQ(health.status, 200);
 }
 
 // Races query-log + metric writers against scraping threads; the interesting

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/threadpool.h"
 #include "dimred/pca.h"
 #include "dimred/umap.h"
+#include "vecmath/simd.h"
 #include "vecmath/vector_ops.h"
 
 namespace mira::dimred {
@@ -258,6 +264,75 @@ TEST(UmapTest, PooledFitMatchesInline) {
   EXPECT_EQ(pooled_fit.embedding.data(), inline_fit.embedding.data());
   EXPECT_EQ(pooled_fit.a, inline_fit.a);
   EXPECT_EQ(pooled_fit.b, inline_fit.b);
+}
+
+// Per point, its k nearest other points by (ScalarSquaredL2, point id).
+internal::KnnGraph BruteForceKnn(const vecmath::RowsView& data, size_t k) {
+  internal::KnnGraph graph;
+  graph.k = k;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    std::vector<std::pair<float, uint32_t>> all;
+    for (size_t j = 0; j < data.rows(); ++j) {
+      if (j == i) continue;
+      all.emplace_back(
+          vecmath::ScalarSquaredL2(data.Row(i), data.Row(j), data.cols()),
+          static_cast<uint32_t>(j));
+    }
+    std::sort(all.begin(), all.end());
+    for (size_t j = 0; j < k; ++j) {
+      graph.ids.push_back(all[j].second);
+      graph.sq_dists.push_back(all[j].first);
+    }
+  }
+  return graph;
+}
+
+void ExpectSameGraph(const internal::KnnGraph& got,
+                     const internal::KnnGraph& want) {
+  ASSERT_EQ(got.k, want.k);
+  ASSERT_EQ(got.ids, want.ids);
+  ASSERT_EQ(got.sq_dists.size(), want.sq_dists.size());
+  for (size_t i = 0; i < got.sq_dists.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<uint32_t>(got.sq_dists[i]),
+              std::bit_cast<uint32_t>(want.sq_dists[i]))
+        << "entry " << i;
+  }
+}
+
+TEST(UmapTest, ExactKnnMatchesPerCellBruteForce) {
+  // Matrix rows: the origin, six unit vectors all at squared distance 1 from
+  // it, a row with 10 copies, and 40 rows on a small integer grid (many
+  // equal distances). Points read rows through an index, as a corpus's cells
+  // read its distinct vectors. The unit vectors' points are numbered in the
+  // reverse of their rows, so the origin's nearest points at the boundary
+  // distance come from the rows a top-k by row id lets go first.
+  constexpr size_t kDim = 7;
+  Matrix rows(48, kDim);
+  for (size_t u = 1; u <= 6; ++u) rows.At(u, u - 1) = 1.f;
+  for (size_t c = 0; c < kDim; ++c) rows.At(7, c) = 3.f;
+  Rng rng(29);
+  for (size_t r = 8; r < rows.rows(); ++r) {
+    for (size_t c = 0; c < kDim; ++c) {
+      rows.At(r, c) = static_cast<float>(rng.NextInt(0, 2));
+    }
+  }
+  std::vector<uint32_t> index = {6, 5, 4, 0, 3, 2, 1};
+  for (int copy = 0; copy < 10; ++copy) index.push_back(7);
+  for (uint32_t r = 8; r < rows.rows(); ++r) {
+    index.push_back(r);
+    if (r % 3 == 0) index.push_back(static_cast<uint32_t>(8 + rng.NextBounded(r - 7)));
+  }
+  index.push_back(5);
+  const vecmath::RowsView cells(rows, index);
+  ThreadPool pool(3);
+  for (size_t k : {1u, 3u, 4u, 15u}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const internal::KnnGraph want = BruteForceKnn(cells, k);
+    ExpectSameGraph(internal::ExactKnn(cells, k, nullptr), want);
+    ExpectSameGraph(internal::ExactKnn(cells, k, &pool), want);
+    // A plain matrix is its own index: every row one point.
+    ExpectSameGraph(internal::ExactKnn(rows, k, &pool), BruteForceKnn(rows, k));
+  }
 }
 
 class UmapDimSweep : public ::testing::TestWithParam<size_t> {};

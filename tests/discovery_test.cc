@@ -737,11 +737,11 @@ std::unique_ptr<DiscoveryEngine> BuildEngine(const Workload& workload,
 
 TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
   // Pins the CTS rankings bit for bit over the whole workload. The constants
-  // were recorded before the per-cluster vector-database collections became
-  // one cluster-ordered row block scanned in place; scalar under
-  // MIRA_FORCE_SCALAR=1, AVX2 without it.
+  // were recorded when UMAP's kNN graph became exact (it was an HNSW graph
+  // before, so the clustering moved); scalar under MIRA_FORCE_SCALAR=1, AVX2
+  // without it.
   const std::optional<uint64_t> expected = FingerprintForTier(
-      12469985460493807822ULL, 16515422571427583440ULL);
+      4759682140767250607ULL, 4939939937490455163ULL);
   if (!expected.has_value()) {
     GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
                  << vecmath::SimdTierName(vecmath::ActiveSimdTier());
@@ -758,8 +758,8 @@ TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
 TEST(CtsSearchTest, LargeClusterRankingMatchesParentFingerprint) {
   // A corpus below the clustering floor (4 x min_cluster_size cells)
   // collapses into one cluster; past 2048 cells that cluster is searched
-  // through an HNSW graph instead of a flat scan. Constants recorded like
-  // RankingMatchesParentFingerprint's.
+  // through an HNSW graph instead of a flat scan. It never runs UMAP.
+  // Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it.
   const std::optional<uint64_t> expected = FingerprintForTier(
       2326614739933340567ULL, 16953455431268257531ULL);
   if (!expected.has_value()) {

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -37,6 +38,7 @@
 #include "discovery/engine.h"
 #include "discovery/exhaustive_search.h"
 #include "discovery/types.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/discovery_service.h"
 
@@ -1273,6 +1275,152 @@ TEST(ServiceFailpointTest, QueuePressureDegradesPreemptively) {
       << "every preemptively degraded request must run on a finite budget";
   EXPECT_EQ(svc.GetStats().preemptively_degraded,
             static_cast<uint64_t>(preemptive));
+}
+
+TEST(ServiceFailpointTest, TenantAccountingHoldsUnderRandomSchedules) {
+  // Seeded random schedules: three tenants submit through small quotas and
+  // queues, with deadlines, cancellations, failing and slow runs, an armed
+  // admission shed and armed dispatch errors or stalls, and a Stop that may
+  // drain a full queue. Whatever the interleaving, per tenant every
+  // submission ends in exactly one outcome: submitted = admitted + rejected
+  // (shed), admitted = completed + evicted + failed, and each tenant slice
+  // counts what its callbacks saw.
+  if (!failpoint::Enabled()) {
+    GTEST_SKIP() << "built with MIRA_FAILPOINTS=OFF";
+  }
+  const char* kFields[] = {"admitted", "completed", "rejected", "evicted",
+                           "failed"};
+  auto counter = [](const std::string& tenant, const char* field) {
+    return obs::MetricRegistry::Global()
+        .GetCounter("mira.tenant." + tenant + "." + field)
+        .value();
+  };
+  std::map<service::RequestOutcome, uint64_t> all_seeds;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    FailpointGuard guard;
+    Rng rng(seed * 7919);
+    std::vector<std::string> tenants;
+    std::map<std::string, std::map<std::string, uint64_t>> before;
+    for (int t = 0; t < 3; ++t) {
+      tenants.push_back("prop" + std::to_string(seed) + "-" +
+                        std::to_string(t));
+      for (const char* field : kFields) {
+        before[tenants.back()][field] = counter(tenants.back(), field);
+      }
+    }
+
+    service::ServiceOptions options;
+    options.worker_threads = 1 + rng.NextBounded(3);
+    options.admission.max_queue_depth = 2 + rng.NextBounded(5);
+    options.admission.default_quota.burst =
+        static_cast<double>(4 + rng.NextBounded(12));
+    options.admission.default_quota.refill_qps =
+        rng.NextBernoulli(0.5) ? 0.0 : 2000.0;
+    options.record_query_log = false;
+    service::DiscoveryService svc(
+        [](const service::ServiceRequest& request) -> Result<Ranking> {
+          if (request.query == "fail") return Status::Internal("run failed");
+          if (request.query == "slow") {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          }
+          return Ranking{{DiscoveryHit{1, 1.0f}}};
+        },
+        options);
+    ASSERT_TRUE(svc.Start().ok());
+    if (rng.NextBernoulli(0.7)) {
+      ASSERT_TRUE(failpoint::Configure(
+                      "service.admit",
+                      failpoint::Action::Error(
+                          StatusCode::kResourceExhausted,
+                          static_cast<int64_t>(1 + rng.NextBounded(6))))
+                      .ok());
+    }
+    const int64_t dispatch_count = static_cast<int64_t>(1 + rng.NextBounded(8));
+    ASSERT_TRUE(failpoint::Configure(
+                    "service.dispatch",
+                    rng.NextBernoulli(0.5)
+                        ? failpoint::Action::Error(StatusCode::kInternal,
+                                                   dispatch_count)
+                        : failpoint::Action::Delay(3.0, dispatch_count))
+                    .ok());
+
+    struct Seen {
+      Mutex mu;
+      CondVar cv;
+      int pending MIRA_GUARDED_BY(mu) = 0;
+      std::map<std::string, std::map<service::RequestOutcome, uint64_t>>
+          outcomes MIRA_GUARDED_BY(mu);
+    };
+    Seen seen;
+    std::map<std::string, uint64_t> submitted;
+    constexpr int kRequests = 60;
+    {
+      MutexLock lock(seen.mu);
+      seen.pending = kRequests;
+    }
+    for (int i = 0; i < kRequests; ++i) {
+      service::ServiceRequest request;
+      request.tenant = tenants[rng.NextBounded(tenants.size())];
+      const uint64_t kind = rng.NextBounded(10);
+      request.query = kind < 2 ? "fail" : kind < 5 ? "slow" : "ok";
+      if (rng.NextBernoulli(0.25)) {
+        request.options.control.deadline =
+            Deadline::After(rng.NextUniform(0.1, 4.0));
+      }
+      if (rng.NextBernoulli(0.1)) {
+        request.options.control.cancel = CancellationToken::Make();
+        request.options.control.cancel.RequestCancel();
+      }
+      const std::string tenant = request.tenant;
+      ++submitted[tenant];
+      svc.Submit(std::move(request),
+                 [&seen, tenant](service::ServiceResponse response) {
+                   MutexLock lock(seen.mu);
+                   ++seen.outcomes[tenant][response.outcome];
+                   --seen.pending;
+                   seen.cv.NotifyAll();
+                 });
+      if (rng.NextBernoulli(0.3)) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(rng.NextBounded(1500)));
+      }
+    }
+    // Half the schedules stop at once, draining whatever is still queued.
+    if (rng.NextBernoulli(0.5)) svc.Stop();
+    {
+      MutexLock lock(seen.mu);
+      while (seen.pending > 0) seen.cv.Wait(lock);
+    }
+    svc.Stop();
+
+    const service::DiscoveryService::Stats stats = svc.GetStats();
+    EXPECT_EQ(stats.submitted, static_cast<uint64_t>(kRequests));
+    EXPECT_EQ(stats.submitted, stats.admitted + stats.rejected);
+    EXPECT_EQ(stats.admitted, stats.completed + stats.evicted + stats.failed);
+    MutexLock lock(seen.mu);
+    for (const std::string& tenant : tenants) {
+      SCOPED_TRACE(tenant);
+      auto slice = [&](const char* field) {
+        return counter(tenant, field) - before[tenant][field];
+      };
+      std::map<service::RequestOutcome, uint64_t>& saw = seen.outcomes[tenant];
+      EXPECT_EQ(submitted[tenant], slice("admitted") + slice("rejected"));
+      EXPECT_EQ(slice("admitted"),
+                slice("completed") + slice("evicted") + slice("failed"));
+      EXPECT_EQ(slice("completed"), saw[service::RequestOutcome::kCompleted]);
+      EXPECT_EQ(slice("rejected"), saw[service::RequestOutcome::kRejected]);
+      EXPECT_EQ(slice("evicted"), saw[service::RequestOutcome::kEvicted]);
+      EXPECT_EQ(slice("failed"), saw[service::RequestOutcome::kFailed]);
+      for (const auto& [outcome, count] : saw) all_seeds[outcome] += count;
+    }
+  }
+  // The schedules reach every outcome.
+  for (service::RequestOutcome outcome :
+       {service::RequestOutcome::kCompleted, service::RequestOutcome::kRejected,
+        service::RequestOutcome::kEvicted, service::RequestOutcome::kFailed}) {
+    EXPECT_GT(all_seeds[outcome], 0u) << static_cast<int>(outcome);
+  }
 }
 
 // ---------- LoadWithRetry + failpoints ----------

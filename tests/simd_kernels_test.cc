@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -135,6 +137,33 @@ TEST(SimdKernelsTest, ScalarBatchMatchesScalarPairwiseBitwise) {
     scalar.squared_l2_batch(q.data(), m.Row(0), rows, dim, out.data());
     for (size_t r = 0; r < rows; ++r) {
       EXPECT_EQ(out[r], scalar.squared_l2(q.data(), m.Row(r), dim));
+    }
+  }
+}
+
+TEST(SimdKernelsTest, SquaredL2TileMatchesScalarPairwiseBitwise) {
+  // The all-pairs tile is the scalar reference's bits on every tier (CI runs
+  // this test plain and under MIRA_FORCE_SCALAR=1): it feeds UMAP's kNN
+  // graph, which the clustering reads. Query counts cover the four-query
+  // pass and its remainder, dims the lane tails.
+  Rng rng(405);
+  for (size_t dim : {1u, 3u, 5u, 192u, 193u}) {
+    for (size_t queries : {1u, 4u, 7u}) {
+      const size_t rows = 11;
+      Matrix q;
+      Matrix m;
+      for (size_t i = 0; i < queries; ++i) q.AppendRow(RandomVec(&rng, dim));
+      for (size_t r = 0; r < rows; ++r) m.AppendRow(RandomVec(&rng, dim));
+      std::vector<float> out(queries * rows, -1.f);
+      ScalarSquaredL2Tile(q.Row(0), queries, m.Row(0), rows, dim, out.data());
+      for (size_t i = 0; i < queries; ++i) {
+        for (size_t r = 0; r < rows; ++r) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(out[i * rows + r]),
+                    std::bit_cast<uint32_t>(
+                        ScalarSquaredL2(q.Row(i), m.Row(r), dim)))
+              << "dim " << dim << ", query " << i << ", row " << r;
+        }
+      }
     }
   }
 }
