@@ -127,8 +127,8 @@ KnnGraph ExactKnn(const vecmath::RowsView& data, size_t k, ThreadPool* pool) {
                                    rows.Row(r_begin), r_end - r_begin, dim,
                                    tile.data());
       for (size_t q = q_begin; q < q_end; ++q) {
-        vecmath::TopK& top = nearest[q - q_begin];
         if (copies(q) == 0) continue;
+        vecmath::TopK& top = nearest[q - q_begin];
         const float* dist = tile.data() + (q - q_begin) * (r_end - r_begin);
         for (size_t r = r_begin; r < r_end; ++r) {
           if (copies(r) == 0) continue;

@@ -41,49 +41,6 @@ struct HttpResponse {
   std::string body;
 };
 
-// Minimal blocking HTTP/1.1 GET against 127.0.0.1:`port`. Returns status 0 on
-// any socket failure so expectations read as "request worked AND ...".
-// Unused when -DMIRA_OBS=OFF compiles the server tests out.
-[[maybe_unused]] HttpResponse HttpGet(uint16_t port,
-                                      const std::string& path) {
-  HttpResponse response;
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return response;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    close(fd);
-    return response;
-  }
-  const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      close(fd);
-      return response;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  std::string raw;
-  char buf[4096];
-  ssize_t n;
-  while ((n = recv(fd, buf, sizeof(buf), 0)) > 0) raw.append(buf, static_cast<size_t>(n));
-  close(fd);
-  const size_t split = raw.find("\r\n\r\n");
-  if (split == std::string::npos) return response;
-  response.headers = raw.substr(0, split);
-  response.body = raw.substr(split + 4);
-  // "HTTP/1.1 200 OK" -> 200.
-  if (response.headers.size() > 9) {
-    response.status = std::atoi(response.headers.c_str() + 9);
-  }
-  return response;
-}
-
 // What the server sent back for `bytes`, sent raw on one connection whose
 // write side is then closed. `reset` when the server reset the connection,
 // `timed_out` when it neither answered nor closed within 10 s.
@@ -125,6 +82,28 @@ struct RawReply {
   }
   close(fd);
   return reply;
+}
+
+// Minimal blocking HTTP/1.1 GET against 127.0.0.1:`port`. Returns status 0 on
+// any socket failure so expectations read as "request worked AND ...".
+// Unused when -DMIRA_OBS=OFF compiles the server tests out.
+[[maybe_unused]] HttpResponse HttpGet(uint16_t port,
+                                      const std::string& path) {
+  HttpResponse response;
+  const std::string raw =
+      RawExchange(port, "GET " + path +
+                            " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+                            "Connection: close\r\n\r\n")
+          .bytes;
+  const size_t split = raw.find("\r\n\r\n");
+  if (split == std::string::npos) return response;
+  response.headers = raw.substr(0, split);
+  response.body = raw.substr(split + 4);
+  // "HTTP/1.1 200 OK" -> 200.
+  if (response.headers.size() > 9) {
+    response.status = std::atoi(response.headers.c_str() + 9);
+  }
+  return response;
 }
 
 #if MIRA_OBS_ENABLED
@@ -316,7 +295,8 @@ TEST_F(DebugServerTest, SeededMutatedRequestsAreAnsweredOrClosed) {
       "GET / HTTP/1.1 extra\r\n\r\n",
       "  GET   /   HTTP/1.1  \r\n\r\n",
       "POST /healthz HTTP/1.1\r\n\r\n",
-      std::string("GET /\0healthz HTTP/1.1\r\n\r\n", 28),
+      std::string("GET /\0healthz HTTP/1.1\r\n\r\n",
+                  sizeof("GET /\0healthz HTTP/1.1\r\n\r\n") - 1),
       "GET /?" + std::string(6000, '&') + " HTTP/1.1\r\n\r\n",
       "GET /" + std::string(7000, 'a') + "?=&=" + " HTTP/1.1\r\n\r\n",
       "GET /healthz HTTP/1.1\r\n" + std::string(20000, 'x'),

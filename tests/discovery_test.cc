@@ -736,10 +736,8 @@ std::unique_ptr<DiscoveryEngine> BuildEngine(const Workload& workload,
 }
 
 TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
-  // Pins the CTS rankings bit for bit over the whole workload. The constants
-  // were recorded when UMAP's kNN graph became exact (it was an HNSW graph
-  // before, so the clustering moved); scalar under MIRA_FORCE_SCALAR=1, AVX2
-  // without it.
+  // Pins the CTS rankings bit for bit over the whole workload, clustering
+  // included. Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it.
   const std::optional<uint64_t> expected = FingerprintForTier(
       4759682140767250607ULL, 4939939937490455163ULL);
   if (!expected.has_value()) {
