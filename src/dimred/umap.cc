@@ -339,6 +339,33 @@ Result<UmapModel> FitUmap(const vecmath::RowsView& data,
                                              : fit_initial_layout());
 
   // --- 6. SGD with negative sampling ---
+  // Every point that reads one matrix row moves as one layout point: the row
+  // of model.embedding of the first point that reads it (its head). An edge
+  // between two copies of a row would pull a point onto itself, so it is
+  // dropped, and every other edge moves the heads of its two rows. Negatives
+  // are still drawn over points, and one that lands on the edge's own row is
+  // skipped: its gradient is exactly 0. A plain matrix makes every point its
+  // own head, so it fits as if there were no heads.
+  std::vector<uint32_t> head(n);
+  {
+    std::vector<uint32_t> first_point(data.matrix().rows(),
+                                      std::numeric_limits<uint32_t>::max());
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t& first = first_point[data.MatrixRow(i)];
+      if (first == std::numeric_limits<uint32_t>::max()) {
+        first = static_cast<uint32_t>(i);
+      }
+      head[i] = first;
+    }
+  }
+  size_t kept = 0;
+  for (const Edge& e : edges) {
+    if (head[e.from] != head[e.to]) {
+      edges[kept++] = {head[e.from], head[e.to], e.weight};
+    }
+  }
+  edges.resize(kept);
+
   float max_w = 0.f;
   for (const Edge& e : edges) max_w = std::max(max_w, e.weight);
   if (max_w <= 0.f) return model;  // fully disconnected; PCA layout stands
@@ -377,7 +404,7 @@ Result<UmapModel> FitUmap(const vecmath::RowsView& data,
       }
 
       for (size_t s = 0; s < options.negative_sample_rate; ++s) {
-        uint32_t other = static_cast<uint32_t>(rng.NextBounded(n));
+        uint32_t other = head[rng.NextBounded(n)];
         if (other == edges[e].from) continue;
         float* yk = model.embedding.Row(other);
         float nd = vecmath::ScalarSquaredL2(yi, yk, dim);
@@ -389,6 +416,12 @@ Result<UmapModel> FitUmap(const vecmath::RowsView& data,
           yi[c] += alpha * g;
         }
       }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (head[i] != i) {
+      std::copy(model.embedding.Row(head[i]),
+                model.embedding.Row(head[i]) + dim, model.embedding.Row(i));
     }
   }
   return model;

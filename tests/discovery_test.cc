@@ -739,7 +739,7 @@ TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
   // Pins the CTS rankings bit for bit over the whole workload, clustering
   // included. Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it.
   const std::optional<uint64_t> expected = FingerprintForTier(
-      4759682140767250607ULL, 4939939937490455163ULL);
+      5994968623203227762ULL, 6193732263476244090ULL);
   if (!expected.has_value()) {
     GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
                  << vecmath::SimdTierName(vecmath::ActiveSimdTier());
