@@ -10,8 +10,8 @@
 
 namespace mira::obs::internal {
 
-/// Fixed-capacity ring of trivially copyable values stored as relaxed atomic
-/// words under per-slot seqlocks: the storage of the QueryLog and of every
+/// Fixed-capacity ring of trivially copyable values stored as atomic words
+/// under per-slot seqlocks: the storage of the QueryLog and of every
 /// WindowedMetrics series. Ticket t lives in slot t & mask. Writers never
 /// block and readers never block a writer: a reader copies the words and
 /// validates the generation, discarding torn or recycled slots. TSan-clean by
@@ -51,8 +51,10 @@ class SeqRing {
     }
     uint64_t words[Slot::kWords] = {};
     std::memcpy(words, &value, sizeof(value));
+    // Release: a reader whose acquire load sees one of these words also
+    // sees the odd claim above, so its second generation check fails.
     for (size_t w = 0; w < Slot::kWords; ++w) {
-      slot.words[w].store(words[w], std::memory_order_relaxed);
+      slot.words[w].store(words[w], std::memory_order_release);
     }
     slot.seq.store(claim + 1, std::memory_order_release);
     return true;
@@ -65,12 +67,13 @@ class SeqRing {
     const uint64_t want = 2 * ticket + 2;
     if (slot.seq.load(std::memory_order_acquire) != want) return false;
     uint64_t words[Slot::kWords];
+    // Acquire loads order the generation check below after the copy (no
+    // standalone fence, which TSan does not model).
     for (size_t w = 0; w < Slot::kWords; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
+      words[w] = slot.words[w].load(std::memory_order_acquire);
     }
     // Seqlock validation: if the generation moved while we copied, the words
     // may mix two values — discard them.
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != want) return false;
     std::memcpy(out, words, sizeof(*out));
     return true;

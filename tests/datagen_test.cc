@@ -400,8 +400,9 @@ TEST(ExportTest, WritesTablesQueriesQrels) {
   }
 
   // Qrels round-trip through the TREC reader.
-  auto qrels = ir::ReadQrelsFile((dir / "qrels.txt").string()).MoveValue();
-  EXPECT_EQ(qrels.num_pairs(), wl.qrels.num_pairs());
+  Result<ir::Qrels> qrels = ir::ReadQrelsFile((dir / "qrels.txt").string());
+  ASSERT_TRUE(qrels.ok()) << qrels.status().ToString();
+  EXPECT_EQ(qrels->num_pairs(), wl.qrels.num_pairs());
 
   // Queries file has one line per query.
   std::ifstream in(dir / "queries.tsv");
