@@ -5,7 +5,6 @@
 #include <future>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,12 +17,6 @@
 namespace mira::dimred {
 
 namespace {
-
-struct Edge {
-  uint32_t from;
-  uint32_t to;
-  float weight;
-};
 
 constexpr float kSmoothKTolerance = 1e-5f;
 constexpr size_t kSmoothKIterations = 64;
@@ -197,6 +190,77 @@ KnnGraph ExactKnn(const vecmath::RowsView& data, size_t k, ThreadPool* pool) {
   return graph;
 }
 
+std::vector<float> MembershipStrengths(const KnnGraph& knn) {
+  const size_t k = knn.k;
+  std::vector<float> strengths(knn.ids.size());
+  std::vector<float> dists(k);
+  for (size_t i = 0; i * k < strengths.size(); ++i) {
+    for (size_t j = 0; j < k; ++j) dists[j] = std::sqrt(knn.sq_dists[i * k + j]);
+    float rho, sigma;
+    SmoothKnnDist(dists, &rho, &sigma);
+    for (size_t j = 0; j < k; ++j) {
+      float adj = dists[j] - rho;
+      strengths[i * k + j] = adj > 0.f ? std::exp(-adj / sigma) : 1.0f;
+    }
+  }
+  return strengths;
+}
+
+FuzzySet BuildFuzzySet(const KnnGraph& knn, const std::vector<float>& strengths,
+                       const std::vector<uint32_t>& head) {
+  const size_t n = head.size();
+  const size_t k = knn.k;
+  // Calls emit(from, to, w) once per pair of points either of which lists
+  // the other, with from < to. The lower point emits the pair when it lists
+  // the higher one; otherwise the higher point emits it.
+  auto for_each_pair = [&](auto&& emit) {
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t s = 0; s < k; ++s) {
+        const uint32_t j = knn.ids[i * k + s];
+        const uint32_t* back = knn.ids.data() + static_cast<size_t>(j) * k;
+        const uint32_t* found = std::find(back, back + k, i);
+        const bool mutual = found != back + k;
+        const float u = strengths[i * k + s];
+        const float v = mutual ? strengths[found - knn.ids.data()] : 0.f;
+        if (j > i) {
+          emit(static_cast<uint32_t>(i), j, u + v - u * v);
+        } else if (!mutual) {
+          emit(j, static_cast<uint32_t>(i), u);
+        }
+      }
+    }
+  };
+  // A pair joins the heads of its two points, unless they are one head.
+  auto kept = [&head](uint32_t from, uint32_t to, float w) {
+    return w > 0.f && head[from] != head[to];
+  };
+
+  FuzzySet set;
+  set.offsets.assign(n + 1, 0);
+  for_each_pair([&](uint32_t from, uint32_t to, float w) {
+    if (!kept(from, to, w)) return;
+    ++set.offsets[head[from] + 1];
+    ++set.offsets[head[to] + 1];
+  });
+  std::partial_sum(set.offsets.begin(), set.offsets.end(), set.offsets.begin());
+  set.to.resize(set.offsets[n]);
+  set.weight.resize(set.offsets[n]);
+  set.draws_negatives.resize(set.offsets[n]);
+  std::vector<uint32_t> next(set.offsets.begin(), set.offsets.end() - 1);
+  for_each_pair([&](uint32_t from, uint32_t to, float w) {
+    if (!kept(from, to, w)) return;
+    const uint32_t a = head[from], b = head[to];
+    const uint32_t forward = next[a]++, backward = next[b]++;
+    set.to[forward] = b;
+    set.weight[forward] = w;
+    set.draws_negatives[forward] = 1;
+    set.to[backward] = a;
+    set.weight[backward] = w;
+    set.draws_negatives[backward] = 0;
+  });
+  return set;
+}
+
 }  // namespace internal
 
 void FitAbParams(float min_dist, float spread, float* a, float* b) {
@@ -303,49 +367,11 @@ Result<UmapModel> FitUmap(const vecmath::RowsView& data,
   const internal::KnnGraph knn = internal::ExactKnn(data, k, pool);
 
   // --- 2 & 3. fuzzy simplicial set ---
-  // Directed membership strengths, then symmetrize: w = u + v - u*v.
-  std::vector<std::unordered_map<uint32_t, float>> directed(n);
-  std::vector<float> dists(k);
-  for (size_t i = 0; i < n && k > 0; ++i) {
-    for (size_t j = 0; j < k; ++j) dists[j] = std::sqrt(knn.sq_dists[i * k + j]);
-    float rho, sigma;
-    SmoothKnnDist(dists, &rho, &sigma);
-    for (size_t j = 0; j < k; ++j) {
-      float adj = dists[j] - rho;
-      float w = adj > 0.f ? std::exp(-adj / sigma) : 1.0f;
-      directed[i][knn.ids[i * k + j]] = w;
-    }
-  }
-  std::vector<Edge> edges;
-  for (size_t i = 0; i < n; ++i) {
-    for (const auto& [j, w_ij] : directed[i]) {
-      if (j > i) {
-        // Forward entry owns the pair; fold in the reverse weight if present.
-        float w_ji = 0.f;
-        auto it = directed[j].find(static_cast<uint32_t>(i));
-        if (it != directed[j].end()) w_ji = it->second;
-        float w = w_ij + w_ji - w_ij * w_ji;
-        if (w > 0.f) edges.push_back({static_cast<uint32_t>(i), j, w});
-      } else if (j < i && directed[j].find(static_cast<uint32_t>(i)) ==
-                              directed[j].end()) {
-        // Pair seen only in this (backward) direction.
-        if (w_ij > 0.f) edges.push_back({j, static_cast<uint32_t>(i), w_ij});
-      }
-    }
-  }
-
-  MIRA_ASSIGN_OR_RETURN(UmapModel model, initial_layout.valid()
-                                             ? initial_layout.get()
-                                             : fit_initial_layout());
-
-  // --- 6. SGD with negative sampling ---
   // Every point that reads one matrix row moves as one layout point: the row
-  // of model.embedding of the first point that reads it (its head). An edge
+  // of model.embedding of the first point that reads it (its head). A pair
   // between two copies of a row would pull a point onto itself, so it is
-  // dropped, and every other edge moves the heads of its two rows. Negatives
-  // are still drawn over points, and one that lands on the edge's own row is
-  // skipped: its gradient is exactly 0. A plain matrix makes every point its
-  // own head, so it fits as if there were no heads.
+  // dropped, and every other pair joins the heads of its two rows. A plain
+  // matrix makes every point its own head, so it fits as if there were none.
   std::vector<uint32_t> head(n);
   {
     std::vector<uint32_t> first_point(data.matrix().rows(),
@@ -358,70 +384,97 @@ Result<UmapModel> FitUmap(const vecmath::RowsView& data,
       head[i] = first;
     }
   }
-  size_t kept = 0;
-  for (const Edge& e : edges) {
-    if (head[e.from] != head[e.to]) {
-      edges[kept++] = {head[e.from], head[e.to], e.weight};
-    }
-  }
-  edges.resize(kept);
+  internal::FuzzySet set = internal::BuildFuzzySet(
+      knn, internal::MembershipStrengths(knn), head);
 
+  MIRA_ASSIGN_OR_RETURN(UmapModel model, initial_layout.valid()
+                                             ? initial_layout.get()
+                                             : fit_initial_layout());
+
+  // --- 6. SGD with negative sampling ---
+  // Each entry moves its own head towards the other one, on the pair's
+  // schedule, so a pair moves both its heads as one edge did. Negatives are
+  // drawn over points, by the one direction of a pair that draws them, and
+  // one that lands on the entry's own head is skipped: its gradient is
+  // exactly 0.
   float max_w = 0.f;
-  for (const Edge& e : edges) max_w = std::max(max_w, e.weight);
+  for (float w : set.weight) max_w = std::max(max_w, w);
   if (max_w <= 0.f) return model;  // fully disconnected; PCA layout stands
+  std::vector<float> epochs_per_sample = std::move(set.weight);
+  for (float& w : epochs_per_sample) w = max_w / w;
+  std::vector<float> next_due = epochs_per_sample;
 
-  std::vector<float> epochs_per_sample(edges.size());
-  std::vector<float> next_due(edges.size());
-  for (size_t e = 0; e < edges.size(); ++e) {
-    epochs_per_sample[e] = max_w / edges[e].weight;
-    next_due[e] = epochs_per_sample[e];
+  // The heads are split into kSgdBlocks ranges of about equal entry counts.
+  // Each epoch, every block applies its due entries in head order and moves
+  // only its own rows; it reads other blocks' rows from the layout as the
+  // epoch began, and draws its negatives from its own (epoch, block) stream.
+  // So the blocks can run in any order, and the layout does not depend on
+  // the pool or its thread count.
+  constexpr size_t kSgdBlocks = 64;
+  std::vector<uint32_t> block_begin(kSgdBlocks + 1, static_cast<uint32_t>(n));
+  for (size_t block = 0; block < kSgdBlocks; ++block) {
+    const uint64_t target = uint64_t{set.offsets[n]} * block / kSgdBlocks;
+    block_begin[block] = static_cast<uint32_t>(
+        std::lower_bound(set.offsets.begin(), set.offsets.end() - 1, target) -
+        set.offsets.begin());
   }
 
-  Rng rng(options.seed ^ 0x5EED);
   const float a = model.a;
   const float b = model.b;
   const size_t dim = options.target_dim;
+  vecmath::Matrix& layout = model.embedding;
+  vecmath::Matrix epoch_start = layout;
   auto clip = [](float x) { return std::clamp(x, -4.0f, 4.0f); };
 
   for (size_t epoch = 1; epoch <= options.n_epochs; ++epoch) {
-    float alpha = options.learning_rate *
-                  (1.0f - static_cast<float>(epoch) / options.n_epochs);
-    for (size_t e = 0; e < edges.size(); ++e) {
-      if (next_due[e] > static_cast<float>(epoch)) continue;
-      next_due[e] += epochs_per_sample[e];
-      float* yi = model.embedding.Row(edges[e].from);
-      float* yj = model.embedding.Row(edges[e].to);
+    const float alpha = options.learning_rate *
+                        (1.0f - static_cast<float>(epoch) / options.n_epochs);
+    std::copy(layout.data().begin(), layout.data().end(),
+              epoch_start.data().begin());
+    ParallelFor(pool, 0, kSgdBlocks, [&](size_t block) {
+      const uint32_t lo = block_begin[block];
+      const uint32_t hi = block_begin[block + 1];
+      auto read = [&](uint32_t p) -> const float* {
+        return p >= lo && p < hi ? layout.Row(p) : epoch_start.Row(p);
+      };
+      Rng rng(SplitMix64(options.seed ^ 0x5EED) ^
+              SplitMix64(epoch * kSgdBlocks + block));
+      for (uint32_t h = lo; h < hi; ++h) {
+        float* yi = layout.Row(h);
+        for (uint32_t e = set.offsets[h]; e < set.offsets[h + 1]; ++e) {
+          if (next_due[e] > static_cast<float>(epoch)) continue;
+          next_due[e] += epochs_per_sample[e];
+          const float* yj = read(set.to[e]);
 
-      float dist_sq = vecmath::ScalarSquaredL2(yi, yj, dim);
-      if (dist_sq > 0.f) {
-        float pd = std::pow(dist_sq, b);
-        float coef = (-2.0f * a * b * pd / dist_sq) / (1.0f + a * pd);
-        for (size_t c = 0; c < dim; ++c) {
-          float g = clip(coef * (yi[c] - yj[c]));
-          yi[c] += alpha * g;
-          yj[c] -= alpha * g;
+          float dist_sq = vecmath::ScalarSquaredL2(yi, yj, dim);
+          if (dist_sq > 0.f) {
+            float pd = std::pow(dist_sq, b);
+            float coef = (-2.0f * a * b * pd / dist_sq) / (1.0f + a * pd);
+            for (size_t c = 0; c < dim; ++c) {
+              yi[c] += alpha * clip(coef * (yi[c] - yj[c]));
+            }
+          }
+          if (!set.draws_negatives[e]) continue;
+
+          for (size_t s = 0; s < options.negative_sample_rate; ++s) {
+            uint32_t other = head[rng.NextBounded(n)];
+            if (other == h) continue;
+            const float* yk = read(other);
+            float nd = vecmath::ScalarSquaredL2(yi, yk, dim);
+            if (nd <= 0.f) nd = 1e-3f;
+            float pd = std::pow(nd, b);
+            float coef = (2.0f * b) / ((0.001f + nd) * (1.0f + a * pd));
+            for (size_t c = 0; c < dim; ++c) {
+              yi[c] += alpha * clip(coef * (yi[c] - yk[c]));
+            }
+          }
         }
       }
-
-      for (size_t s = 0; s < options.negative_sample_rate; ++s) {
-        uint32_t other = head[rng.NextBounded(n)];
-        if (other == edges[e].from) continue;
-        float* yk = model.embedding.Row(other);
-        float nd = vecmath::ScalarSquaredL2(yi, yk, dim);
-        if (nd <= 0.f) nd = 1e-3f;
-        float pd = std::pow(nd, b);
-        float coef = (2.0f * b) / ((0.001f + nd) * (1.0f + a * pd));
-        for (size_t c = 0; c < dim; ++c) {
-          float g = clip(coef * (yi[c] - yk[c]));
-          yi[c] += alpha * g;
-        }
-      }
-    }
+    });
   }
   for (size_t i = 0; i < n; ++i) {
     if (head[i] != i) {
-      std::copy(model.embedding.Row(head[i]),
-                model.embedding.Row(head[i]) + dim, model.embedding.Row(i));
+      std::copy(layout.Row(head[i]), layout.Row(head[i]) + dim, layout.Row(i));
     }
   }
   return model;

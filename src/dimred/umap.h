@@ -23,9 +23,11 @@ namespace mira::dimred {
 ///   3. fuzzy simplicial set symmetrization: w = w_ij + w_ji - w_ij * w_ji;
 ///   4. a/b curve-fit from (min_dist, spread);
 ///   5. PCA initialization;
-///   6. SGD over edges with negative sampling on the cross-entropy objective,
-///      moving one layout point per distinct matrix row (umap-learn's
-///      `unique=True` also embeds duplicate rows once).
+///   6. SGD over the fuzzy set with negative sampling on the cross-entropy
+///      objective, moving one layout point per distinct matrix row
+///      (umap-learn's `unique=True` also embeds duplicate rows once). Each
+///      epoch updates fixed blocks of layout points in parallel: a block
+///      moves only its own points and reads the others as the epoch began.
 struct UmapOptions {
   size_t target_dim = 5;
   size_t n_neighbors = 15;
@@ -54,11 +56,12 @@ struct UmapModel {
 /// are bit-equal. A plain matrix reads each row once, so every row is its
 /// own point, equal rows included.
 ///
-/// With a `pool`, the steps whose result does not depend on execution order
-/// run in parallel: the kNN scan on the pool, and the PCA initialization and
-/// a/b fit on a second thread beside it. The fuzzy-set edge order and the
-/// SGD epochs stay serial, so the layout is bit-identical to a null-pool
-/// run. Must not be called from a task of `pool`.
+/// With a `pool`, the kNN scan and each SGD epoch's blocks run on the pool,
+/// and the PCA initialization and a/b fit on a second thread beside the
+/// scan. No step's result depends on the order of execution: the SGD blocks
+/// are fixed, not sized by the pool, and each draws from its own RNG stream.
+/// So the layout is bit-identical to a null-pool run on any pool. Must not
+/// be called from a task of `pool`.
 [[nodiscard]] Result<UmapModel> FitUmap(const vecmath::RowsView& data,
                                         const UmapOptions& options,
                                         ThreadPool* pool = nullptr);
@@ -84,6 +87,33 @@ struct KnnGraph {
 /// point (a plain matrix reads every row once), in blocks on `pool`; the
 /// result does not depend on the pool. Requires k < data.rows().
 KnnGraph ExactKnn(const vecmath::RowsView& data, size_t k, ThreadPool* pool);
+
+/// Each point's membership strength towards each of its k neighbours,
+/// beside the graph: entry i * k + j belongs to knn.ids[i * k + j].
+std::vector<float> MembershipStrengths(const KnnGraph& knn);
+
+/// The symmetrized fuzzy set over layout points, one entry list per head.
+/// Every pair of points either of which lists the other has weight
+/// w = u + v - u * v, from the two directed strengths (v = 0 when the other
+/// point does not list this one back). A pair of weight 0, or between two
+/// points with one head, is dropped. Each other pair gives one entry at each
+/// of its two heads, pointing to the other, and exactly one of the two, the
+/// one at the head of the pair's lower point, draws the negative samples.
+struct FuzzySet {
+  /// Head h's entries are [offsets[h], offsets[h + 1]); size n + 1. A point
+  /// that is not a head has none.
+  std::vector<uint32_t> offsets;
+  /// Per entry: the other head, the pair's weight, and 1 when this entry
+  /// draws the pair's negatives.
+  std::vector<uint32_t> to;
+  std::vector<float> weight;
+  std::vector<uint8_t> draws_negatives;
+};
+
+/// Builds the fuzzy set of `knn` with `strengths` from MembershipStrengths,
+/// where point i moves as layout point head[i] (head[head[i]] == head[i]).
+FuzzySet BuildFuzzySet(const KnnGraph& knn, const std::vector<float>& strengths,
+                       const std::vector<uint32_t>& head);
 
 }  // namespace internal
 

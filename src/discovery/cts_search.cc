@@ -35,6 +35,37 @@ size_t NearestRow(const vecmath::Matrix& rows, const float* point,
 
 }  // namespace
 
+namespace internal {
+
+std::vector<int32_t> AssignCells(const vecmath::RowsView& cells,
+                                 const std::vector<size_t>& sample,
+                                 const std::vector<int32_t>& labels,
+                                 const vecmath::Matrix& reduced,
+                                 const vecmath::Matrix& medoid_reduced) {
+  const size_t n = cells.rows();
+  constexpr int32_t kUnsampled = cluster::kNoise - 1;
+  std::vector<int32_t> cell_label(n, kUnsampled);
+  std::vector<int32_t> row_label(cells.matrix().rows(), kUnsampled);
+  for (size_t i = 0; i < sample.size(); ++i) {
+    cell_label[sample[i]] = labels[i];
+    int32_t& first = row_label[cells.MatrixRow(sample[i])];
+    if (first == kUnsampled) first = labels[i];
+  }
+  std::vector<int32_t> cluster(n);
+  std::vector<float> medoid_dist;
+  for (size_t i = 0; i < n; ++i) {
+    const int32_t label = cell_label[i] != kUnsampled
+                              ? cell_label[i]
+                              : row_label[cells.MatrixRow(i)];
+    cluster[i] = label >= 0 ? label
+                            : static_cast<int32_t>(NearestRow(
+                                  medoid_reduced, reduced.Row(i), &medoid_dist));
+  }
+  return cluster;
+}
+
+}  // namespace internal
+
 CtsSearcher::CtsSearcher(CtsOptions options) : options_(options) {}
 
 CtsSearcher::~CtsSearcher() = default;
@@ -105,21 +136,9 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
         medoids.SetRow(m, cells.RowVec(cell));
       }
 
-      // Cluster of each cell: HDBSCAN label for sampled+clustered cells,
-      // nearest medoid (reduced space) for noise and out-of-sample cells.
-      std::vector<int32_t> sample_label_of_row(n, cluster::kNoise);
-      for (size_t i = 0; i < sample_rows.size(); ++i) {
-        sample_label_of_row[sample_rows[i]] = clustering.labels[i];
-      }
-      std::vector<float> medoid_dist;
-      for (size_t i = 0; i < n; ++i) {
-        int32_t label = sample_label_of_row[i];
-        cell_cluster[i] =
-            label != cluster::kNoise
-                ? label
-                : static_cast<int32_t>(
-                      NearestRow(medoid_reduced, reduced.Row(i), &medoid_dist));
-      }
+      cell_cluster = internal::AssignCells(cells, sample_rows,
+                                           clustering.labels, reduced,
+                                           medoid_reduced);
     }
   }
 

@@ -30,8 +30,9 @@ struct CtsOptions {
   /// Cell-level candidates retrieved inside the selected clusters.
   size_t cell_candidates = 768;
   /// Clustering cost ceiling: when the corpus has more cells, HDBSCAN runs
-  /// on a deterministic sample of this size and the remaining cells are
-  /// assigned to the cluster of their nearest medoid (in reduced space).
+  /// on a deterministic sample of this size. A remaining cell takes the
+  /// cluster of a sampled cell that reads the same store row, or else that
+  /// of its nearest medoid (in reduced space).
   size_t max_clustering_points = 20000;
   uint64_t seed = 7;
 
@@ -104,6 +105,24 @@ class CtsSearcher final : public Searcher {
   /// Non-null for clusters of 2048+ cells (graph ids are rows).
   std::vector<std::unique_ptr<index::HnswIndex>> cluster_graphs_;
 };
+
+/// CtsSearcher::Build's stages, exposed for tests.
+namespace internal {
+
+/// The cluster of every cell, from HDBSCAN's `labels` of the cells in
+/// `sample` (ascending). A sampled cell takes its own label. Any other cell
+/// takes the label of the first sampled cell that reads the same store row,
+/// so a row's unsampled copies follow its sampled ones. A cell left with
+/// noise, or with no sampled copy, takes its nearest medoid in the reduced
+/// space (row m of `medoid_reduced` is cluster m's); copies share a reduced
+/// row, so they find the same one.
+std::vector<int32_t> AssignCells(const vecmath::RowsView& cells,
+                                 const std::vector<size_t>& sample,
+                                 const std::vector<int32_t>& labels,
+                                 const vecmath::Matrix& reduced,
+                                 const vecmath::Matrix& medoid_reduced);
+
+}  // namespace internal
 
 }  // namespace mira::discovery
 

@@ -28,11 +28,9 @@ float HnswIndex::ExactDistance(const float* query, uint32_t node) const {
   switch (options_.metric) {
     case vecmath::Metric::kCosine:
     case vecmath::Metric::kL2:
-      return options_.deterministic ? vecmath::ScalarSquaredL2(query, v, d)
-                                    : vecmath::SquaredL2(query, v, d);
+      return vecmath::SquaredL2(query, v, d);
     case vecmath::Metric::kDot:
-      return options_.deterministic ? -vecmath::ScalarDot(query, v, d)
-                                    : -vecmath::Dot(query, v, d);
+      return -vecmath::Dot(query, v, d);
   }
   return 0.f;
 }

@@ -43,13 +43,6 @@ struct HnswOptions {
   /// beam rescored against the exact vectors (Qdrant-style quantized search
   /// with rescoring). kDot is not supported with quantization.
   std::optional<PqOptions> quantization;
-  /// Compute distances with the scalar-reference kernels instead of the
-  /// active SIMD tier, making graph construction and traversal
-  /// bit-reproducible across CPUs. Set by build-pipeline consumers whose
-  /// output feeds clustering (UMAP's kNN graph); leave off for serving
-  /// indexes, where tier speed matters and near-tie neighbor flips are
-  /// harmless.
-  bool deterministic = false;
 };
 
 /// Thread-safety: Add() may be called concurrently (appends are serialized

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -252,18 +255,22 @@ TEST(UmapTest, DeterministicGivenSeed) {
 }
 
 TEST(UmapTest, PooledFitMatchesInline) {
-  // The pool runs the kNN queries and overlaps PCA with the graph build;
-  // the layout must not change by a bit.
+  // The pool runs the kNN queries and the SGD blocks, and overlaps PCA with
+  // the graph build; the layout must not change by a bit, whatever the
+  // number of workers.
   Matrix data = MakeBlobs(4, 60, 12, 13);
   UmapOptions options;
   options.n_epochs = 40;
   options.target_dim = 3;
-  ThreadPool pool(4);
   auto inline_fit = FitUmap(data, options).MoveValue();
-  auto pooled_fit = FitUmap(data, options, &pool).MoveValue();
-  EXPECT_EQ(pooled_fit.embedding.data(), inline_fit.embedding.data());
-  EXPECT_EQ(pooled_fit.a, inline_fit.a);
-  EXPECT_EQ(pooled_fit.b, inline_fit.b);
+  for (size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    ThreadPool pool(workers);
+    auto pooled_fit = FitUmap(data, options, &pool).MoveValue();
+    EXPECT_EQ(pooled_fit.embedding.data(), inline_fit.embedding.data());
+    EXPECT_EQ(pooled_fit.a, inline_fit.a);
+    EXPECT_EQ(pooled_fit.b, inline_fit.b);
+  }
 }
 
 TEST(UmapTest, CopiesShareOneLayoutPoint) {
@@ -319,17 +326,19 @@ uint64_t FitFingerprint(const UmapModel& model) {
 }
 
 TEST(UmapTest, PlainMatrixLayoutMatchesParentFingerprint) {
-  // A plain matrix makes every row its own layout point, two equal rows
-  // included, so its fit must not move by a bit from the one recorded before
-  // copies shared a point. The fit runs on scalar-reference kernels, so one
-  // constant holds on every SIMD tier.
+  // Pins the whole fit of a plain matrix bit for bit: every row its own
+  // layout point, two equal rows included. The constant was recorded when
+  // the SGD became block-synchronous (fixed blocks of heads, each reading
+  // the other blocks' rows as the epoch began, one RNG stream per epoch and
+  // block), so it moves only when the fit itself does. The fit runs on
+  // scalar-reference kernels, so one constant holds on every SIMD tier.
   Matrix data = MakeBlobs(3, 40, 12, 19);
   std::copy(data.Row(0), data.Row(0) + data.cols(), data.Row(1));
   UmapOptions options;
   options.n_epochs = 60;
   options.target_dim = 3;
   EXPECT_EQ(FitFingerprint(FitUmap(data, options).MoveValue()),
-            3280541228545380192ULL);
+            3551637259381057324ULL);
 }
 
 // Per point, its k nearest other points by (ScalarSquaredL2, point id).
@@ -398,6 +407,85 @@ TEST(UmapTest, ExactKnnMatchesPerCellBruteForce) {
     ExpectSameGraph(internal::ExactKnn(cells, k, &pool), want);
     // A plain matrix is its own index: every row one point.
     ExpectSameGraph(internal::ExactKnn(rows, k, &pool), BruteForceKnn(rows, k));
+  }
+}
+
+TEST(UmapTest, FuzzySetMatchesReferenceSymmetrization) {
+  // Points read rows through an index: row 0 five times, rows 1-3 twice,
+  // the rest once, so some pairs join two copies and several pairs of
+  // points share one pair of heads. kNN lists are asymmetric: many points
+  // list a neighbour that does not list them back.
+  Matrix rows = MakeBlobs(3, 12, 6, 23);
+  std::vector<uint32_t> index;
+  for (uint32_t r = 0; r < rows.rows(); ++r) index.push_back(r);
+  for (int copy = 1; copy < 5; ++copy) index.push_back(0);
+  for (uint32_t r = 1; r <= 3; ++r) index.push_back(r);
+  Rng rng(24);
+  rng.Shuffle(&index);
+  const vecmath::RowsView points(rows, index);
+  const size_t n = points.rows();
+  std::vector<uint32_t> head(n);
+  std::vector<uint32_t> first_point(rows.rows(), UINT32_MAX);
+  for (size_t i = 0; i < n; ++i) {
+    if (first_point[index[i]] == UINT32_MAX) {
+      first_point[index[i]] = static_cast<uint32_t>(i);
+    }
+    head[i] = first_point[index[i]];
+  }
+
+  for (size_t k : {3u, 6u}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const internal::KnnGraph knn = internal::ExactKnn(points, k, nullptr);
+    const std::vector<float> strengths = internal::MembershipStrengths(knn);
+    ASSERT_EQ(strengths.size(), n * k);
+
+    // Reference: the directed strengths by (point, neighbour), every pair of
+    // points either lists folded to u + v - uv, mapped to its heads.
+    std::map<std::pair<uint32_t, uint32_t>, float> directed;
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t j = 0; j < k; ++j) {
+        directed[{static_cast<uint32_t>(i), knn.ids[i * k + j]}] =
+            strengths[i * k + j];
+      }
+    }
+    // (head, other head, weight bits, draws negatives)
+    using Entry = std::tuple<uint32_t, uint32_t, uint32_t, int>;
+    std::vector<Entry> want;
+    size_t asymmetric = 0;
+    for (const auto& [pair, strength] : directed) {
+      const auto [i, j] = pair;
+      const auto back = directed.find({j, i});
+      if (back != directed.end() && j < i) continue;  // seen from j
+      const float u = strength;
+      const float v = back == directed.end() ? 0.f : back->second;
+      asymmetric += back == directed.end();
+      const float w = u + v - u * v;
+      const uint32_t lo = std::min(i, j), hi = std::max(i, j);
+      if (w <= 0.f || head[lo] == head[hi]) continue;
+      want.emplace_back(head[lo], head[hi], std::bit_cast<uint32_t>(w), 1);
+      want.emplace_back(head[hi], head[lo], std::bit_cast<uint32_t>(w), 0);
+    }
+    EXPECT_GT(asymmetric, 0u);
+
+    const internal::FuzzySet set = internal::BuildFuzzySet(knn, strengths, head);
+    ASSERT_EQ(set.offsets.size(), n + 1);
+    ASSERT_EQ(set.to.size(), set.offsets[n]);
+    ASSERT_EQ(set.weight.size(), set.offsets[n]);
+    ASSERT_EQ(set.draws_negatives.size(), set.offsets[n]);
+    std::vector<Entry> got;
+    for (uint32_t h = 0; h < n; ++h) {
+      ASSERT_LE(set.offsets[h], set.offsets[h + 1]);
+      if (head[h] != h) {
+        EXPECT_EQ(set.offsets[h], set.offsets[h + 1]) << "point " << h;
+      }
+      for (uint32_t e = set.offsets[h]; e < set.offsets[h + 1]; ++e) {
+        got.emplace_back(h, set.to[e], std::bit_cast<uint32_t>(set.weight[e]),
+                         set.draws_negatives[e]);
+      }
+    }
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -737,9 +738,10 @@ std::unique_ptr<DiscoveryEngine> BuildEngine(const Workload& workload,
 
 TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
   // Pins the CTS rankings bit for bit over the whole workload, clustering
-  // included. Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it.
+  // included. Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it;
+  // both recorded when UMAP's SGD became block-synchronous.
   const std::optional<uint64_t> expected = FingerprintForTier(
-      5994968623203227762ULL, 6193732263476244090ULL);
+      1092517468830391069ULL, 1889749931996944216ULL);
   if (!expected.has_value()) {
     GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
                  << vecmath::SimdTierName(vecmath::ActiveSimdTier());
@@ -776,6 +778,70 @@ TEST(CtsSearchTest, LargeClusterRankingMatchesParentFingerprint) {
   ASSERT_EQ(cts->num_clusters(), 1u);
   EXPECT_GT(cts->MemoryUsage().index.graph_bytes, 0u);
   EXPECT_EQ(CtsRankingFingerprint(*cts, workload), *expected);
+}
+
+TEST(CtsSearchTest, UnsampledCopiesFollowTheirSampledCopy) {
+  // Past max_clustering_points, HDBSCAN labels a sample of the cells. Here
+  // 120 cells read 40 store rows, and a sample of 30 cells carries labels,
+  // noise included. A cell left out of the sample must take the label of
+  // the first sampled cell that reads its store row, not that of its own
+  // nearest medoid; noise, and a cell with no sampled copy, fall back to
+  // the nearest medoid.
+  constexpr size_t kRows = 40, kCells = 120, kSample = 30, kClusters = 3;
+  Rng rng(91);
+  vecmath::Matrix store(kRows, 4);
+  vecmath::Matrix row_reduced(kRows, 2);
+  for (float& x : row_reduced.data()) x = rng.NextFloat();
+  std::vector<uint32_t> index(kCells);
+  for (uint32_t& row : index) row = static_cast<uint32_t>(rng.NextBounded(kRows));
+  const vecmath::RowsView cells(store, index);
+  vecmath::Matrix reduced(kCells, 2);
+  for (size_t i = 0; i < kCells; ++i) {
+    reduced.SetRow(i, row_reduced.RowVec(index[i]));
+  }
+  vecmath::Matrix medoid_reduced(kClusters, 2);
+  for (float& x : medoid_reduced.data()) x = rng.NextFloat();
+  std::vector<size_t> sample = rng.SampleWithoutReplacement(kCells, kSample);
+  std::sort(sample.begin(), sample.end());
+  std::vector<int32_t> labels(kSample);
+  for (int32_t& label : labels) label = static_cast<int32_t>(rng.NextInt(-1, 2));
+
+  auto nearest_medoid = [&](size_t cell) {
+    int32_t best = 0;
+    float best_dist = std::numeric_limits<float>::infinity();
+    for (size_t m = 0; m < kClusters; ++m) {
+      const float d = vecmath::ScalarSquaredL2(reduced.Row(cell),
+                                               medoid_reduced.Row(m), 2);
+      if (d < best_dist) {
+        best_dist = d;
+        best = static_cast<int32_t>(m);
+      }
+    }
+    return best;
+  };
+  std::map<size_t, int32_t> sampled_label;  // by cell
+  std::map<uint32_t, int32_t> first_label;  // by store row
+  for (size_t i = 0; i < kSample; ++i) {
+    sampled_label[sample[i]] = labels[i];
+    first_label.emplace(index[sample[i]], labels[i]);
+  }
+
+  const std::vector<int32_t> got =
+      internal::AssignCells(cells, sample, labels, reduced, medoid_reduced);
+  ASSERT_EQ(got.size(), kCells);
+  size_t followed = 0;
+  for (size_t i = 0; i < kCells; ++i) {
+    int32_t label = cluster::kNoise;
+    if (sampled_label.count(i) > 0) {
+      label = sampled_label[i];
+    } else if (first_label.count(index[i]) > 0) {
+      label = first_label[index[i]];
+      followed += label >= 0 && label != nearest_medoid(i);
+    }
+    EXPECT_EQ(got[i], label >= 0 ? label : nearest_medoid(i)) << "cell " << i;
+  }
+  // Some unsampled cells land where their own nearest medoid would not.
+  EXPECT_GT(followed, 0u);
 }
 
 TEST(CtsSearchTest, WrongDimensionQueryIsInvalidArgument) {

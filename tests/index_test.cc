@@ -480,8 +480,8 @@ std::pair<uint64_t, uint64_t> TopKFingerprint(const HnswIndex& index,
   return hashes;
 }
 
-// The deterministic L2 index the traversal fingerprints pin: M = 8, and PQ
-// with 8 subquantizers when `quantized`.
+// The L2 index the traversal fingerprints pin: M = 8, and PQ with 8
+// subquantizers when `quantized`.
 std::unique_ptr<HnswIndex> FingerprintIndex(const Matrix& data,
                                             size_t ef_construction,
                                             uint64_t seed, bool quantized) {
@@ -490,7 +490,6 @@ std::unique_ptr<HnswIndex> FingerprintIndex(const Matrix& data,
   opts.ef_construction = ef_construction;
   opts.metric = Metric::kL2;
   opts.seed = seed;
-  opts.deterministic = true;
   if (quantized) {
     PqOptions pq;
     pq.num_subquantizers = 8;
@@ -519,11 +518,11 @@ TEST(HnswIndexTest, TraversalMatchesParentFingerprint) {
   // recorded on the nested-vector adjacency with a per-neighbour distance
   // loop, before layer 0 became one flat array walked by a
   // gather-then-batch beam. L2 keeps Add() and Search() free of the
-  // tier-dependent normalization, and `deterministic` pins exact distances
-  // to the scalar kernels, so the exact hash holds on every CPU. The ADC
-  // table is computed on the active SIMD tier; the quantized hashes were
-  // recorded on the scalar and AVX2 tiers, which agree here, and are not
-  // checked elsewhere.
+  // tier-dependent normalization. Distances run on the active SIMD tier,
+  // whose sums round differently from the scalar reference's: the scalar
+  // constants hold under MIRA_FORCE_SCALAR=1, and the AVX2 ones differ in
+  // the ranking hashes only (the same nodes are evaluated and popped). No
+  // other tier is checked.
   // k = ef returns the whole final beam, so a change in which nodes enter
   // it shows even where the top few survive.
   const size_t n = 1200, dim = 32, k = 32, ef = 32;
@@ -547,12 +546,16 @@ TEST(HnswIndexTest, TraversalMatchesParentFingerprint) {
     return TopKFingerprint(*FingerprintIndex(data, 64, 5, quantized), queries,
                            k, ef);
   };
-  ExpectFingerprint(fingerprint(false), 17909920715436095480ULL,
-                    9228334547508009012ULL);
-  if (vecmath::ActiveSimdTier() == vecmath::SimdTier::kNeon) {
-    GTEST_SKIP() << "no recorded quantized fingerprints for this tier";
+  const vecmath::SimdTier tier = vecmath::ActiveSimdTier();
+  if (tier != vecmath::SimdTier::kScalar && tier != vecmath::SimdTier::kAvx2) {
+    GTEST_SKIP() << "no recorded fingerprints for this tier";
   }
-  ExpectFingerprint(fingerprint(true), 8083439478480731754ULL,
+  const bool scalar = tier == vecmath::SimdTier::kScalar;
+  ExpectFingerprint(fingerprint(false),
+                    scalar ? 17909920715436095480ULL : 6690221986900891281ULL,
+                    9228334547508009012ULL);
+  ExpectFingerprint(fingerprint(true),
+                    scalar ? 8083439478480731754ULL : 4889890317844094625ULL,
                     932191962552928697ULL);
 }
 
@@ -561,10 +564,10 @@ TEST(HnswIndexTest, TieHeavyTraversalMatchesParentFingerprint) {
   // boundary. Integer coordinates make every exact squared-L2 distance an
   // integer, and each vector is added three times, so duplicates share a
   // distance and, quantized, an identical code. The constants were recorded
-  // on the two-heap beam, before it became one sorted candidate pool. The
-  // exact hashes hold on every CPU; the quantized ones were recorded on the
-  // scalar and AVX2 tiers, which agree here, and are not checked
-  // elsewhere.
+  // on the two-heap beam, before it became one sorted candidate pool.
+  // Integer sums this small are exact in any order, so the exact hashes hold
+  // on every tier; the quantized ones were recorded on the scalar and AVX2
+  // tiers, which agree here, and are not checked elsewhere.
   const size_t distinct = 700, copies = 3, dim = 32;
   Rng rng(1717);
   Matrix data(distinct * copies, dim);
