@@ -106,9 +106,9 @@ int main() {
   for (size_t candidates : {2, 4, 8, 16, 32}) {
     discovery::CtsOptions options;
     options.cluster_candidates = candidates;
-    auto cts = discovery::CtsSearcher::Build(fx.workload.corpus.federation,
-                                             fx.corpus, fx.encoder, options)
-                   .MoveValue();
+    auto cts =
+        discovery::CtsSearcher::Build(fx.corpus, fx.encoder, options)
+            .MoveValue();
     Outcome out = Evaluate(fx, *cts);
     std::printf("CTS cluster_candidates=%-12zu %8.3f %10.3f %10zu\n",
                 candidates, out.map, out.mean_ms, cts->num_clusters());
@@ -120,9 +120,9 @@ int main() {
   for (size_t dim : {2, 5, 10}) {
     discovery::CtsOptions options;
     options.umap.target_dim = dim;
-    auto cts = discovery::CtsSearcher::Build(fx.workload.corpus.federation,
-                                             fx.corpus, fx.encoder, options)
-                   .MoveValue();
+    auto cts =
+        discovery::CtsSearcher::Build(fx.corpus, fx.encoder, options)
+            .MoveValue();
     Outcome out = Evaluate(fx, *cts);
     std::printf("CTS umap_dim=%-21zu %8.3f %10.3f %10zu\n", dim, out.map,
                 out.mean_ms, cts->num_clusters());
@@ -134,9 +134,9 @@ int main() {
   for (size_t mcs : {4, 8, 16, 32}) {
     discovery::CtsOptions options;
     options.hdbscan.min_cluster_size = mcs;
-    auto cts = discovery::CtsSearcher::Build(fx.workload.corpus.federation,
-                                             fx.corpus, fx.encoder, options)
-                   .MoveValue();
+    auto cts =
+        discovery::CtsSearcher::Build(fx.corpus, fx.encoder, options)
+            .MoveValue();
     Outcome out = Evaluate(fx, *cts);
     std::printf("CTS min_cluster_size=%-13zu %8.3f %10.3f %10zu\n", mcs,
                 out.map, out.mean_ms, cts->num_clusters());
@@ -148,9 +148,9 @@ int main() {
   for (bool use_pq : {true, false}) {
     discovery::AnnsOptions options;
     options.use_pq = use_pq;
-    auto anns = discovery::AnnsSearcher::Build(fx.workload.corpus.federation,
-                                               fx.corpus, fx.encoder, options)
-                    .MoveValue();
+    auto anns =
+        discovery::AnnsSearcher::Build(fx.corpus, fx.encoder, options)
+            .MoveValue();
     Outcome out = Evaluate(fx, *anns);
     std::printf("ANNS pq=%-26s %8.3f %10.3f %9.1fMB\n",
                 use_pq ? "on (paper config)" : "off", out.map, out.mean_ms,

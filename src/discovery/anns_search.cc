@@ -9,13 +9,11 @@
 
 namespace mira::discovery {
 
-AnnsSearcher::AnnsSearcher(AnnsOptions options, size_t num_relations)
-    : options_(options), num_relations_(num_relations) {}
+AnnsSearcher::AnnsSearcher(AnnsOptions options) : options_(options) {}
 
 AnnsSearcher::~AnnsSearcher() = default;
 
 Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
-    const table::Federation& /*federation*/,
     std::shared_ptr<const CorpusEmbeddings> corpus,
     std::shared_ptr<const embed::SemanticEncoder> encoder,
     const AnnsOptions& options, ThreadPool* pool) {
@@ -23,9 +21,8 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
     return Status::InvalidArgument("anns: null corpus/encoder");
   }
 
-  std::unique_ptr<AnnsSearcher> searcher(
-      new AnnsSearcher(options, corpus->num_relations));
-  // Keep the encoder alive through the shared_ptr captured below.
+  std::unique_ptr<AnnsSearcher> searcher(new AnnsSearcher(options));
+  searcher->corpus_ = corpus;
   searcher->encoder_ = encoder;
 
   index::HnswOptions hnsw;
@@ -50,19 +47,6 @@ Result<std::unique_ptr<AnnsSearcher>> AnnsSearcher::Build(
   searcher->index_->Reserve(num_rows);
   for (size_t d = 0; d < num_rows; ++d) {
     MIRA_RETURN_NOT_OK(searcher->index_->Add(d, corpus->rows.RowVec(d)));
-  }
-  // CSR posting lists from the store's cell -> row index, filled in
-  // ascending cell order, and each cell's relation.
-  std::vector<uint32_t>& offsets = searcher->posting_offsets_;
-  offsets.assign(num_rows + 1, 0);
-  for (uint32_t d : corpus->cell_rows) ++offsets[d + 1];
-  for (size_t d = 0; d < num_rows; ++d) offsets[d + 1] += offsets[d];
-  searcher->posting_cells_.resize(corpus->num_cells());
-  searcher->cell_relation_.resize(corpus->num_cells());
-  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (uint32_t i = 0; i < corpus->num_cells(); ++i) {
-    searcher->posting_cells_[cursor[corpus->cell_rows[i]]++] = i;
-    searcher->cell_relation_[i] = corpus->refs[i].relation;
   }
   MIRA_FAILPOINT("index.build");
   MIRA_RETURN_NOT_OK(searcher->index_->Build(pool));
@@ -110,7 +94,8 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
                                  control.active() ? &control : nullptr}));
     for (size_t h = 0; h < hits.size() && cells < options_.cell_candidates;
          ++h) {
-      cells += posting_offsets_[hits[h].id + 1] - posting_offsets_[hits[h].id];
+      cells += static_cast<size_t>(corpus_->RowCellsEnd(hits[h].id) -
+                                   corpus_->RowCellsBegin(hits[h].id));
     }
     cells = std::min(cells, options_.cell_candidates);
     span.AddCounter("candidates_requested",
@@ -122,25 +107,11 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
   MIRA_FAILPOINT("anns.search");
 
   // Step 2 of Algorithm 2: the relation score is the average similarity of
-  // the relation's cells among the approximate nearest neighbors. Sums
-  // accumulate in hit order, then cell order.
+  // the relation's cells among the approximate nearest neighbors.
   obs::TraceSpan rank_span("anns.group_relations");
-  std::vector<std::pair<double, uint32_t>> grouped(num_relations_);
-  size_t remaining = cells;
-  for (size_t h = 0; remaining > 0; ++h) {
-    const uint32_t begin = posting_offsets_[hits[h].id];
-    const uint32_t end = posting_offsets_[hits[h].id + 1];
-    for (uint32_t j = begin; j < end && remaining > 0; ++j, --remaining) {
-      auto& [sum, count] = grouped[cell_relation_[posting_cells_[j]]];
-      sum += hits[h].score;
-      ++count;
-    }
-  }
-  Ranking ranking;
-  for (table::RelationId rid = 0; rid < num_relations_; ++rid) {
-    const auto& [sum, count] = grouped[rid];
-    if (count > 0) ranking.push_back({rid, static_cast<float>(sum / count)});
-  }
+  RelationMeans means(*corpus_);
+  means.Add(hits, options_.cell_candidates, [](uint32_t) { return true; });
+  Ranking ranking = means.Take();
   rank_span.AddCounter("relations", static_cast<int64_t>(ranking.size()));
   ApplyThresholdAndTopK(&ranking, options);
   ranking.degraded = degraded;
@@ -155,9 +126,6 @@ double AnnsSearcher::pq_ms() const { return index_->pq_build_ms(); }
 
 CollectionMemoryStats AnnsSearcher::MemoryUsage() const {
   CollectionMemoryStats stats;
-  stats.points_bytes =
-      cell_relation_.size() * sizeof(table::RelationId) +
-      (posting_offsets_.size() + posting_cells_.size()) * sizeof(uint32_t);
   stats.index = index_->MemoryUsage();
   return stats;
 }

@@ -39,12 +39,12 @@ struct AnnsOptions {
 ///
 /// Build: each distinct cell vector — a row of the CorpusEmbeddings store —
 /// is HNSW indexed once, under its row number, with Product-Quantization
-/// compressed traversal and exact rescoring. CSR posting lists, built from
-/// the store's cell -> row index, map each row to its cells, ascending.
+/// compressed traversal and exact rescoring.
 /// Search: embed the query, fetch `cell_candidates` approximate nearest
 /// distinct vectors, take their cells in hit order (each hit's in ascending
-/// cell id) until `cell_candidates` cells are taken, and rank relations by
-/// the average similarity of their taken cells.
+/// cell id, from the store's posting list) until `cell_candidates` cells are
+/// taken, and rank relations by the average similarity of their taken cells
+/// (RelationMeans).
 class AnnsSearcher final : public Searcher {
  public:
   /// Builds the index from pre-computed corpus embeddings. A non-null
@@ -52,7 +52,6 @@ class AnnsSearcher final : public Searcher {
   /// index::HnswIndex::Build); the index is the same either way. Must not be
   /// called from a task of `pool`.
   [[nodiscard]] static Result<std::unique_ptr<AnnsSearcher>> Build(
-      const table::Federation& federation,
       std::shared_ptr<const CorpusEmbeddings> corpus,
       std::shared_ptr<const embed::SemanticEncoder> encoder,
       const AnnsOptions& options = {}, ThreadPool* pool = nullptr);
@@ -65,8 +64,9 @@ class AnnsSearcher final : public Searcher {
   size_t IndexMemoryBytes() const;
 
   /// Resident-byte breakdown for the `mira.mem.anns.*` gauges: `index` is
-  /// the HNSW graph, vectors and PQ codes of the distinct vectors,
-  /// `points_bytes` the cell->relation map plus the posting lists.
+  /// the HNSW graph, vectors and PQ codes of the distinct vectors.
+  /// `points_bytes` is 0: a hit reads the store's posting list and cell
+  /// refs, counted in `mira.mem.corpus_bytes`.
   CollectionMemoryStats MemoryUsage() const;
   const AnnsOptions& options() const { return options_; }
   /// Wall time of PQ training and encoding during Build, on its own thread
@@ -76,17 +76,11 @@ class AnnsSearcher final : public Searcher {
   ~AnnsSearcher() override;
 
  private:
-  AnnsSearcher(AnnsOptions options, size_t num_relations);
+  explicit AnnsSearcher(AnnsOptions options);
 
   AnnsOptions options_;
-  size_t num_relations_;
-  /// cell_relation_[cell] = the cell's relation.
-  std::vector<table::RelationId> cell_relation_;
-  /// Store row d (the HNSW id) has the cells
-  /// posting_cells_[posting_offsets_[d] .. posting_offsets_[d + 1]),
-  /// ascending; posting_cells_[posting_offsets_[d]] is its first cell.
-  std::vector<uint32_t> posting_offsets_;
-  std::vector<uint32_t> posting_cells_;
+  /// The store: its rows are the HNSW ids, its posting list their cells.
+  std::shared_ptr<const CorpusEmbeddings> corpus_;
   std::shared_ptr<const embed::SemanticEncoder> encoder_;
   std::unique_ptr<index::HnswIndex> index_;
 };

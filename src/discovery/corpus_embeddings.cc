@@ -18,6 +18,34 @@
 
 namespace mira::discovery {
 
+namespace {
+
+// Derives the row -> cells posting list from cell_rows, whose entries are
+// all below num_rows(). Filling in cell order keeps each row's cells
+// ascending.
+void DerivePostingList(CorpusEmbeddings& corpus) {
+  std::vector<uint32_t>& begin = corpus.row_cell_begin;
+  begin.assign(corpus.num_rows() + 1, 0);
+  for (uint32_t d : corpus.cell_rows) ++begin[d + 1];
+  for (size_t d = 0; d < corpus.num_rows(); ++d) begin[d + 1] += begin[d];
+  corpus.row_cells.resize(corpus.num_cells());
+  std::vector<uint32_t> next(begin.begin(), begin.end() - 1);
+  for (uint32_t i = 0; i < corpus.num_cells(); ++i) {
+    corpus.row_cells[next[corpus.cell_rows[i]]++] = i;
+  }
+}
+
+}  // namespace
+
+Ranking RelationMeans::Take() const {
+  Ranking ranking;
+  for (table::RelationId rid = 0; rid < sums_.size(); ++rid) {
+    const auto& [sum, count] = sums_[rid];
+    if (count > 0) ranking.push_back({rid, static_cast<float>(sum / count)});
+  }
+  return ranking;
+}
+
 Result<CorpusEmbeddings> CorpusEmbeddings::Build(
     const table::Federation& federation, const embed::SemanticEncoder& encoder,
     ThreadPool* pool) {
@@ -95,6 +123,7 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Build(
   }
   corpus.rows.TruncateRows(num_rows);
   for (uint32_t& row : corpus.cell_rows) row = row_of_text[row];
+  DerivePostingList(corpus);
   return corpus;
 }
 
@@ -290,6 +319,7 @@ Result<CorpusEmbeddings> CorpusEmbeddings::Load(const std::string& path) {
     }
     ++corpus.cells_per_relation[ref.relation];
   }
+  DerivePostingList(corpus);
   return corpus;
 }
 

@@ -1,6 +1,7 @@
 #include "discovery/cts_search.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/rng.h"
@@ -17,8 +18,8 @@ namespace mira::discovery {
 namespace {
 
 // Clusters are small by design; graph indexes only pay off past a few
-// thousand points.
-constexpr size_t kHnswClusterCells = 2048;
+// thousand points. Counts a cluster's distinct rows, the rows a probe scans.
+constexpr size_t kHnswClusterRows = 2048;
 
 // Row of `rows` nearest to `point` in squared L2. Scalar-reference kernels:
 // cluster assignment is part of the build and must be bit-reproducible
@@ -71,7 +72,6 @@ CtsSearcher::CtsSearcher(CtsOptions options) : options_(options) {}
 CtsSearcher::~CtsSearcher() = default;
 
 Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
-    const table::Federation& /*federation*/,
     std::shared_ptr<const CorpusEmbeddings> corpus,
     std::shared_ptr<const embed::SemanticEncoder> encoder,
     const CtsOptions& options, ThreadPool* pool) {
@@ -81,8 +81,8 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
   const size_t n = corpus->num_cells();
   const vecmath::RowsView cells = corpus->CellVectors();
   std::unique_ptr<CtsSearcher> searcher(new CtsSearcher(options));
+  searcher->corpus_ = corpus;
   searcher->encoder_ = encoder;
-  searcher->num_relations_ = corpus->num_relations;
 
   // ---- Table vectorization + dimensionality reduction (Algorithm 3) ----
   // Corpora too small for a meaningful manifold collapse to one cluster.
@@ -158,41 +158,58 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
   }
   searcher->num_clusters_ = num_clusters;
 
-  // ---- Store the clusters (§4.3): one row block ordered by cluster, the
-  // medoids acting as the retrieval index. Rows are normalized once here,
-  // so a probe is a plain dot scan. ----
+  // ---- Store the clusters (§4.3): each cluster holds the distinct store
+  // rows of its cells once, in first-cell order, in one block ordered by
+  // cluster; the medoids act as the retrieval index. Rows are normalized
+  // once here, so a probe is a plain dot scan. A row whose copies split
+  // across clusters is held once in each. ----
   const size_t dim = corpus->dim();
+  searcher->cell_cluster_ = std::move(cell_cluster);
+  const std::vector<int32_t>& cluster_of = searcher->cell_cluster_;
+  // opens[i]: cell i is the first cell of its row in its cluster. Copies
+  // almost always share a cluster, so the scan stops at the row's first cell.
+  std::vector<bool> opens(n);
+  for (size_t d = 0; d < corpus->num_rows(); ++d) {
+    const uint32_t* first = corpus->RowCellsBegin(d);
+    for (const uint32_t* cell = first; cell != corpus->RowCellsEnd(d); ++cell) {
+      opens[*cell] = std::none_of(first, cell, [&](uint32_t earlier) {
+        return cluster_of[earlier] == cluster_of[*cell];
+      });
+    }
+  }
   std::vector<size_t>& begin = searcher->cluster_begin_;
   begin.assign(num_clusters + 1, 0);
+  std::vector<size_t> cluster_cells(num_clusters, 0);
   for (size_t i = 0; i < n; ++i) {
-    ++begin[static_cast<size_t>(cell_cluster[i]) + 1];
+    ++cluster_cells[cluster_of[i]];
+    if (opens[i]) ++begin[cluster_of[i] + 1];
   }
-  size_t largest = 0;
-  for (size_t c = 0; c < num_clusters; ++c) {
-    largest = std::max(largest, begin[c + 1]);
-    begin[c + 1] += begin[c];
-  }
+  for (size_t c = 0; c < num_clusters; ++c) begin[c + 1] += begin[c];
   searcher->largest_cluster_fraction_ =
-      static_cast<double>(largest) / static_cast<double>(n);
+      static_cast<double>(
+          *std::max_element(cluster_cells.begin(), cluster_cells.end())) /
+      static_cast<double>(n);
 
   searcher->cluster_graphs_.resize(num_clusters);
   for (size_t c = 0; c < num_clusters; ++c) {
-    if (begin[c + 1] - begin[c] < kHnswClusterCells) continue;
+    if (begin[c + 1] - begin[c] < kHnswClusterRows) continue;
     index::HnswOptions hnsw;  // cosine, M 16, ef_construction 200, ef 64
     hnsw.seed = options.seed + c;
     searcher->cluster_graphs_[c] = std::make_unique<index::HnswIndex>(hnsw);
   }
-  searcher->rows_ = vecmath::Matrix(n, dim);
-  searcher->row_relation_.resize(n);
+  searcher->rows_ = vecmath::Matrix(begin[num_clusters], dim);
+  searcher->block_rows_.resize(begin[num_clusters]);
   std::vector<size_t> next_row(begin.begin(), begin.end() - 1);
   for (size_t i = 0; i < n; ++i) {
-    const size_t c = static_cast<size_t>(cell_cluster[i]);
+    if (!opens[i]) continue;
+    const size_t c = static_cast<size_t>(cluster_of[i]);
     const size_t row = next_row[c]++;
+    searcher->block_rows_[row] = corpus->cell_rows[i];
     float* out = searcher->rows_.Row(row);
     std::copy(cells.Row(i), cells.Row(i) + dim, out);
     vecmath::NormalizeInPlace(out, dim);
-    searcher->row_relation_[row] = corpus->refs[i].relation;
-    // A graph takes the raw row, keyed by row, and normalizes it itself.
+    // A graph takes the raw row, keyed by block row, and normalizes it
+    // itself.
     if (const auto& graph = searcher->cluster_graphs_[c]) {
       MIRA_RETURN_NOT_OK(graph->Add(row, cells.RowVec(i)));
     }
@@ -241,8 +258,10 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
       static_cast<int64_t>(num_clusters_ - medoid_hits.size()));
   medoid_span.Finish();
 
-  // Targeted search inside the selected clusters only. Hits are summed per
-  // relation in probe order (medoid rank, then best-first within a cluster).
+  // Targeted search inside the selected clusters only. Each probe keeps the
+  // per_cluster best rows of its cluster and takes their cells in that
+  // cluster, best-first, until per_cluster cells are taken; relations sum
+  // them in probe order (medoid rank, then best-first within a cluster).
   obs::TraceSpan cluster_span("cts.cluster_search");
   size_t per_cluster =
       std::max<size_t>(16, options_.cell_candidates /
@@ -250,8 +269,9 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
   size_t cell_hits = 0;
   size_t clusters_searched = 0;
   bool degraded = false;
-  // Fills `hits` with the per_cluster best rows of cluster c, best-first:
-  // through its graph, or by selecting from a flat scan of its row range.
+  // Fills `hits` with the per_cluster best block rows of cluster c,
+  // best-first: through its graph, or by selecting from a flat scan of its
+  // row range.
   std::vector<vecmath::ScoredId> hits;
   auto probe = [&](size_t c) -> Status {
     if (cluster_graphs_[c] != nullptr) {
@@ -270,7 +290,7 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
     vecmath::SortTopK(&hits, per_cluster);
     return Status::OK();
   };
-  std::vector<std::pair<double, uint32_t>> grouped(num_relations_);
+  RelationMeans means(*corpus_);
   for (const auto& medoid_hit : medoid_hits) {
     // Degradation point: once at least one cluster has been probed, a spent
     // budget shrinks the probe set instead of failing the query. Scores stay
@@ -280,7 +300,8 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
       degraded = true;
       break;
     }
-    Status probed = probe(static_cast<size_t>(medoid_hit.id));
+    const size_t c = static_cast<size_t>(medoid_hit.id);
+    Status probed = probe(c);
     if (!probed.ok()) {
       // A deadline firing mid-probe degrades to the clusters already
       // covered; cancellation and real errors always propagate.
@@ -291,19 +312,13 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
       return probed;
     }
     ++clusters_searched;
-    cell_hits += hits.size();
-    for (const auto& hit : hits) {
-      auto& [sum, count] = grouped[row_relation_[hit.id]];
-      sum += hit.score;
-      ++count;
-    }
+    for (vecmath::ScoredId& hit : hits) hit.id = block_rows_[hit.id];
+    cell_hits += means.Add(hits, per_cluster, [this, c](uint32_t cell) {
+      return static_cast<size_t>(cell_cluster_[cell]) == c;
+    });
     MIRA_FAILPOINT("cts.cluster_probe");
   }
-  Ranking ranking;
-  for (table::RelationId rid = 0; rid < num_relations_; ++rid) {
-    const auto& [sum, count] = grouped[rid];
-    if (count > 0) ranking.push_back({rid, static_cast<float>(sum / count)});
-  }
+  Ranking ranking = means.Take();
   cluster_span.AddCounter("clusters_searched",
                           static_cast<int64_t>(clusters_searched));
   cluster_span.AddCounter("per_cluster_k", static_cast<int64_t>(per_cluster));
@@ -323,7 +338,8 @@ size_t CtsSearcher::IndexMemoryBytes() const {
 
 CollectionMemoryStats CtsSearcher::MemoryUsage() const {
   CollectionMemoryStats total;
-  total.points_bytes = row_relation_.size() * sizeof(table::RelationId) +
+  total.points_bytes = cell_cluster_.size() * sizeof(int32_t) +
+                       block_rows_.size() * sizeof(uint32_t) +
                        cluster_begin_.size() * sizeof(size_t);
   total.index.vectors_bytes =
       (rows_.data().size() + medoids_.data().size()) * sizeof(float);

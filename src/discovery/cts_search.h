@@ -54,16 +54,19 @@ struct CtsOptions {
 /// only*, and relations are ranked by the average similarity of their
 /// retrieved cells.
 ///
-/// Storage: one matrix of normalized cell rows ordered by cluster, so a probe
-/// scans one row range (~20 probes of a few dozen rows per query, too small
-/// to pay for a collection each); clusters of 2048+ cells get an HNSW graph.
+/// Storage: each cell keeps its cluster label. Each cluster holds the
+/// distinct store rows of its cells once, in first-cell order, and the
+/// clusters' rows are normalized once into one matrix ordered by cluster, so
+/// a probe scans one row range (~20 probes of a few dozen rows per query, too
+/// small to pay for a collection each); clusters of 2048+ rows get an HNSW
+/// graph over them. A retrieved row expands, through the store's posting
+/// list, to its cells in that cluster (RelationMeans).
 class CtsSearcher final : public Searcher {
  public:
   /// A non-null `pool` runs the order-independent parts of UMAP and HDBSCAN
   /// in parallel (see dimred::FitUmap, cluster::Hdbscan); the clustering is
   /// the same either way. Must not be called from a task of `pool`.
   [[nodiscard]] static Result<std::unique_ptr<CtsSearcher>> Build(
-      const table::Federation& federation,
       std::shared_ptr<const CorpusEmbeddings> corpus,
       std::shared_ptr<const embed::SemanticEncoder> encoder,
       const CtsOptions& options = {}, ThreadPool* pool = nullptr);
@@ -77,7 +80,8 @@ class CtsSearcher final : public Searcher {
   double largest_cluster_fraction() const { return largest_cluster_fraction_; }
   size_t IndexMemoryBytes() const;
   /// Resident-byte breakdown for the `mira.mem.cts.*` gauges: `index` is the
-  /// rows, medoids and graphs, `points_bytes` the row->relation/offsets.
+  /// clusters' rows, medoids and graphs; `points_bytes` the per-cell cluster
+  /// labels, each block row's store row and the cluster offsets.
   CollectionMemoryStats MemoryUsage() const;
   const CtsOptions& options() const { return options_; }
   /// Wall times of Build's UMAP and HDBSCAN stages (BuildReport::umap_ms,
@@ -91,18 +95,21 @@ class CtsSearcher final : public Searcher {
   explicit CtsSearcher(CtsOptions options);
 
   CtsOptions options_;
+  std::shared_ptr<const CorpusEmbeddings> corpus_;
   std::shared_ptr<const embed::SemanticEncoder> encoder_;
   size_t num_clusters_ = 0;
-  size_t num_relations_ = 0;
   double largest_cluster_fraction_ = 0.0;
   double umap_ms_ = 0.0;
   double hdbscan_ms_ = 0.0;
-  /// Cells ordered by cluster, then cell index; cluster c owns rows
-  /// [cluster_begin_[c], cluster_begin_[c + 1]). Medoids: one per cluster.
+  /// cell_cluster_[cell] = the cell's cluster.
+  std::vector<int32_t> cell_cluster_;
+  /// The block: cluster c owns rows [cluster_begin_[c], cluster_begin_[c +
+  /// 1]) of rows_, its distinct store rows in first-cell order; block row j
+  /// is store row block_rows_[j], normalized. Medoids: one per cluster.
   vecmath::Matrix rows_, medoids_;
   std::vector<size_t> cluster_begin_;
-  std::vector<table::RelationId> row_relation_;
-  /// Non-null for clusters of 2048+ cells (graph ids are rows).
+  std::vector<uint32_t> block_rows_;
+  /// Non-null for clusters of 2048+ rows (graph ids are block rows).
   std::vector<std::unique_ptr<index::HnswIndex>> cluster_graphs_;
 };
 

@@ -46,6 +46,25 @@ std::string BuildReport::ToJson() const {
       total_ms, anns_index_bytes, cts_index_bytes, cts_clusters);
 }
 
+obs::QueryLogEntry QueryLogEntryFor(Method method,
+                                    const DiscoveryOptions& options,
+                                    double millis, const Ranking* ranking) {
+  obs::QueryLogEntry entry;
+  entry.SetMethod(MethodToString(method));
+  entry.ok = ranking != nullptr;
+  entry.k = static_cast<uint32_t>(options.top_k);
+  entry.duration_ms = millis;
+  if (ranking != nullptr) {
+    entry.result_count = static_cast<uint32_t>(ranking->size());
+    entry.degraded = ranking->degraded;
+    entry.partial = ranking->partial;
+  }
+  if (!options.control.deadline.infinite()) {
+    entry.budget_consumed = 1.0 - options.control.deadline.FractionRemaining();
+  }
+  return entry;
+}
+
 namespace {
 
 // Encoder with corpus-driven SIF weights over the federation's text.
@@ -173,8 +192,8 @@ Status DiscoveryEngine::FinishBuild(const EngineOptions& options,
   // and report fields.
   auto build_cts = [this, &options, pool]() -> Status {
     WallTimer timer;
-    MIRA_ASSIGN_OR_RETURN(cts_, CtsSearcher::Build(federation_, corpus_,
-                                                   encoder_, options.cts, pool));
+    MIRA_ASSIGN_OR_RETURN(
+        cts_, CtsSearcher::Build(corpus_, encoder_, options.cts, pool));
     build_report_.cts_build_ms = timer.ElapsedMillis();
     build_report_.umap_ms = cts_->umap_ms();
     build_report_.hdbscan_ms = cts_->hdbscan_ms();
@@ -189,8 +208,7 @@ Status DiscoveryEngine::FinishBuild(const EngineOptions& options,
   if (options.build_anns) {
     WallTimer timer;
     MIRA_ASSIGN_OR_RETURN(
-        anns_, AnnsSearcher::Build(federation_, corpus_, encoder_,
-                                   options.anns, pool));
+        anns_, AnnsSearcher::Build(corpus_, encoder_, options.anns, pool));
     build_report_.anns_build_ms = timer.ElapsedMillis();
     build_report_.pq_ms = anns_->pq_ms();
     build_report_.anns_index_bytes = anns_->IndexMemoryBytes();
@@ -269,31 +287,9 @@ uint64_t DiscoveryEngine::RecordQueryLog(Method method,
                                          double millis, const Ranking* ranking,
                                          const obs::QueryTrace* trace) const {
   if constexpr (obs::kObsEnabled) {
-    obs::QueryLogEntry entry;
-    entry.SetMethod(MethodToString(method));
-    entry.ok = ranking != nullptr;
-    entry.k = static_cast<uint32_t>(options.top_k);
-    entry.duration_ms = millis;
-    if (ranking != nullptr) {
-      entry.result_count = static_cast<uint32_t>(ranking->size());
-      entry.degraded = ranking->degraded;
-      entry.partial = ranking->partial;
-    }
-    if (!options.control.deadline.infinite()) {
-      entry.budget_consumed =
-          1.0 - options.control.deadline.FractionRemaining();
-    }
-    const bool traced = trace != nullptr && !trace->empty();
-    if (traced) {
-      entry.traced = true;
-      entry.SetTopSpans(*trace);
-    }
+    obs::QueryLogEntry entry = QueryLogEntryFor(method, options, millis, ranking);
     obs::QueryLog& log = obs::QueryLog::Global();
-    const uint64_t id = log.Record(entry);
-    if (traced && log.IsSlow(millis)) {
-      log.PromoteSlowTrace(id, millis, *trace);
-    }
-    return id;
+    return trace != nullptr ? log.Record(entry, *trace) : log.Record(entry);
   } else {
     (void)method;
     (void)options;
@@ -312,7 +308,8 @@ void DiscoveryEngine::PublishResourceMetrics() const {
       const size_t corpus_bytes =
           corpus_->rows.data().size() * sizeof(float) +
           corpus_->refs.size() * sizeof(CellRef) +
-          (corpus_->cell_rows.size() + corpus_->cells_per_relation.size()) *
+          (corpus_->cell_rows.size() + corpus_->cells_per_relation.size() +
+           corpus_->row_cell_begin.size() + corpus_->row_cells.size()) *
               sizeof(uint32_t);
       registry.GetGauge("mira.mem.corpus_bytes")
           .Set(static_cast<double>(corpus_bytes));
@@ -402,33 +399,34 @@ Result<Ranking> DiscoveryEngine::Search(Method method, const std::string& query,
   return result;
 }
 
+Result<Ranking> DiscoveryEngine::SearchUnlogged(
+    Method method, const std::string& query,
+    const DiscoveryOptions& options) const {
+  WallTimer timer;
+  Result<Ranking> result = SearchWithFallback(method, query, options);
+  RecordQueryMetrics(method, timer.ElapsedMillis(), result.ok(),
+                     /*query_log_id=*/0);
+  return result;
+}
+
 Result<TracedRanking> DiscoveryEngine::SearchTraced(
     Method method, const std::string& query,
     const DiscoveryOptions& options) const {
   TracedRanking out;
   WallTimer timer;
-  {
-    obs::ScopedTrace collect(&out.trace);
-    obs::TraceSpan root("query");
-    root.SetLabel(MethodToString(method));
-    Result<Ranking> result = SearchWithFallback(method, query, options);
-    if (!result.ok()) {
-      const double millis = timer.ElapsedMillis();
-      const uint64_t id =
-          RecordQueryLog(method, options, millis, nullptr, /*trace=*/nullptr);
-      RecordQueryMetrics(method, millis, false, id);
-      return result.status();
-    }
-    out.ranking = result.MoveValue();
-    root.AddCounter("results", static_cast<int64_t>(out.ranking.size()));
-    root.AddCounter("degraded", out.ranking.degraded ? 1 : 0);
-  }
-  // The ScopedTrace is closed: the trace is complete (including any worker
-  // spans merged at ParallelFor joins), so the log entry can summarize it.
+  Result<Ranking> result = TraceQuery(method, &out.trace, [&] {
+    return SearchWithFallback(method, query, options);
+  });
+  // The trace is complete (including any worker spans merged at ParallelFor
+  // joins), so the log entry can summarize it; a failed query logs untraced.
   const double millis = timer.ElapsedMillis();
   const uint64_t id =
-      RecordQueryLog(method, options, millis, &out.ranking, &out.trace);
-  RecordQueryMetrics(method, millis, true, id);
+      result.ok()
+          ? RecordQueryLog(method, options, millis, &*result, &out.trace)
+          : RecordQueryLog(method, options, millis, nullptr, nullptr);
+  RecordQueryMetrics(method, millis, result.ok(), id);
+  if (!result.ok()) return result.status();
+  out.ranking = result.MoveValue();
   return out;
 }
 

@@ -12,6 +12,7 @@
 #include "discovery/types.h"
 #include "embed/encoder.h"
 #include "obs/metrics.h"
+#include "obs/query_log.h"
 #include "obs/trace.h"
 #include "table/relation.h"
 
@@ -21,6 +22,30 @@ namespace mira::discovery {
 enum class Method { kExhaustive, kAnns, kCts };
 
 std::string_view MethodToString(Method method);
+
+/// Runs `search` with the calling thread's spans collected into `trace`
+/// (subject to the sampling knob), under a root "query" span labelled with
+/// `method` that counts the ranking's results and whether it is degraded:
+/// the shape of every query trace, SearchTraced's and the service's.
+template <typename Search>
+[[nodiscard]] Result<Ranking> TraceQuery(Method method, obs::QueryTrace* trace,
+                                         const Search& search) {
+  obs::ScopedTrace collect(trace);
+  obs::TraceSpan root("query");
+  root.SetLabel(MethodToString(method));
+  Result<Ranking> result = search();
+  if (result.ok()) {
+    root.AddCounter("results", static_cast<int64_t>(result->size()));
+    root.AddCounter("degraded", result->degraded ? 1 : 0);
+  }
+  return result;
+}
+
+/// The query-log entry of a `method` search that took `millis`; `ranking`
+/// is null when it failed.
+obs::QueryLogEntry QueryLogEntryFor(Method method,
+                                    const DiscoveryOptions& options,
+                                    double millis, const Ranking* ranking);
 
 /// Structured summary of what Build() did: stage wall times, corpus shape,
 /// and the size of every index the build produced. Logged once at kInfo when
@@ -126,6 +151,15 @@ class DiscoveryEngine {
       Method method, const std::string& query,
       const DiscoveryOptions& options) const;
 
+  /// Search() for a caller that keeps its own query log, as
+  /// service::DiscoveryService does with one tenant-tagged entry per served
+  /// request: the same answer and per-method metrics, but no query-log
+  /// entry, so the latency histogram carries no exemplar for it. Spans go
+  /// to the caller's armed obs::ScopedTrace, if any.
+  [[nodiscard]] Result<Ranking> SearchUnlogged(
+      Method method, const std::string& query,
+      const DiscoveryOptions& options) const;
+
   /// Access to an individual searcher (null if not built).
   const Searcher* searcher(Method method) const;
 
@@ -152,7 +186,7 @@ class DiscoveryEngine {
   [[nodiscard]] Status FinishBuild(const EngineOptions& options,
                                    ThreadPool* pool);
 
-  /// Search + the deadline fallback; shared by Search/SearchTraced.
+  /// Search + the deadline fallback; shared by the public searches.
   [[nodiscard]] Result<Ranking> SearchWithFallback(
       Method method, const std::string& query,
       const DiscoveryOptions& options) const;

@@ -79,7 +79,7 @@ struct Ranking {
 /// `mira.mem.{anns,cts}.*` gauges: the per-cell bookkeeping next to the
 /// vector index, and the index's own MemoryStats.
 struct CollectionMemoryStats {
-  size_t points_bytes = 0;  ///< Cell->relation map and row offsets.
+  size_t points_bytes = 0;  ///< Bookkeeping beside the index (per cell, per row).
   index::MemoryStats index;  ///< Vector-index breakdown.
   size_t total() const { return points_bytes + index.total(); }
 };

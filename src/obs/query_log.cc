@@ -46,6 +46,16 @@ uint64_t QueryLog::Record(QueryLogEntry entry) {
   return Publish(next_.fetch_add(1, std::memory_order_relaxed), entry);
 }
 
+uint64_t QueryLog::Record(QueryLogEntry entry, const QueryTrace& trace) {
+  entry.traced = !trace.empty();
+  if (entry.traced) entry.SetTopSpans(trace);
+  const uint64_t id = Record(entry);
+  if (entry.traced && IsSlow(entry.duration_ms)) {
+    PromoteSlowTrace(id, entry.duration_ms, trace);
+  }
+  return id;
+}
+
 uint64_t QueryLog::Publish(uint64_t ticket, QueryLogEntry entry) {
   entry.id = ticket + 1;
   if (!ring_.Publish(ticket, entry)) {

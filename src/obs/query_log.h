@@ -95,6 +95,10 @@ class QueryLog {
 
   /// Stores the entry (assigning and returning its id). Lock-free.
   uint64_t Record(QueryLogEntry entry);
+  /// Record() for a query run under `trace`: a collected (non-empty) trace
+  /// marks the entry traced with its top spans, and is promoted under the
+  /// entry's id when the entry's duration is slow.
+  uint64_t Record(QueryLogEntry entry, const QueryTrace& trace);
 
   /// Slow-query threshold; <= 0 (the default) disables promotion.
   void SetSlowThresholdMs(double ms);

@@ -23,15 +23,11 @@ std::string_view DispatchModeToString(DispatchMode mode) {
 DiscoveryService::DiscoveryService(const discovery::DiscoveryEngine* engine,
                                    ServiceOptions options)
     : DiscoveryService(
-          // SearchTraced (not Search) so sampled slow queries get their span
-          // tree promoted into /tracez — the exemplar on the latency
-          // histogram then resolves to an inspectable trace.
-          [engine](const ServiceRequest& request) -> Result<discovery::Ranking> {
-            Result<discovery::TracedRanking> traced = engine->SearchTraced(
-                request.method, request.query, request.options);
-            if (!traced.ok()) return traced.status();
-            discovery::TracedRanking out = traced.MoveValue();
-            return std::move(out.ranking);
+          // The service logs each request itself, with its tenant, so the
+          // engine must not log it again.
+          [engine](const ServiceRequest& request) {
+            return engine->SearchUnlogged(request.method, request.query,
+                                          request.options);
           },
           std::move(options)) {}
 
@@ -337,7 +333,11 @@ void DiscoveryService::Run(Queued& item, ServiceResponse response) {
   metrics_.method_dispatched[static_cast<size_t>(item.request.method)]
       ->Increment();
   const double run_start_s = MonotonicSeconds();
-  Result<discovery::Ranking> result = runner_(item.request);
+  // The run's span tree goes on the request's log entry, and to /tracez
+  // under that entry's id when the request is slow, so the exemplar on
+  // mira.service.latency_ms resolves to it.
+  Result<discovery::Ranking> result = discovery::TraceQuery(
+      item.request.method, &item.trace, [&] { return runner_(item.request); });
   response.run_ms = (MonotonicSeconds() - run_start_s) * 1000.0;
   if (!result.ok()) {
     response.status = result.status();
@@ -392,24 +392,15 @@ void DiscoveryService::Finish(Queued& item, Exit exit,
   const ServiceRequest& request = item.request;
   uint64_t log_id = 0;
   if (options_.record_query_log) {
-    obs::QueryLogEntry entry;
-    entry.SetMethod(discovery::MethodToString(request.method));
+    obs::QueryLogEntry entry = discovery::QueryLogEntryFor(
+        request.method, request.options, response.queue_ms + response.run_ms,
+        response.status.ok() ? &response.ranking : nullptr);
     entry.SetTenant(request.tenant);
     entry.priority = static_cast<int8_t>(item.priority);
-    entry.ok = response.status.ok();
-    entry.k = static_cast<uint32_t>(request.options.top_k);
-    entry.result_count = static_cast<uint32_t>(response.ranking.size());
-    entry.duration_ms = response.queue_ms + response.run_ms;
-    entry.degraded = response.ranking.degraded;
-    entry.partial = response.ranking.partial;
     entry.shed = response.outcome == RequestOutcome::kRejected;
     entry.evicted = response.outcome == RequestOutcome::kEvicted;
     entry.preemptive = response.preemptively_degraded;
-    const Deadline& deadline = request.options.control.deadline;
-    if (!deadline.infinite()) {
-      entry.budget_consumed = 1.0 - deadline.FractionRemaining();
-    }
-    log_id = obs::QueryLog::Global().Record(entry);
+    log_id = obs::QueryLog::Global().Record(entry, item.trace);
   }
   // Only requests the runner saw count toward latency; the query-log id
   // rides along as the exemplar, so /metricsz tail buckets name the request.

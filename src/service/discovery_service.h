@@ -20,6 +20,7 @@
 #include "discovery/types.h"
 #include "obs/debug_server.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "service/admission.h"
 
 namespace mira::service {
@@ -207,6 +208,8 @@ class DiscoveryService {
     double enqueue_s = 0.0;
     /// Inflight-table key once dispatched; 0 otherwise.
     uint64_t dispatch_id = 0;
+    /// The run's span tree when it was sampled; empty otherwise.
+    obs::QueryTrace trace;
   };
 
   /// Every way a request leaves the service. Finish() maps each one to its
@@ -223,12 +226,13 @@ class DiscoveryService {
   };
 
   void WorkerLoop();
-  /// Runs a dispatched request (failpoint, then the runner) and finishes it.
+  /// Runs a dispatched request (failpoint, then the runner under a trace of
+  /// its own) and finishes it.
   void Run(Queued& item, ServiceResponse response);
   /// The one place a request is accounted: bumps the instance counter, the
   /// mira.service.* counter and the tenant slice, releases the inflight-table
-  /// slot, writes the query log and the latency exemplars, then runs the
-  /// callback.
+  /// slot, writes the request's one query-log entry (promoting a slow run's
+  /// trace under its id) and the latency exemplars, then runs the callback.
   void Finish(Queued& item, Exit exit, ServiceResponse response);
   size_t QueueDepthLocked() const MIRA_REQUIRES(mu_);
   DispatchMode ModeFor(size_t queue_depth) const;

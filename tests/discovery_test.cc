@@ -222,11 +222,28 @@ TEST(CorpusEmbeddingsTest, RowsAreTheDistinctCellVectors) {
   }
   EXPECT_EQ(corpus.num_rows(), row_of_bytes.size());
   EXPECT_LT(corpus.num_rows(), texts.size());
-  // The tests' byte grouping of the cells agrees: row d holds its cells.
+  // The tests' byte grouping of the cells agrees: row d holds its cells,
+  // and the store's posting list gives them, ascending. So does the list a
+  // saved-then-loaded store derives.
   const auto groups = CellsByDistinctRow(corpus);
   ASSERT_EQ(groups.size(), corpus.num_rows());
   for (uint32_t d = 0; d < groups.size(); ++d) {
     for (uint32_t cell : groups[d]) EXPECT_EQ(corpus.cell_rows[cell], d);
+  }
+  const auto path = std::filesystem::temp_directory_path() /
+                    "mira_corpus_posting_list.bin";
+  ASSERT_TRUE(corpus.Save(path.string()).ok());
+  const auto loaded = CorpusEmbeddings::Load(path.string()).MoveValue();
+  std::remove(path.c_str());
+  for (const CorpusEmbeddings* store : {&corpus, &loaded}) {
+    ASSERT_EQ(store->row_cell_begin.size(), groups.size() + 1);
+    ASSERT_EQ(store->row_cells.size(), store->num_cells());
+    for (uint32_t d = 0; d < groups.size(); ++d) {
+      EXPECT_EQ(std::vector<uint32_t>(store->RowCellsBegin(d),
+                                      store->RowCellsEnd(d)),
+                groups[d])
+          << "row " << d;
+    }
   }
 }
 
@@ -293,7 +310,7 @@ TEST(AnnsSearcherTest, PqSubquantizersAutoAdjustToDim) {
   auto encoder = std::make_shared<embed::SemanticEncoder>(opts, fx.lexicon);
   auto corpus = std::make_shared<CorpusEmbeddings>(
       CorpusEmbeddings::Build(fx.federation, *encoder).MoveValue());
-  auto anns = AnnsSearcher::Build(fx.federation, corpus, encoder);
+  auto anns = AnnsSearcher::Build(corpus, encoder);
   ASSERT_TRUE(anns.ok()) << anns.status().ToString();
   // m = 12, the largest divisor of 24 not above 16: one code byte per
   // subquantizer per distinct cell vector (the fixture repeats values, so
@@ -322,9 +339,8 @@ TEST(AnnsSearcherTest, ExactSearchTakesBruteForceCells) {
   options.use_pq = false;
   options.cell_candidates = 120;
   options.ef_search = rows.size();
-  auto anns = AnnsSearcher::Build(inputs.workload.corpus.federation,
-                                  inputs.corpus, inputs.encoder, options)
-                  .MoveValue();
+  auto anns =
+      AnnsSearcher::Build(inputs.corpus, inputs.encoder, options).MoveValue();
 
   constexpr double kTie = 1e-5;
   DiscoveryOptions search;
@@ -389,12 +405,8 @@ TEST(AnnsSearcherTest, LoadedCorpusRanksLikeBuiltCorpus) {
   auto loaded = std::make_shared<CorpusEmbeddings>(
       CorpusEmbeddings::Load(path.string()).MoveValue());
   std::remove(path.c_str());
-  const table::Federation& federation = inputs.workload.corpus.federation;
-  auto built =
-      AnnsSearcher::Build(federation, inputs.corpus, inputs.encoder)
-          .MoveValue();
-  auto reopened =
-      AnnsSearcher::Build(federation, loaded, inputs.encoder).MoveValue();
+  auto built = AnnsSearcher::Build(inputs.corpus, inputs.encoder).MoveValue();
+  auto reopened = AnnsSearcher::Build(loaded, inputs.encoder).MoveValue();
   EXPECT_EQ(reopened->MemoryUsage().total(), built->MemoryUsage().total());
 
   DiscoveryOptions options;
@@ -739,9 +751,12 @@ std::unique_ptr<DiscoveryEngine> BuildEngine(const Workload& workload,
 TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
   // Pins the CTS rankings bit for bit over the whole workload, clustering
   // included. Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it;
-  // both recorded when UMAP's SGD became block-synchronous.
+  // both recorded when UMAP's SGD became block-synchronous. The AVX2 one
+  // was re-recorded when clusters began to hold each distinct row once:
+  // AVX2 DotBatch scores a row by its position in the scan, so a row's
+  // copies no longer score in the last bits as their positions did.
   const std::optional<uint64_t> expected = FingerprintForTier(
-      1092517468830391069ULL, 1889749931996944216ULL);
+      1092517468830391069ULL, 16290450275925486642ULL);
   if (!expected.has_value()) {
     GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
                  << vecmath::SimdTierName(vecmath::ActiveSimdTier());
@@ -757,11 +772,12 @@ TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
 
 TEST(CtsSearchTest, LargeClusterRankingMatchesParentFingerprint) {
   // A corpus below the clustering floor (4 x min_cluster_size cells)
-  // collapses into one cluster; past 2048 cells that cluster is searched
+  // collapses into one cluster; past 2048 rows that cluster is searched
   // through an HNSW graph instead of a flat scan. It never runs UMAP.
-  // Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it.
+  // Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it; both
+  // recorded when the graph began to hold each distinct row once.
   const std::optional<uint64_t> expected = FingerprintForTier(
-      2326614739933340567ULL, 16953455431268257531ULL);
+      13081168359898809328ULL, 17714065819641951542ULL);
   if (!expected.has_value()) {
     GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
                  << vecmath::SimdTierName(vecmath::ActiveSimdTier());
@@ -770,7 +786,7 @@ TEST(CtsSearchTest, LargeClusterRankingMatchesParentFingerprint) {
   EngineOptions options = CtsOnlyEngineOptions();
   options.cts.hdbscan.min_cluster_size = 4096;
   auto engine = BuildEngine(workload, options);
-  ASSERT_GT(engine->corpus().num_cells(), 2048u);
+  ASSERT_GT(engine->corpus().num_rows(), 2048u);
   ASSERT_LT(engine->corpus().num_cells(), 4u * 4096u);
   const auto* cts =
       static_cast<const CtsSearcher*>(engine->searcher(Method::kCts));
@@ -855,11 +871,94 @@ TEST(CtsSearchTest, WrongDimensionQueryIsInvalidArgument) {
   query_options.dim = 32;
   auto query_encoder =
       std::make_shared<embed::SemanticEncoder>(query_options, fx.lexicon);
-  auto cts = CtsSearcher::Build(fx.federation, corpus, query_encoder);
+  auto cts = CtsSearcher::Build(corpus, query_encoder);
   ASSERT_TRUE(cts.ok()) << cts.status().ToString();
   auto ranking = (*cts)->Search("covid vaccine", {});
   EXPECT_TRUE(ranking.status().IsInvalidArgument())
       << ranking.status().ToString();
+}
+
+// A search that took every cell ranks every relation by the mean of all its
+// cells, which is cached ExS's q·m_r: each relation of `exact` is in
+// `approx` within 1e-5, and neighbours further apart than twice that keep
+// their order.
+void ExpectSameMeansAsExs(const Ranking& approx, const Ranking& exact) {
+  constexpr float kTolerance = 1e-5f;
+  ASSERT_EQ(approx.size(), exact.size());
+  std::map<table::RelationId, size_t> approx_rank;
+  for (size_t i = 0; i < approx.size(); ++i) {
+    approx_rank[approx[i].relation] = i;
+  }
+  ASSERT_EQ(approx_rank.size(), approx.size());
+  for (const DiscoveryHit& hit : exact) {
+    auto it = approx_rank.find(hit.relation);
+    ASSERT_NE(it, approx_rank.end()) << "relation " << hit.relation;
+    EXPECT_NEAR(approx[it->second].score, hit.score, kTolerance)
+        << "relation " << hit.relation;
+  }
+  for (size_t i = 0; i + 1 < exact.size(); ++i) {
+    if (exact[i].score - exact[i + 1].score > 2 * kTolerance) {
+      EXPECT_LT(approx_rank[exact[i].relation],
+                approx_rank[exact[i + 1].relation])
+          << "ExS ranks " << i << " and " << i + 1;
+    }
+  }
+}
+
+// Metamorphic check of Algorithm 3 against Algorithm 1: with every cluster
+// probed and every cell asked for, CTS takes each cell once, and its
+// per-relation mean over them is the one cached ExS scores as q·m_r.
+void ExpectCtsTakingEveryCellMatchesExs(const SearcherInputs& inputs,
+                                        CtsOptions cts_options,
+                                        size_t cluster_candidates) {
+  const CorpusEmbeddings& corpus = *inputs.corpus;
+  cts_options.cluster_candidates = cluster_candidates;
+  cts_options.cell_candidates = corpus.num_cells() * cluster_candidates;
+  auto cts =
+      CtsSearcher::Build(inputs.corpus, inputs.encoder, cts_options).MoveValue();
+  ASSERT_GE(cluster_candidates, cts->num_clusters());
+  ExsOptions exs_options;
+  exs_options.reuse_corpus_embeddings = true;
+  ExhaustiveSearcher exs(nullptr, inputs.corpus, inputs.encoder, exs_options);
+
+  DiscoveryOptions options;
+  options.top_k = corpus.num_relations;
+  ASSERT_FALSE(inputs.workload.queries.empty());
+  for (const auto& q : inputs.workload.queries) {
+    SCOPED_TRACE(q.text);
+    Ranking approx;
+    {
+      obs::QueryTrace trace;
+      obs::ScopedTrace scope(&trace);
+      approx = cts->Search(q.text, options).MoveValue();
+      // Checked where tracing is compiled in; a dropped or doubled cell also
+      // shows as a score mismatch below.
+      if (scope.armed()) {
+        ASSERT_EQ(trace.CounterValue("cts.cluster_search", "cell_hits"),
+                  static_cast<int64_t>(corpus.num_cells()));
+      }
+    }
+    ExpectSameMeansAsExs(approx, exs.Search(q.text, options).MoveValue());
+  }
+}
+
+TEST(CtsSearchTest, RetrievingEveryCellMatchesExs) {
+  const SearcherInputs inputs;
+  {
+    // The clustered corpus, flat probes only. On the AVX2 tier HDBSCAN
+    // splits one row's copies across two clusters here, so each cluster
+    // must take exactly its own copies of that row.
+    SCOPED_TRACE("clustered");
+    ExpectCtsTakingEveryCellMatchesExs(inputs, FastEngineOptions().cts, 256);
+  }
+  {
+    // One cluster of 2,434 distinct rows, probed through its HNSW graph,
+    // which reaches every row.
+    SCOPED_TRACE("one graph cluster");
+    CtsOptions one_cluster = FastEngineOptions().cts;
+    one_cluster.hdbscan.min_cluster_size = 4096;
+    ExpectCtsTakingEveryCellMatchesExs(inputs, one_cluster, 1);
+  }
 }
 
 TEST_F(GeneratedWorkloadTest, AnnsReportsIndexMemory) {
@@ -959,14 +1058,12 @@ TEST_F(GeneratedWorkloadTest, AnnsRetrievingEveryCellMatchesExs) {
   anns_options.use_pq = false;
   anns_options.cell_candidates = corpus.num_cells();
   anns_options.ef_search = corpus.num_cells();
-  auto anns = AnnsSearcher::Build(workload_->corpus.federation, shared_corpus,
-                                  encoder, anns_options)
-                  .MoveValue();
+  auto anns =
+      AnnsSearcher::Build(shared_corpus, encoder, anns_options).MoveValue();
   ExsOptions exs_options;
   exs_options.reuse_corpus_embeddings = true;
   ExhaustiveSearcher exs(nullptr, shared_corpus, encoder, exs_options);
 
-  constexpr float kTolerance = 1e-5f;
   DiscoveryOptions options;
   options.top_k = corpus.num_relations;
   ASSERT_FALSE(workload_->queries.empty());
@@ -987,28 +1084,7 @@ TEST_F(GeneratedWorkloadTest, AnnsRetrievingEveryCellMatchesExs) {
                   static_cast<int64_t>(corpus.num_cells()));
       }
     }
-    const Ranking exact = exs.Search(q.text, options).MoveValue();
-    ASSERT_EQ(approx.size(), exact.size());
-    std::map<table::RelationId, size_t> approx_rank;
-    for (size_t i = 0; i < approx.size(); ++i) {
-      approx_rank[approx[i].relation] = i;
-    }
-    ASSERT_EQ(approx_rank.size(), approx.size());
-    for (const DiscoveryHit& hit : exact) {
-      auto it = approx_rank.find(hit.relation);
-      ASSERT_NE(it, approx_rank.end()) << "relation " << hit.relation;
-      EXPECT_NEAR(approx[it->second].score, hit.score, kTolerance)
-          << "relation " << hit.relation;
-    }
-    // Each score may be off by the tolerance, so only neighbours whose ExS
-    // scores are further apart than twice that have a fixed order.
-    for (size_t i = 0; i + 1 < exact.size(); ++i) {
-      if (exact[i].score - exact[i + 1].score > 2 * kTolerance) {
-        EXPECT_LT(approx_rank[exact[i].relation],
-                  approx_rank[exact[i + 1].relation])
-            << "ExS ranks " << i << " and " << i + 1;
-      }
-    }
+    ExpectSameMeansAsExs(approx, exs.Search(q.text, options).MoveValue());
   }
 }
 
@@ -1268,12 +1344,10 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
       static_cast<const AnnsSearcher*>(engine_->searcher(Method::kAnns));
   ASSERT_NE(anns, nullptr);
   CollectionMemoryStats anns_stats = anns->MemoryUsage();
-  // ANNS's bookkeeping: the cell->relation map, and the posting lists (an
-  // offset per distinct vector plus one, and a cell id per cell).
+  // ANNS keeps no bookkeeping of its own: a hit reads the store's posting
+  // list and cell refs.
   const CorpusEmbeddings& corpus = engine_->corpus();
-  EXPECT_EQ(anns_stats.points_bytes,
-            (2 * corpus.num_cells() + CellsByDistinctRow(corpus).size() + 1) *
-                sizeof(uint32_t));
+  EXPECT_EQ(anns_stats.points_bytes, 0u);
   EXPECT_GT(anns_stats.index.total(), 0u);
   EXPECT_GE(anns_stats.total(), anns_stats.points_bytes);
   // The breakdown's index component is the same number IndexMemoryBytes()
@@ -1287,11 +1361,18 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
   EXPECT_GT(cts_stats.points_bytes, 0u);
   EXPECT_GT(cts_stats.total(), 0u);
   // No cluster of this workload reaches the graph threshold, so the index
-  // is exactly the cell row block plus one medoid row per cluster.
+  // is the clusters' row block plus one medoid row per cluster. Each
+  // cluster holds a distinct row once, so the block holds every store row,
+  // plus one more per extra cluster of a split row (rare: under 1 %), and
+  // far fewer rows than cells.
   EXPECT_EQ(cts_stats.index.graph_bytes, 0u);
-  EXPECT_EQ(cts_stats.index.vectors_bytes,
-            (corpus.num_cells() + cts->num_clusters()) * corpus.dim() *
-                sizeof(float));
+  const size_t row_bytes = corpus.dim() * sizeof(float);
+  ASSERT_EQ(cts_stats.index.vectors_bytes % row_bytes, 0u);
+  const size_t block_rows =
+      cts_stats.index.vectors_bytes / row_bytes - cts->num_clusters();
+  EXPECT_GE(block_rows, corpus.num_rows());
+  EXPECT_LT(block_rows, corpus.num_rows() + corpus.num_rows() / 100);
+  EXPECT_LT(block_rows, corpus.num_cells());
   EXPECT_EQ(cts_stats.index.total(), cts->IndexMemoryBytes());
 }
 

@@ -946,7 +946,6 @@ Status DriveSite(const std::string& site, const CovidFixture& fx,
     // Non-owning handles: the caller's corpus and encoder outlive the build.
     const std::shared_ptr<const void> unowned;
     return AnnsSearcher::Build(
-               fx.federation,
                std::shared_ptr<const CorpusEmbeddings>(unowned, &corpus),
                std::shared_ptr<const embed::SemanticEncoder>(unowned, &encoder))
         .status();

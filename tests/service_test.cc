@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1162,6 +1163,68 @@ TEST(ServiceEngineSmokeTest, ServesRealDiscoveryQueries) {
   }
   svc.Stop();
   EXPECT_GT(answered, 0) << "the engine returned no hits for any query";
+}
+
+TEST(DiscoveryServiceTest, EachServedRequestLogsOneTenantEntry) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "built with MIRA_OBS=OFF";
+  datagen::WorkloadOptions workload_options = datagen::WikiTablesWorkload(60);
+  workload_options.bank.num_topics = 4;
+  workload_options.bank.aspects_per_topic = 2;
+  workload_options.queries.per_class = 2;
+  datagen::Workload workload =
+      datagen::Workload::Generate(workload_options);
+  discovery::EngineOptions engine_options;
+  engine_options.encoder.dim = 64;
+  engine_options.build_cts = false;
+  engine_options.embed_threads = 1;
+  auto engine = discovery::DiscoveryEngine::Build(workload.corpus.federation,
+                                                  workload.bank.lexicon(),
+                                                  engine_options)
+                    .MoveValue();
+
+  ServiceOptions options = SyntheticOptions();
+  options.record_query_log = true;
+  DiscoveryService svc(engine.get(), options);
+  ASSERT_TRUE(svc.Start().ok());
+  obs::QueryLog& log = obs::QueryLog::Global();
+  log.Clear();
+  obs::Histogram& latency =
+      obs::MetricRegistry::Global().GetHistogram("mira.service.latency_ms");
+  latency.Reset();
+  log.SetSlowThresholdMs(0.0001);  // every run is slow: each is promoted
+  constexpr size_t kRequests = 6;
+  for (size_t i = 0; i < kRequests; ++i) {
+    ServiceRequest request;
+    request.tenant = i % 2 == 0 ? "even" : "odd";
+    request.method = i % 3 == 0 ? discovery::Method::kExhaustive
+                                : discovery::Method::kAnns;
+    request.query = workload.queries[i % workload.queries.size()].text;
+    ServiceResponse response = svc.Search(std::move(request));
+    ASSERT_EQ(response.outcome, RequestOutcome::kCompleted)
+        << response.status.ToString();
+  }
+  svc.Stop();
+  log.SetSlowThresholdMs(0.0);
+
+  // One entry per request, the service's: tenant-tagged, with the run's
+  // span tree summarized on it.
+  ASSERT_EQ(log.total_recorded(), kRequests);
+  const std::vector<obs::QueryLogEntry> entries = log.Snapshot();
+  ASSERT_EQ(entries.size(), kRequests);
+  std::set<uint64_t> ids;
+  for (size_t i = 0; i < kRequests; ++i) {
+    EXPECT_STREQ(entries[i].tenant, i % 2 == 0 ? "even" : "odd");
+    EXPECT_TRUE(entries[i].traced);
+    ids.insert(entries[i].id);
+  }
+  // Each run was promoted under its entry's id, the id the service latency
+  // histogram pins as its exemplar.
+  std::set<uint64_t> promoted;
+  for (const auto& slow : log.SlowTraces()) promoted.insert(slow.id);
+  for (uint64_t id : ids) EXPECT_EQ(promoted.count(id), 1u) << "id " << id;
+  for (const auto& exemplar : latency.Exemplars()) {
+    EXPECT_EQ(ids.count(exemplar.id), 1u) << "exemplar id " << exemplar.id;
+  }
 }
 
 // ---------- TSan stress ----------

@@ -755,27 +755,28 @@ def check_tenant_slices(port: int, tolerance: int) -> None:
           f"({slice_admitted} vs {service_admitted})")
 
 
-def engine_exemplar_ids(doc: dict) -> set[int]:
+def service_exemplar_ids(doc: dict) -> set[int]:
+    """Exemplar ids of mira.service.latency_ms, the served requests' query-log
+    entry ids (the engine logs no entry of its own for a served request)."""
     ids: set[int] = set()
     histograms = doc.get("histograms", {})
     if not isinstance(histograms, dict):
         return ids
-    for name, hist in histograms.items():
-        if not name.startswith("mira.query.latency_ms."):
-            continue
-        if not isinstance(hist, dict):
-            continue
-        for entry in hist.get("exemplars", []):
-            if (isinstance(entry, list) and len(entry) == 2
-                    and isinstance(entry[1], int)):
-                ids.add(entry[1])
+    hist = histograms.get("mira.service.latency_ms")
+    if not isinstance(hist, dict):
+        return ids
+    for entry in hist.get("exemplars", []):
+        if (isinstance(entry, list) and len(entry) == 2
+                and isinstance(entry[1], int)):
+            ids.add(entry[1])
     return ids
 
 
 def check_exemplar_trace_link(port: int, deadline_s: float) -> None:
-    """At least one engine-histogram exemplar id must appear among the
-    promoted /tracez ids. Exemplar capture is best-effort (TryLock) and the
-    hold loop keeps promoting, so poll briefly rather than single-shot."""
+    """At least one exemplar id of the service latency histogram must appear
+    among the promoted /tracez ids. Exemplar capture is best-effort
+    (TryLock) and the hold loop keeps promoting, so poll briefly rather than
+    single-shot."""
     start = time.monotonic()
     last_exemplars: set[int] = set()
     last_promoted: set[int] = set()
@@ -783,7 +784,7 @@ def check_exemplar_trace_link(port: int, deadline_s: float) -> None:
         doc = fetch_json(port, "/varz")
         if doc is None:
             return
-        last_exemplars = engine_exemplar_ids(doc)
+        last_exemplars = service_exemplar_ids(doc)
         status, body = fetch(port, "/tracez")
         if status != 200:
             fail(f"/tracez: HTTP {status}")
@@ -797,7 +798,7 @@ def check_exemplar_trace_link(port: int, deadline_s: float) -> None:
                   f"traces (e.g. id {min(linked)})")
             return
         time.sleep(0.5)
-    fail(f"no engine latency exemplar resolves to a promoted trace id "
+    fail(f"no service latency exemplar resolves to a promoted trace id "
          f"(exemplars: {sorted(last_exemplars)}, promoted: "
          f"{sorted(last_promoted)})")
 
@@ -809,6 +810,12 @@ def check_querylog_tenancy(port: int) -> None:
     tenants_seen = {entry["tenant"] for entry in entries}
     if not tenants_seen & set(BENCH_TENANTS):
         fail(f"/querylogz jsonl: no bench tenant in export "
+             f"(saw {sorted(tenants_seen)})")
+        return
+    # One entry per served request, the service's: an engine-level entry
+    # would carry no tenant.
+    if not tenants_seen <= set(BENCH_TENANTS):
+        fail(f"/querylogz jsonl: entries outside the bench tenants "
              f"(saw {sorted(tenants_seen)})")
         return
     print(f"ok: query log carries tenant + priority "
@@ -828,11 +835,11 @@ def check_slo(args: argparse.Namespace) -> str:
         the service-level admitted counter within --slice-tolerance, the
         service admitted something, and every bench tenant admitted
         something;
-      * at least one latency exemplar of the engine histograms
-        (mira.query.latency_ms.*) resolves to a trace id promoted on /tracez
+      * at least one latency exemplar of the service histogram
+        (mira.service.latency_ms) resolves to a trace id promoted on /tracez
         (polled for 30 s);
       * /querylogz?format=jsonl entries carry "tenant" and "priority", and
-        some entry names a bench tenant;
+        every entry names a bench tenant (one entry per served request);
       * /slozz.json shows a transition out of breach within
         --recovery-seconds of the hold loop's gentle load;
       * the binary exits cleanly on SIGINT."""
