@@ -18,6 +18,16 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+std::vector<uint32_t> OnePerRowIfEmpty(const std::vector<uint32_t>& copies,
+                                       size_t n) {
+  return copies.empty() ? std::vector<uint32_t>(n, 1) : copies;
+}
+
+// The condensed tree's lambda of a merge at `distance`.
+double LambdaOf(double distance) {
+  return distance > 0.0 ? 1.0 / distance : kInf;
+}
+
 // One row of the condensed tree: `child` is either a cluster id (when
 // child_is_cluster) or a point row index.
 struct CondensedRow {
@@ -29,16 +39,18 @@ struct CondensedRow {
 };
 
 // Single-linkage dendrogram in scipy layout: merge i creates node n+i with
-// two children (points are 0..n-1), a merge weight and a subtree size.
+// two children (points are 0..n-1), a merge weight and a subtree size. A
+// point's size is its number of copies.
 struct Dendrogram {
   std::vector<int64_t> left;
   std::vector<int64_t> right;
   std::vector<double> weight;
   std::vector<size_t> size;  // of merged node
+  std::vector<uint32_t> copies;
   size_t n = 0;
 
   size_t SizeOf(int64_t node) const {
-    return node < static_cast<int64_t>(n) ? 1 : size[node - n];
+    return node < static_cast<int64_t>(n) ? copies[node] : size[node - n];
   }
 };
 
@@ -62,11 +74,17 @@ class UnionFind {
   std::vector<int64_t> parent_;
 };
 
-Dendrogram SingleLinkage(std::vector<MstEdge> edges, size_t n) {
-  std::sort(edges.begin(), edges.end(),
-            [](const MstEdge& a, const MstEdge& b) { return a.weight < b.weight; });
+// Equal-weight edges link in the order Prim added them. A point's copies
+// have already merged, at its core distance, which no edge of it undercuts.
+Dendrogram SingleLinkage(std::vector<MstEdge> edges,
+                         const std::vector<uint32_t>& copies) {
+  std::stable_sort(
+      edges.begin(), edges.end(),
+      [](const MstEdge& a, const MstEdge& b) { return a.weight < b.weight; });
+  const size_t n = copies.size();
   Dendrogram tree;
   tree.n = n;
+  tree.copies = copies;
   tree.left.reserve(edges.size());
   UnionFind uf(2 * n - 1);
   std::vector<int64_t> component_node(2 * n - 1);
@@ -87,90 +105,70 @@ Dendrogram SingleLinkage(std::vector<MstEdge> edges, size_t n) {
   return tree;
 }
 
-// Collects the point leaves under a dendrogram node.
-void CollectLeaves(const Dendrogram& tree, int64_t node,
-                   std::vector<size_t>* out) {
-  std::vector<int64_t> stack = {node};
-  while (!stack.empty()) {
-    int64_t cur = stack.back();
-    stack.pop_back();
-    if (cur < static_cast<int64_t>(tree.n)) {
-      out->push_back(static_cast<size_t>(cur));
-    } else {
-      stack.push_back(tree.left[cur - tree.n]);
-      stack.push_back(tree.right[cur - tree.n]);
-    }
-  }
-}
-
 // Condenses the dendrogram: subtrees smaller than min_cluster_size fall out
-// of their parent cluster as points; larger splits create child clusters.
+// of their parent cluster as points; larger splits create child clusters. A
+// point with min_cluster_size or more copies can be such a child, or carry
+// its cluster on alone; its copies then leave together where they merge, at
+// its core distance.
 std::vector<CondensedRow> CondenseTree(const Dendrogram& tree,
+                                       const std::vector<double>& core,
                                        size_t min_cluster_size,
                                        int32_t* num_condensed_clusters) {
   std::vector<CondensedRow> rows;
   *num_condensed_clusters = 1;  // cluster 0 = root
-  const size_t n = tree.n;
-  if (n == 0) return rows;
+  const int64_t n = static_cast<int64_t>(tree.n);
   if (tree.left.empty()) {
-    // Single point corpus: it is noise at the root.
+    // No point or a single point: everything is noise at the root.
     return rows;
   }
 
-  int64_t root = static_cast<int64_t>(n + tree.left.size() - 1);
+  int64_t root = n + static_cast<int64_t>(tree.left.size()) - 1;
   // relabel[slt_node] = condensed cluster that subtree currently belongs to.
-  std::vector<int32_t> relabel(2 * n - 1, -1);
+  std::vector<int32_t> relabel(2 * tree.n - 1, -1);
   relabel[root] = 0;
 
   std::vector<int64_t> stack = {root};
-  std::vector<size_t> leaves;
+  std::vector<int64_t> under;
+  // Every point under `node` leaves `cluster` at `lambda`.
+  auto fall_out = [&](int64_t node, int32_t cluster, double lambda) {
+    under.assign(1, node);
+    while (!under.empty()) {
+      const int64_t cur = under.back();
+      under.pop_back();
+      if (cur < n) {
+        rows.push_back({cluster, cur, false, lambda, tree.SizeOf(cur)});
+      } else {
+        under.push_back(tree.left[cur - n]);
+        under.push_back(tree.right[cur - n]);
+      }
+    }
+  };
   while (!stack.empty()) {
     int64_t node = stack.back();
     stack.pop_back();
-    if (node < static_cast<int64_t>(n)) continue;  // leaf: handled by parent
     int32_t cluster = relabel[node];
     MIRA_DCHECK(cluster >= 0);
+    if (node < n) {
+      fall_out(node, cluster, LambdaOf(core[node]));
+      continue;
+    }
     size_t idx = node - n;
-    double w = tree.weight[idx];
-    double lambda = w > 0.0 ? 1.0 / w : kInf;
+    double lambda = LambdaOf(tree.weight[idx]);
     int64_t left = tree.left[idx];
     int64_t right = tree.right[idx];
-    size_t left_size = tree.SizeOf(left);
-    size_t right_size = tree.SizeOf(right);
-
-    if (left_size >= min_cluster_size && right_size >= min_cluster_size) {
-      int32_t lc = (*num_condensed_clusters)++;
-      int32_t rc = (*num_condensed_clusters)++;
-      rows.push_back({cluster, lc, true, lambda, left_size});
-      rows.push_back({cluster, rc, true, lambda, right_size});
-      relabel[left] = lc;
-      relabel[right] = rc;
-      stack.push_back(left);
-      stack.push_back(right);
-    } else if (left_size < min_cluster_size &&
-               right_size < min_cluster_size) {
-      leaves.clear();
-      CollectLeaves(tree, left, &leaves);
-      CollectLeaves(tree, right, &leaves);
-      for (size_t p : leaves) {
-        rows.push_back({cluster, static_cast<int64_t>(p), false, lambda, 1});
+    // Two large sides are two new clusters; one large side carries this
+    // cluster on; a small side falls out.
+    const bool split = tree.SizeOf(left) >= min_cluster_size &&
+                       tree.SizeOf(right) >= min_cluster_size;
+    for (int64_t child : {left, right}) {
+      const size_t size = tree.SizeOf(child);
+      if (size < min_cluster_size) {
+        fall_out(child, cluster, lambda);
+        continue;
       }
-    } else if (left_size < min_cluster_size) {
-      leaves.clear();
-      CollectLeaves(tree, left, &leaves);
-      for (size_t p : leaves) {
-        rows.push_back({cluster, static_cast<int64_t>(p), false, lambda, 1});
-      }
-      relabel[right] = cluster;
-      stack.push_back(right);
-    } else {
-      leaves.clear();
-      CollectLeaves(tree, right, &leaves);
-      for (size_t p : leaves) {
-        rows.push_back({cluster, static_cast<int64_t>(p), false, lambda, 1});
-      }
-      relabel[left] = cluster;
-      stack.push_back(left);
+      relabel[child] = split ? (*num_condensed_clusters)++ : cluster;
+      if (split) rows.push_back({cluster, relabel[child], true, lambda, size});
+      stack.push_back(child);
     }
   }
   return rows;
@@ -189,12 +187,14 @@ size_t HdbscanResult::num_noise() const {
 namespace internal {
 
 std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
-                                  ThreadPool* pool) {
+                                  ThreadPool* pool,
+                                  const std::vector<uint32_t>& copies_in) {
   const size_t n = data.rows();
   const size_t d = data.cols();
   std::vector<double> core(n, 0.0);
-  if (n <= 1) return core;
-  k = std::min(k, n - 1);
+  if (n <= 1) return core;  // a lone point's other copies are at 0
+  const std::vector<uint32_t> copies = OnePerRowIfEmpty(copies_in, n);
+  k = std::min(k, std::accumulate(copies.begin(), copies.end(), size_t{0}) - 1);
   // The points sorted by first coordinate (ties by id), their rows copied in
   // that order so a sweep reads its neighbours contiguously.
   std::vector<uint32_t> order(n);
@@ -220,8 +220,10 @@ std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
   // 2^-149 below FLT_MIN); the margin covers that, so a point whose
   // difference rounds down is still scanned. x -> sqrt(double(x)) is
   // monotone, so the root of the k-th smallest squared distance is the k-th
-  // smallest distance exactly. Points are independent; blocks of them run on
-  // the pool.
+  // smallest distance exactly. A point's own other copies enter at 0 and a
+  // neighbour once per copy, each capped at k, which is all a top-k of k can
+  // hold of one value. Points are independent; blocks of them run on the
+  // pool.
   constexpr double kGapShrink = 1.0 - 0x1p-22;
   constexpr double kGapSlack = 0x1p-140;
   constexpr size_t kBlockPoints = 256;
@@ -231,6 +233,9 @@ std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
       const float* row = sorted.data() + p * d;
       const double x = row[0];
       vecmath::TopK nearest(k);
+      for (size_t c = 1; c < std::min<size_t>(copies[order[p]], k + 1); ++c) {
+        nearest.Push(p, -0.0f);
+      }
       size_t left = p;       // the next left point is left - 1
       size_t right = p + 1;  // the next right point is right
       while (left > 0 || right < n) {
@@ -245,7 +250,11 @@ std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
           break;
         }
         const size_t j = go_left ? --left : right++;
-        nearest.Push(j, -vecmath::ScalarSquaredL2(row, sorted.data() + j * d, d));
+        const float score =
+            -vecmath::ScalarSquaredL2(row, sorted.data() + j * d, d);
+        for (size_t c = 0; c < std::min<size_t>(copies[order[j]], k); ++c) {
+          nearest.Push(j, score);
+        }
       }
       core[order[p]] = std::sqrt(static_cast<double>(-nearest.WorstScore()));
     }
@@ -313,14 +322,18 @@ std::vector<MstEdge> MutualReachabilityMst(const vecmath::Matrix& data,
 }
 
 HdbscanResult ClustersFromMst(std::vector<MstEdge> edges, size_t n,
-                              size_t min_cluster_size) {
+                              size_t min_cluster_size,
+                              const std::vector<uint32_t>& copies,
+                              const std::vector<double>& core) {
   HdbscanResult result;
   result.labels.assign(n, kNoise);
-  Dendrogram tree = SingleLinkage(std::move(edges), n);
+  // A point of one copy never carries a cluster on, so its core is not read.
+  Dendrogram tree =
+      SingleLinkage(std::move(edges), OnePerRowIfEmpty(copies, n));
 
   int32_t num_clusters = 0;
   std::vector<CondensedRow> rows =
-      CondenseTree(tree, min_cluster_size, &num_clusters);
+      CondenseTree(tree, core, min_cluster_size, &num_clusters);
 
   // Stability: sum over rows leaving cluster c of (lambda - lambda_birth(c)).
   std::vector<double> birth(num_clusters, 0.0);
@@ -331,11 +344,13 @@ HdbscanResult ClustersFromMst(std::vector<MstEdge> edges, size_t n,
       parent_of[row.child] = row.parent;
     }
   }
+  // A row that leaves at lambda = inf (distance 0) counts as leaving at its
+  // cluster's birth and adds nothing, also to a cluster born at inf.
   std::vector<double> stability(num_clusters, 0.0);
   for (const auto& row : rows) {
-    double lambda = std::isinf(row.lambda) ? birth[row.parent] : row.lambda;
+    if (std::isinf(row.lambda)) continue;
     stability[row.parent] +=
-        (lambda - birth[row.parent]) * static_cast<double>(row.size);
+        (row.lambda - birth[row.parent]) * static_cast<double>(row.size);
   }
 
   // Excess-of-mass selection, leaves first (children always have larger ids
@@ -398,13 +413,19 @@ HdbscanResult ClustersFromMst(std::vector<MstEdge> edges, size_t n,
 }  // namespace internal
 
 Result<HdbscanResult> Hdbscan(const vecmath::Matrix& data,
-                              const HdbscanOptions& options,
-                              ThreadPool* pool) {
+                              const HdbscanOptions& options, ThreadPool* pool,
+                              const std::vector<uint32_t>& copies_in) {
   if (options.min_cluster_size < 2) {
     return Status::InvalidArgument("hdbscan: min_cluster_size must be >= 2");
   }
   const size_t n = data.rows();
-  if (n < options.min_cluster_size) {  // everything is noise
+  const std::vector<uint32_t> copies = OnePerRowIfEmpty(copies_in, n);
+  if (copies.size() != n ||
+      std::find(copies.begin(), copies.end(), 0u) != copies.end()) {
+    return Status::InvalidArgument("hdbscan: need a copy count >= 1 per row");
+  }
+  if (std::accumulate(copies.begin(), copies.end(), size_t{0}) <
+      options.min_cluster_size) {  // everything is noise
     HdbscanResult result;
     result.labels.assign(n, kNoise);
     return result;
@@ -415,15 +436,15 @@ Result<HdbscanResult> Hdbscan(const vecmath::Matrix& data,
       return Status::InvalidArgument("hdbscan: non-finite coordinate");
     }
   }
-  size_t min_samples =
-      options.min_samples == 0 ? options.min_cluster_size : options.min_samples;
-  std::vector<double> core = internal::CoreDistances(data, min_samples, pool);
+  std::vector<double> core =
+      internal::CoreDistances(data, options.min_cluster_size, pool, copies);
   return internal::ClustersFromMst(internal::MutualReachabilityMst(data, core),
-                                   n, options.min_cluster_size);
+                                   n, options.min_cluster_size, copies, core);
 }
 
 std::vector<size_t> ComputeMedoids(const vecmath::Matrix& data,
-                                   const HdbscanResult& result) {
+                                   const HdbscanResult& result,
+                                   const std::vector<uint32_t>& copies) {
   std::vector<size_t> medoids;
   medoids.reserve(result.clusters.size());
   const size_t d = data.cols();
@@ -434,8 +455,9 @@ std::vector<size_t> ComputeMedoids(const vecmath::Matrix& data,
       double total = 0.0;
       for (size_t j : cluster.members) {
         if (i == j) continue;
-        total += std::sqrt(static_cast<double>(
-            vecmath::ScalarSquaredL2(data.Row(i), data.Row(j), d)));
+        total += (copies.empty() ? 1.0 : copies[j]) *
+                 std::sqrt(static_cast<double>(
+                     vecmath::ScalarSquaredL2(data.Row(i), data.Row(j), d)));
       }
       if (total < best_total) {
         best_total = total;

@@ -18,10 +18,9 @@ inline constexpr int32_t kNoise = -1;
 /// its ability to form meaningful clusters from the non-convex shapes of
 /// tabular text embeddings (§4.3).
 struct HdbscanOptions {
-  /// Smallest subtree that counts as a cluster in the condensed tree.
+  /// Smallest subtree that counts as a cluster in the condensed tree, and
+  /// the neighbourhood size of the core distances.
   size_t min_cluster_size = 8;
-  /// Neighborhood size for core distances; 0 means min_cluster_size.
-  size_t min_samples = 0;
 };
 
 /// One cluster of the flat extraction.
@@ -44,23 +43,30 @@ struct HdbscanResult {
 
 /// Runs HDBSCAN* over the rows of `data` with Euclidean base distance.
 ///
-/// Pipeline: core distances (min_samples-NN) -> mutual reachability distance
-/// -> MST (Prim, O(n^2) on the implicit complete graph) -> single-linkage
-/// dendrogram -> condensed tree (min_cluster_size) -> excess-of-mass cluster
-/// selection. Deterministic. With a `pool` the per-row core distances run
-/// in parallel (each row's is independent); everything else is serial, and
-/// the result is bit-identical to a null-pool run. Must not be called from
-/// a task of `pool`. A NaN or infinite coordinate is InvalidArgument.
-[[nodiscard]] Result<HdbscanResult> Hdbscan(const vecmath::Matrix& data,
-                                            const HdbscanOptions& options,
-                                            ThreadPool* pool = nullptr);
+/// Pipeline: core distances (min_cluster_size-NN) -> mutual reachability
+/// distance -> MST (Prim, O(n^2) on the implicit complete graph) ->
+/// single-linkage dendrogram -> condensed tree (min_cluster_size) ->
+/// excess-of-mass cluster selection. Row i stands for `copies[i]` identical
+/// points (empty: one each): the result is that of the rows repeated, where
+/// a row's copies merge (at its core distance) before any other edge of
+/// equal weight, and other equal-weight edges link in the order Prim added
+/// them. Deterministic. With a `pool` the per-row core distances run in
+/// parallel (each row's is independent); everything else is serial, and the
+/// result is bit-identical to a null-pool run. Must not be called from a
+/// task of `pool`. A NaN or infinite coordinate, or a copy count of 0 or for
+/// another number of rows, is InvalidArgument.
+[[nodiscard]] Result<HdbscanResult> Hdbscan(
+    const vecmath::Matrix& data, const HdbscanOptions& options,
+    ThreadPool* pool = nullptr, const std::vector<uint32_t>& copies = {});
 
-/// Medoid (member minimizing total intra-cluster distance) of each cluster;
+/// Medoid (member minimizing its total distance to the cluster's points,
+/// each member counted `copies` times; empty means once) of each cluster;
 /// returns one row index per cluster, aligned with result.clusters. HDBSCAN
 /// has no native cluster centers, so the paper computes medoids manually as
 /// cluster representatives (§4.3) — this is that step.
 std::vector<size_t> ComputeMedoids(const vecmath::Matrix& data,
-                                   const HdbscanResult& result);
+                                   const HdbscanResult& result,
+                                   const std::vector<uint32_t>& copies = {});
 
 /// Hdbscan's stages, exposed for tests that check them against a reference.
 namespace internal {
@@ -72,13 +78,17 @@ struct MstEdge {
   uint32_t b;  ///< The point it adds to the tree.
 };
 
-/// Distance from every row to its k-th nearest other row (Euclidean), bit
-/// for bit the k-th smallest scalar-reference distance of a full scan. Rows
+/// Distance from every row to its k-th nearest other point (Euclidean),
+/// row i standing for copies[i] points (empty: one each): its other copies
+/// count at distance 0 and a neighbour once per copy. Bit for bit the k-th
+/// smallest
+/// scalar-reference distance of a full scan over the repeated rows. Rows
 /// are sorted by first coordinate and each sweeps outward from its place,
 /// stopping once the first-coordinate gap alone, less a rounding margin,
 /// exceeds its k-th distance so far. Requires finite coordinates.
 std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
-                                  ThreadPool* pool);
+                                  ThreadPool* pool,
+                                  const std::vector<uint32_t>& copies = {});
 
 /// Prim's MST from row 0 over the implicit complete graph of mutual
 /// reachability distances max(core_a, core_b, d(a, b)). Each step adds the
@@ -86,10 +96,13 @@ std::vector<double> CoreDistances(const vecmath::Matrix& data, size_t k,
 std::vector<MstEdge> MutualReachabilityMst(const vecmath::Matrix& data,
                                            const std::vector<double>& core);
 
-/// The flat clustering of `n` points from their MST: single linkage,
-/// condensed tree, excess-of-mass selection.
+/// The flat clustering of the MST's `n` points: single linkage, condensed
+/// tree, excess-of-mass selection. Point i stands for copies[i] points
+/// (empty: one each), which merge at its core distance core[i].
 HdbscanResult ClustersFromMst(std::vector<MstEdge> edges, size_t n,
-                              size_t min_cluster_size);
+                              size_t min_cluster_size,
+                              const std::vector<uint32_t>& copies = {},
+                              const std::vector<double>& core = {});
 
 }  // namespace internal
 

@@ -94,8 +94,7 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
                                  control.active() ? &control : nullptr}));
     for (size_t h = 0; h < hits.size() && cells < options_.cell_candidates;
          ++h) {
-      cells += static_cast<size_t>(corpus_->RowCellsEnd(hits[h].id) -
-                                   corpus_->RowCellsBegin(hits[h].id));
+      cells += corpus_->RowCellCount(hits[h].id);
     }
     cells = std::min(cells, options_.cell_candidates);
     span.AddCounter("candidates_requested",
@@ -110,7 +109,7 @@ Result<Ranking> AnnsSearcher::Search(const std::string& query,
   // the relation's cells among the approximate nearest neighbors.
   obs::TraceSpan rank_span("anns.group_relations");
   RelationMeans means(*corpus_);
-  means.Add(hits, options_.cell_candidates, [](uint32_t) { return true; });
+  means.Add(hits, options_.cell_candidates);
   Ranking ranking = means.Take();
   rank_span.AddCounter("relations", static_cast<int64_t>(ranking.size()));
   ApplyThresholdAndTopK(&ranking, options);

@@ -30,9 +30,9 @@ struct CellRef {
 /// Repeated values embed identically, so each distinct vector is stored once
 /// and every cell maps to its row. Build is the one place that decides which
 /// cells are repeats. The row -> cells posting list is the one map back from
-/// a row to its cells: ANNS indexes the rows as they are, CTS holds each
-/// row once per cluster, and both expand a retrieved row through it
-/// (RelationMeans).
+/// a row to its cells: ANNS indexes the rows as they are, CTS clusters them
+/// (each weighted by its cell count) and holds each in its one cluster, and
+/// both expand a retrieved row through it (RelationMeans).
 struct CorpusEmbeddings {
   /// One row per distinct cell vector (distinct by exact bytes), in the
   /// order of each vector's first cell.
@@ -62,6 +62,9 @@ struct CorpusEmbeddings {
   }
   const uint32_t* RowCellsEnd(size_t d) const {
     return row_cells.data() + row_cell_begin[d + 1];
+  }
+  uint32_t RowCellCount(size_t d) const {
+    return row_cell_begin[d + 1] - row_cell_begin[d];
   }
 
   /// Embeds every attribute value of every relation, as one batch: each
@@ -116,18 +119,14 @@ class RelationMeans {
   explicit RelationMeans(const CorpusEmbeddings& corpus)
       : corpus_(corpus), sums_(corpus.num_relations) {}
 
-  /// Takes the cells of each hit (ids are store rows) that `keep(cell)`
-  /// accepts, hit by hit, until `limit` cells are taken; returns how many
-  /// were.
-  template <typename Keep>
-  size_t Add(const std::vector<vecmath::ScoredId>& hits, size_t limit,
-             const Keep& keep) {
+  /// Takes the cells of each hit (ids are store rows), hit by hit, until
+  /// `limit` cells are taken; returns how many were.
+  size_t Add(const std::vector<vecmath::ScoredId>& hits, size_t limit) {
     size_t taken = 0;
     for (const vecmath::ScoredId& hit : hits) {
       const uint32_t* end = corpus_.RowCellsEnd(hit.id);
       for (const uint32_t* cell = corpus_.RowCellsBegin(hit.id);
            cell != end && taken < limit; ++cell) {
-        if (!keep(*cell)) continue;
         auto& [sum, count] = sums_[corpus_.refs[*cell].relation];
         sum += hit.score;
         ++count;

@@ -1,7 +1,7 @@
 #include "discovery/cts_search.h"
 
 #include <algorithm>
-#include <utility>
+#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/rng.h"
@@ -24,7 +24,7 @@ constexpr size_t kHnswClusterRows = 2048;
 // Row of `rows` nearest to `point` in squared L2. Scalar-reference kernels:
 // cluster assignment is part of the build and must be bit-reproducible
 // across SIMD tiers (see vecmath/simd.h). `dist` is caller-owned scratch so
-// the per-cell assignment loop doesn't allocate per call.
+// the per-row assignment loop doesn't allocate per call.
 size_t NearestRow(const vecmath::Matrix& rows, const float* point,
                   std::vector<float>* dist) {
   dist->resize(rows.rows());
@@ -38,29 +38,17 @@ size_t NearestRow(const vecmath::Matrix& rows, const float* point,
 
 namespace internal {
 
-std::vector<int32_t> AssignCells(const vecmath::RowsView& cells,
-                                 const std::vector<size_t>& sample,
-                                 const std::vector<int32_t>& labels,
-                                 const vecmath::Matrix& reduced,
-                                 const vecmath::Matrix& medoid_reduced) {
-  const size_t n = cells.rows();
-  constexpr int32_t kUnsampled = cluster::kNoise - 1;
-  std::vector<int32_t> cell_label(n, kUnsampled);
-  std::vector<int32_t> row_label(cells.matrix().rows(), kUnsampled);
-  for (size_t i = 0; i < sample.size(); ++i) {
-    cell_label[sample[i]] = labels[i];
-    int32_t& first = row_label[cells.MatrixRow(sample[i])];
-    if (first == kUnsampled) first = labels[i];
-  }
-  std::vector<int32_t> cluster(n);
+std::vector<int32_t> AssignRows(const vecmath::Matrix& points,
+                                const std::vector<size_t>& sample,
+                                const std::vector<int32_t>& labels,
+                                const vecmath::Matrix& medoid_points) {
+  std::vector<int32_t> cluster(points.rows(), cluster::kNoise);
+  for (size_t i = 0; i < sample.size(); ++i) cluster[sample[i]] = labels[i];
   std::vector<float> medoid_dist;
-  for (size_t i = 0; i < n; ++i) {
-    const int32_t label = cell_label[i] != kUnsampled
-                              ? cell_label[i]
-                              : row_label[cells.MatrixRow(i)];
-    cluster[i] = label >= 0 ? label
-                            : static_cast<int32_t>(NearestRow(
-                                  medoid_reduced, reduced.Row(i), &medoid_dist));
+  for (size_t r = 0; r < points.rows(); ++r) {
+    if (cluster[r] >= 0) continue;
+    cluster[r] = static_cast<int32_t>(
+        NearestRow(medoid_points, points.Row(r), &medoid_dist));
   }
   return cluster;
 }
@@ -79,6 +67,7 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
     return Status::InvalidArgument("cts: null corpus/encoder");
   }
   const size_t n = corpus->num_cells();
+  const size_t num_rows = corpus->num_rows();
   const vecmath::RowsView cells = corpus->CellVectors();
   std::unique_ptr<CtsSearcher> searcher(new CtsSearcher(options));
   searcher->corpus_ = corpus;
@@ -89,7 +78,7 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
   const size_t min_for_clustering =
       std::max<size_t>(32, options.hdbscan.min_cluster_size * 4);
 
-  std::vector<int32_t> cell_cluster(n, 0);
+  std::vector<int32_t> row_cluster(num_rows, 0);
   vecmath::Matrix& medoids = searcher->medoids_;  // full-dim, per cluster
   size_t num_clusters = 1;
 
@@ -98,28 +87,34 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
     MIRA_ASSIGN_OR_RETURN(dimred::UmapModel umap,
                           dimred::FitUmap(cells, options.umap, pool));
     searcher->umap_ms_ = umap_timer.ElapsedMillis();
-    const vecmath::Matrix& reduced = umap.embedding;
-    const size_t rd = reduced.cols();
+    // A store row's cells share one layout point; the row stands for them
+    // in HDBSCAN, once per cell.
+    const size_t rd = umap.embedding.cols();
+    vecmath::Matrix points(num_rows, rd);
+    for (size_t d = 0; d < num_rows; ++d) {
+      points.SetRow(d, umap.embedding.RowVec(*corpus->RowCellsBegin(d)));
+    }
 
-    // HDBSCAN on (a sample of) the reduced vectors.
-    std::vector<size_t> sample_rows;
-    if (n > options.max_clustering_points) {
+    // HDBSCAN on (a sample of) the rows.
+    std::vector<size_t> sample_rows(num_rows);
+    std::iota(sample_rows.begin(), sample_rows.end(), size_t{0});
+    if (num_rows > options.max_clustering_points) {
       Rng rng(options.seed ^ 0xC7u);
       sample_rows =
-          rng.SampleWithoutReplacement(n, options.max_clustering_points);
+          rng.SampleWithoutReplacement(num_rows, options.max_clustering_points);
       std::sort(sample_rows.begin(), sample_rows.end());
-    } else {
-      sample_rows.resize(n);
-      for (size_t i = 0; i < n; ++i) sample_rows[i] = i;
     }
     vecmath::Matrix sample(sample_rows.size(), rd);
+    std::vector<uint32_t> copies(sample_rows.size());
     for (size_t i = 0; i < sample_rows.size(); ++i) {
-      std::copy(reduced.Row(sample_rows[i]), reduced.Row(sample_rows[i]) + rd,
-                sample.Row(i));
+      const size_t d = sample_rows[i];
+      sample.SetRow(i, points.RowVec(d));
+      copies[i] = corpus->RowCellCount(d);
     }
     WallTimer hdbscan_timer;
-    MIRA_ASSIGN_OR_RETURN(cluster::HdbscanResult clustering,
-                          cluster::Hdbscan(sample, options.hdbscan, pool));
+    MIRA_ASSIGN_OR_RETURN(
+        cluster::HdbscanResult clustering,
+        cluster::Hdbscan(sample, options.hdbscan, pool, copies));
     searcher->hdbscan_ms_ = hdbscan_timer.ElapsedMillis();
 
     if (clustering.num_clusters() >= 2) {
@@ -127,18 +122,16 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
       // Medoids are computed manually (HDBSCAN provides no centers, §4.3) in
       // the reduced space; keep both representations.
       std::vector<size_t> medoid_sample_rows =
-          cluster::ComputeMedoids(sample, clustering);
-      vecmath::Matrix medoid_reduced(num_clusters, rd);
+          cluster::ComputeMedoids(sample, clustering, copies);
+      vecmath::Matrix medoid_points(num_clusters, rd);
       medoids = vecmath::Matrix(num_clusters, corpus->dim());
       for (size_t m = 0; m < num_clusters; ++m) {
-        const size_t cell = sample_rows[medoid_sample_rows[m]];
-        medoid_reduced.SetRow(m, reduced.RowVec(cell));
-        medoids.SetRow(m, cells.RowVec(cell));
+        medoid_points.SetRow(m, sample.RowVec(medoid_sample_rows[m]));
+        medoids.SetRow(m,
+                       corpus->rows.RowVec(sample_rows[medoid_sample_rows[m]]));
       }
-
-      cell_cluster = internal::AssignCells(cells, sample_rows,
-                                           clustering.labels, reduced,
-                                           medoid_reduced);
+      row_cluster = internal::AssignRows(points, sample_rows,
+                                         clustering.labels, medoid_points);
     }
   }
 
@@ -158,31 +151,17 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
   }
   searcher->num_clusters_ = num_clusters;
 
-  // ---- Store the clusters (§4.3): each cluster holds the distinct store
-  // rows of its cells once, in first-cell order, in one block ordered by
-  // cluster; the medoids act as the retrieval index. Rows are normalized
-  // once here, so a probe is a plain dot scan. A row whose copies split
-  // across clusters is held once in each. ----
+  // ---- Store the clusters (§4.3): one block of the store's rows, grouped
+  // by cluster, each cluster's in row order; the medoids act as the
+  // retrieval index. Rows are normalized once here, so a probe is a plain
+  // dot scan. ----
   const size_t dim = corpus->dim();
-  searcher->cell_cluster_ = std::move(cell_cluster);
-  const std::vector<int32_t>& cluster_of = searcher->cell_cluster_;
-  // opens[i]: cell i is the first cell of its row in its cluster. Copies
-  // almost always share a cluster, so the scan stops at the row's first cell.
-  std::vector<bool> opens(n);
-  for (size_t d = 0; d < corpus->num_rows(); ++d) {
-    const uint32_t* first = corpus->RowCellsBegin(d);
-    for (const uint32_t* cell = first; cell != corpus->RowCellsEnd(d); ++cell) {
-      opens[*cell] = std::none_of(first, cell, [&](uint32_t earlier) {
-        return cluster_of[earlier] == cluster_of[*cell];
-      });
-    }
-  }
   std::vector<size_t>& begin = searcher->cluster_begin_;
   begin.assign(num_clusters + 1, 0);
   std::vector<size_t> cluster_cells(num_clusters, 0);
-  for (size_t i = 0; i < n; ++i) {
-    ++cluster_cells[cluster_of[i]];
-    if (opens[i]) ++begin[cluster_of[i] + 1];
+  for (size_t d = 0; d < num_rows; ++d) {
+    ++begin[row_cluster[d] + 1];
+    cluster_cells[row_cluster[d]] += corpus->RowCellCount(d);
   }
   for (size_t c = 0; c < num_clusters; ++c) begin[c + 1] += begin[c];
   searcher->largest_cluster_fraction_ =
@@ -197,21 +176,20 @@ Result<std::unique_ptr<CtsSearcher>> CtsSearcher::Build(
     hnsw.seed = options.seed + c;
     searcher->cluster_graphs_[c] = std::make_unique<index::HnswIndex>(hnsw);
   }
-  searcher->rows_ = vecmath::Matrix(begin[num_clusters], dim);
-  searcher->block_rows_.resize(begin[num_clusters]);
+  searcher->rows_ = vecmath::Matrix(num_rows, dim);
+  searcher->block_rows_.resize(num_rows);
   std::vector<size_t> next_row(begin.begin(), begin.end() - 1);
-  for (size_t i = 0; i < n; ++i) {
-    if (!opens[i]) continue;
-    const size_t c = static_cast<size_t>(cluster_of[i]);
+  for (size_t d = 0; d < num_rows; ++d) {
+    const size_t c = static_cast<size_t>(row_cluster[d]);
     const size_t row = next_row[c]++;
-    searcher->block_rows_[row] = corpus->cell_rows[i];
+    searcher->block_rows_[row] = static_cast<uint32_t>(d);
     float* out = searcher->rows_.Row(row);
-    std::copy(cells.Row(i), cells.Row(i) + dim, out);
+    std::copy(corpus->rows.Row(d), corpus->rows.Row(d) + dim, out);
     vecmath::NormalizeInPlace(out, dim);
     // A graph takes the raw row, keyed by block row, and normalizes it
     // itself.
     if (const auto& graph = searcher->cluster_graphs_[c]) {
-      MIRA_RETURN_NOT_OK(graph->Add(row, cells.RowVec(i)));
+      MIRA_RETURN_NOT_OK(graph->Add(row, corpus->rows.RowVec(d)));
     }
   }
   for (const auto& graph : searcher->cluster_graphs_) {
@@ -259,9 +237,9 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
   medoid_span.Finish();
 
   // Targeted search inside the selected clusters only. Each probe keeps the
-  // per_cluster best rows of its cluster and takes their cells in that
-  // cluster, best-first, until per_cluster cells are taken; relations sum
-  // them in probe order (medoid rank, then best-first within a cluster).
+  // per_cluster best rows of its cluster and takes their cells, best-first,
+  // until per_cluster cells are taken; relations sum them in probe order
+  // (medoid rank, then best-first within a cluster).
   obs::TraceSpan cluster_span("cts.cluster_search");
   size_t per_cluster =
       std::max<size_t>(16, options_.cell_candidates /
@@ -313,9 +291,7 @@ Result<Ranking> CtsSearcher::Search(const std::string& query,
     }
     ++clusters_searched;
     for (vecmath::ScoredId& hit : hits) hit.id = block_rows_[hit.id];
-    cell_hits += means.Add(hits, per_cluster, [this, c](uint32_t cell) {
-      return static_cast<size_t>(cell_cluster_[cell]) == c;
-    });
+    cell_hits += means.Add(hits, per_cluster);
     MIRA_FAILPOINT("cts.cluster_probe");
   }
   Ranking ranking = means.Take();
@@ -338,8 +314,7 @@ size_t CtsSearcher::IndexMemoryBytes() const {
 
 CollectionMemoryStats CtsSearcher::MemoryUsage() const {
   CollectionMemoryStats total;
-  total.points_bytes = cell_cluster_.size() * sizeof(int32_t) +
-                       block_rows_.size() * sizeof(uint32_t) +
+  total.points_bytes = block_rows_.size() * sizeof(uint32_t) +
                        cluster_begin_.size() * sizeof(size_t);
   total.index.vectors_bytes =
       (rows_.data().size() + medoids_.data().size()) * sizeof(float);

@@ -29,10 +29,9 @@ struct CtsOptions {
   size_t cluster_candidates = 20;
   /// Cell-level candidates retrieved inside the selected clusters.
   size_t cell_candidates = 768;
-  /// Clustering cost ceiling: when the corpus has more cells, HDBSCAN runs
-  /// on a deterministic sample of this size. A remaining cell takes the
-  /// cluster of a sampled cell that reads the same store row, or else that
-  /// of its nearest medoid (in reduced space).
+  /// Clustering cost ceiling: when the store has more distinct rows,
+  /// HDBSCAN runs on a deterministic sample of this many rows. A row left
+  /// out takes the cluster of its nearest medoid (in reduced space).
   size_t max_clustering_points = 20000;
   uint64_t seed = 7;
 
@@ -47,20 +46,21 @@ struct CtsOptions {
 /// Clustered Targeted Search — Algorithm 3 (§4.3), the paper's central
 /// contribution.
 ///
-/// Build: cell embeddings -> UMAP reduction -> HDBSCAN clustering -> medoid
-/// per cluster (HDBSCAN has no native centers, so medoids are computed
+/// Build: cell embeddings -> UMAP reduction -> HDBSCAN clustering of the
+/// store's distinct rows, each weighted by its number of cells -> medoid per
+/// cluster (HDBSCAN has no native centers, so medoids are computed
 /// manually); the medoids act as the cluster index. Search: the query is
 /// compared against the medoids, then a search runs *inside the top clusters
 /// only*, and relations are ranked by the average similarity of their
 /// retrieved cells.
 ///
-/// Storage: each cell keeps its cluster label. Each cluster holds the
-/// distinct store rows of its cells once, in first-cell order, and the
-/// clusters' rows are normalized once into one matrix ordered by cluster, so
-/// a probe scans one row range (~20 probes of a few dozen rows per query, too
-/// small to pay for a collection each); clusters of 2048+ rows get an HNSW
-/// graph over them. A retrieved row expands, through the store's posting
-/// list, to its cells in that cluster (RelationMeans).
+/// Storage: every store row is in exactly one cluster, and so are its
+/// cells. The store's rows are normalized once into one matrix grouped by
+/// cluster, each cluster's rows in row order, so a probe scans one row range
+/// (~20 probes of a few dozen rows per query, too small to pay for a
+/// collection each); clusters of 2048+ rows get an HNSW graph over them. A
+/// retrieved row expands, through the store's posting list, to its cells
+/// (RelationMeans).
 class CtsSearcher final : public Searcher {
  public:
   /// A non-null `pool` runs the order-independent parts of UMAP and HDBSCAN
@@ -76,12 +76,12 @@ class CtsSearcher final : public Searcher {
   std::string name() const override { return "CTS"; }
 
   size_t num_clusters() const { return num_clusters_; }
-  /// Fraction of cells assigned to the largest cluster (diagnostic).
+  /// Fraction of cells whose row is in the largest cluster (diagnostic).
   double largest_cluster_fraction() const { return largest_cluster_fraction_; }
   size_t IndexMemoryBytes() const;
   /// Resident-byte breakdown for the `mira.mem.cts.*` gauges: `index` is the
-  /// clusters' rows, medoids and graphs; `points_bytes` the per-cell cluster
-  /// labels, each block row's store row and the cluster offsets.
+  /// clusters' rows (one per store row), medoids and graphs; `points_bytes`
+  /// each block row's store row and the cluster offsets.
   CollectionMemoryStats MemoryUsage() const;
   const CtsOptions& options() const { return options_; }
   /// Wall times of Build's UMAP and HDBSCAN stages (BuildReport::umap_ms,
@@ -101,11 +101,9 @@ class CtsSearcher final : public Searcher {
   double largest_cluster_fraction_ = 0.0;
   double umap_ms_ = 0.0;
   double hdbscan_ms_ = 0.0;
-  /// cell_cluster_[cell] = the cell's cluster.
-  std::vector<int32_t> cell_cluster_;
   /// The block: cluster c owns rows [cluster_begin_[c], cluster_begin_[c +
-  /// 1]) of rows_, its distinct store rows in first-cell order; block row j
-  /// is store row block_rows_[j], normalized. Medoids: one per cluster.
+  /// 1]) of rows_, its store rows in row order; block row j is store row
+  /// block_rows_[j], normalized. Medoids: one per cluster.
   vecmath::Matrix rows_, medoids_;
   std::vector<size_t> cluster_begin_;
   std::vector<uint32_t> block_rows_;
@@ -116,18 +114,14 @@ class CtsSearcher final : public Searcher {
 /// CtsSearcher::Build's stages, exposed for tests.
 namespace internal {
 
-/// The cluster of every cell, from HDBSCAN's `labels` of the cells in
-/// `sample` (ascending). A sampled cell takes its own label. Any other cell
-/// takes the label of the first sampled cell that reads the same store row,
-/// so a row's unsampled copies follow its sampled ones. A cell left with
-/// noise, or with no sampled copy, takes its nearest medoid in the reduced
-/// space (row m of `medoid_reduced` is cluster m's); copies share a reduced
-/// row, so they find the same one.
-std::vector<int32_t> AssignCells(const vecmath::RowsView& cells,
-                                 const std::vector<size_t>& sample,
-                                 const std::vector<int32_t>& labels,
-                                 const vecmath::Matrix& reduced,
-                                 const vecmath::Matrix& medoid_reduced);
+/// The cluster of every store row, from HDBSCAN's `labels` of the rows in
+/// `sample`. A sampled row takes its own label; a noise row, or one left out
+/// of the sample, takes its nearest medoid in the reduced space (row r of
+/// `points` is row r's reduced point, row m of `medoid_points` cluster m's).
+std::vector<int32_t> AssignRows(const vecmath::Matrix& points,
+                                const std::vector<size_t>& sample,
+                                const std::vector<int32_t>& labels,
+                                const vecmath::Matrix& medoid_points);
 
 }  // namespace internal
 

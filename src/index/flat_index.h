@@ -21,9 +21,8 @@ namespace mira::index {
 /// The blocked exact scan of FlatIndex::Search, shared with CTS's cluster
 /// probes: scores the `count` rows at `rows` against `query` (a plain dot on
 /// pre-normalized rows for cosine, negated squared L2 for kL2) and calls
-/// `push(offset, similarity)` per row. A row's bits depend on its offset in
-/// the call (SIMD tiers score row groups and a tail differently), so a row
-/// set must always be scanned from the same first row.
+/// `push(offset, similarity)` per row. A row scores the same bits at any
+/// offset.
 template <typename Push>
 [[nodiscard]] Status ScanRows(const float* query, const float* rows,
                               size_t count, size_t dim, vecmath::Metric metric,

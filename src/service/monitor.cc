@@ -31,7 +31,9 @@ ServiceMonitor::ServiceMonitor(DiscoveryService* service, Options options)
     : options_(std::move(options)),
       service_(service),
       windows_(WindowOptions(options_)),
-      slo_(&windows_, SloOptions(options_)) {
+      slo_(&windows_, SloOptions(options_)),
+      watchdog_([service] { return service->InflightSnapshot(); },
+                options_.watchdog) {
   // Accepted-request latency: "p<1 - target> of end-to-end latency stays
   // under threshold". Counts only dispatched requests (sheds never reach the
   // latency histogram).
@@ -75,22 +77,17 @@ ServiceMonitor::ServiceMonitor(DiscoveryService* service, Options options)
     windows_.TrackCounter(prefix + "completed");
   }
   windows_.TrackCounter("mira.service.completed");
-
-  if (options_.enable_watchdog) {
-    watchdog_ = std::make_unique<StuckQueryWatchdog>(
-        [service] { return service->InflightSnapshot(); }, options_.watchdog);
-  }
 }
 
 ServiceMonitor::~ServiceMonitor() { Stop(); }
 
 void ServiceMonitor::Start() {
   slo_.Start();
-  if (watchdog_ != nullptr) watchdog_->Start();
+  watchdog_.Start();
 }
 
 void ServiceMonitor::Stop() {
-  if (watchdog_ != nullptr) watchdog_->Stop();
+  watchdog_.Stop();
   slo_.Stop();
 }
 
@@ -121,21 +118,16 @@ std::string ServiceMonitor::RenderSlozz() const {
         transition.burn_fast, transition.burn_slow));
   }
   body.append("watchdog\n");
-  if (watchdog_ == nullptr) {
-    body.append("  (disabled)\n");
-  } else {
-    body.append(
-        StrFormat("  scans %llu stuck %llu\n",
-                  static_cast<unsigned long long>(watchdog_->scans()),
-                  static_cast<unsigned long long>(watchdog_->total_stuck())));
-    for (const StuckReport& report : watchdog_->RecentReports()) {
-      body.append(StrFormat(
-          "  request %llu tenant %s method %s running %.1f ms budget %.1f "
-          "ms\n",
-          static_cast<unsigned long long>(report.request_id),
-          report.tenant.c_str(), report.method.c_str(), report.running_ms,
-          report.budget_ms));
-    }
+  body.append(
+      StrFormat("  scans %llu stuck %llu\n",
+                static_cast<unsigned long long>(watchdog_.scans()),
+                static_cast<unsigned long long>(watchdog_.total_stuck())));
+  for (const StuckReport& report : watchdog_.RecentReports()) {
+    body.append(StrFormat(
+        "  request %llu tenant %s method %s running %.1f ms budget %.1f ms\n",
+        static_cast<unsigned long long>(report.request_id),
+        report.tenant.c_str(), report.method.c_str(), report.running_ms,
+        report.budget_ms));
   }
   return body;
 }
@@ -175,14 +167,10 @@ std::string ServiceMonitor::SlozzJson() const {
         transition.burn_fast, transition.burn_slow));
   }
   out.append(first ? "],\n" : "\n  ],\n");
-  if (watchdog_ == nullptr) {
-    out.append("  \"watchdog\": null\n");
-  } else {
-    out.append(
-        StrFormat("  \"watchdog\": {\"scans\": %llu, \"stuck\": %llu}\n",
-                  static_cast<unsigned long long>(watchdog_->scans()),
-                  static_cast<unsigned long long>(watchdog_->total_stuck())));
-  }
+  out.append(
+      StrFormat("  \"watchdog\": {\"scans\": %llu, \"stuck\": %llu}\n",
+                static_cast<unsigned long long>(watchdog_.scans()),
+                static_cast<unsigned long long>(watchdog_.total_stuck())));
   out.append("}\n");
   return out;
 }

@@ -1,7 +1,6 @@
 #ifndef MIRA_SERVICE_MONITOR_H_
 #define MIRA_SERVICE_MONITOR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,7 +49,6 @@ class ServiceMonitor {
     /// discovery.
     std::vector<std::string> tenants;
 
-    bool enable_watchdog = true;
     StuckQueryWatchdog::Options watchdog;
   };
 
@@ -68,8 +66,7 @@ class ServiceMonitor {
 
   obs::WindowedMetrics& windows() { return windows_; }
   obs::SloEngine& slo() { return slo_; }
-  /// Null when Options::enable_watchdog was false.
-  StuckQueryWatchdog* watchdog() { return watchdog_.get(); }
+  StuckQueryWatchdog& watchdog() { return watchdog_; }
 
   /// /slozz — objective states, burn rates, transition history, watchdog
   /// reports (plain text).
@@ -91,7 +88,7 @@ class ServiceMonitor {
   DiscoveryService* service_;
   obs::WindowedMetrics windows_;
   obs::SloEngine slo_;
-  std::unique_ptr<StuckQueryWatchdog> watchdog_;
+  StuckQueryWatchdog watchdog_;
 };
 
 }  // namespace mira::service

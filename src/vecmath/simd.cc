@@ -10,6 +10,7 @@
 
 #include "vecmath/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 
@@ -288,21 +289,24 @@ __attribute__((target("avx2,fma"))) void Axpy(float* a, const float* b,
 // slab is loaded once per 8 lanes and reused across all eight rows (one
 // query load amortized over eight FMAs), and the next row group is
 // prefetched while the current one is in flight. Eight accumulators plus
-// the query and a row temporary stay within the sixteen YMM registers.
+// the query and a row temporary stay within the sixteen YMM registers. A
+// short last group points its missing rows at its last real row and goes to
+// a scratch group, of which only the real rows are copied out, so a row
+// scores the same bits wherever it sits in the batch.
 __attribute__((target("avx2,fma"))) void DotBatch(const float* query,
                                                   const float* rows,
                                                   size_t num_rows, size_t dim,
                                                   float* out) {
-  size_t r = 0;
-  for (; r + 8 <= num_rows; r += 8) {
+  float tail[8] = {};
+  for (size_t r = 0; r < num_rows; r += 8) {
     const float* r0 = rows + r * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
-    const float* r4 = r3 + dim;
-    const float* r5 = r4 + dim;
-    const float* r6 = r5 + dim;
-    const float* r7 = r6 + dim;
+    const float* r1 = r + 1 < num_rows ? r0 + dim : r0;
+    const float* r2 = r + 2 < num_rows ? r1 + dim : r1;
+    const float* r3 = r + 3 < num_rows ? r2 + dim : r2;
+    const float* r4 = r + 4 < num_rows ? r3 + dim : r3;
+    const float* r5 = r + 5 < num_rows ? r4 + dim : r4;
+    const float* r6 = r + 6 < num_rows ? r5 + dim : r5;
+    const float* r7 = r + 7 < num_rows ? r6 + dim : r6;
     if (r + 16 <= num_rows) {
       const float* next = rows + (r + 8) * dim;
       for (size_t p = 0; p < 8; ++p) {
@@ -349,16 +353,17 @@ __attribute__((target("avx2,fma"))) void DotBatch(const float* query,
       s6 += q * r6[i];
       s7 += q * r7[i];
     }
-    out[r] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
-    out[r + 4] = s4;
-    out[r + 5] = s5;
-    out[r + 6] = s6;
-    out[r + 7] = s7;
+    float* dst = r + 8 <= num_rows ? out + r : tail;
+    dst[0] = s0;
+    dst[1] = s1;
+    dst[2] = s2;
+    dst[3] = s3;
+    dst[4] = s4;
+    dst[5] = s5;
+    dst[6] = s6;
+    dst[7] = s7;
   }
-  for (; r < num_rows; ++r) out[r] = Dot(query, rows + r * dim, dim);
+  std::copy(tail, tail + num_rows % 8, out + num_rows / 8 * 8);
 }
 
 __attribute__((target("avx2,fma"))) void SquaredL2Batch(const float* query,
@@ -366,16 +371,16 @@ __attribute__((target("avx2,fma"))) void SquaredL2Batch(const float* query,
                                                         size_t num_rows,
                                                         size_t dim,
                                                         float* out) {
-  size_t r = 0;
-  for (; r + 8 <= num_rows; r += 8) {
+  float tail[8] = {};
+  for (size_t r = 0; r < num_rows; r += 8) {
     const float* r0 = rows + r * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
-    const float* r4 = r3 + dim;
-    const float* r5 = r4 + dim;
-    const float* r6 = r5 + dim;
-    const float* r7 = r6 + dim;
+    const float* r1 = r + 1 < num_rows ? r0 + dim : r0;
+    const float* r2 = r + 2 < num_rows ? r1 + dim : r1;
+    const float* r3 = r + 3 < num_rows ? r2 + dim : r2;
+    const float* r4 = r + 4 < num_rows ? r3 + dim : r3;
+    const float* r5 = r + 5 < num_rows ? r4 + dim : r4;
+    const float* r6 = r + 6 < num_rows ? r5 + dim : r5;
+    const float* r7 = r + 7 < num_rows ? r6 + dim : r6;
     if (r + 16 <= num_rows) {
       const float* next = rows + (r + 8) * dim;
       for (size_t p = 0; p < 8; ++p) {
@@ -438,16 +443,17 @@ __attribute__((target("avx2,fma"))) void SquaredL2Batch(const float* query,
       s6 += d6 * d6;
       s7 += d7 * d7;
     }
-    out[r] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
-    out[r + 4] = s4;
-    out[r + 5] = s5;
-    out[r + 6] = s6;
-    out[r + 7] = s7;
+    float* dst = r + 8 <= num_rows ? out + r : tail;
+    dst[0] = s0;
+    dst[1] = s1;
+    dst[2] = s2;
+    dst[3] = s3;
+    dst[4] = s4;
+    dst[5] = s5;
+    dst[6] = s6;
+    dst[7] = s7;
   }
-  for (; r < num_rows; ++r) out[r] = SquaredL2(query, rows + r * dim, dim);
+  std::copy(tail, tail + num_rows % 8, out + num_rows / 8 * 8);
 }
 
 }  // namespace avx2
@@ -533,14 +539,16 @@ void Axpy(float* a, const float* b, float scale, size_t n) {
   for (; i < n; ++i) a[i] += scale * b[i];
 }
 
+// Four rows per group, as the AVX2 batch kernels take eight, and for the
+// same reason a short last group repeats its last real row.
 void DotBatch(const float* query, const float* rows, size_t num_rows,
               size_t dim, float* out) {
-  size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
+  float tail[4] = {};
+  for (size_t r = 0; r < num_rows; r += 4) {
     const float* r0 = rows + r * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
+    const float* r1 = r + 1 < num_rows ? r0 + dim : r0;
+    const float* r2 = r + 2 < num_rows ? r1 + dim : r1;
+    const float* r3 = r + 3 < num_rows ? r2 + dim : r2;
     if (r + 8 <= num_rows) {
       __builtin_prefetch(rows + (r + 4) * dim);
       __builtin_prefetch(rows + (r + 5) * dim);
@@ -570,22 +578,23 @@ void DotBatch(const float* query, const float* rows, size_t num_rows,
       s2 += q * r2[i];
       s3 += q * r3[i];
     }
-    out[r] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
+    float* dst = r + 4 <= num_rows ? out + r : tail;
+    dst[0] = s0;
+    dst[1] = s1;
+    dst[2] = s2;
+    dst[3] = s3;
   }
-  for (; r < num_rows; ++r) out[r] = Dot(query, rows + r * dim, dim);
+  std::copy(tail, tail + num_rows % 4, out + num_rows / 4 * 4);
 }
 
 void SquaredL2Batch(const float* query, const float* rows, size_t num_rows,
                     size_t dim, float* out) {
-  size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
+  float tail[4] = {};
+  for (size_t r = 0; r < num_rows; r += 4) {
     const float* r0 = rows + r * dim;
-    const float* r1 = r0 + dim;
-    const float* r2 = r1 + dim;
-    const float* r3 = r2 + dim;
+    const float* r1 = r + 1 < num_rows ? r0 + dim : r0;
+    const float* r2 = r + 2 < num_rows ? r1 + dim : r1;
+    const float* r3 = r + 3 < num_rows ? r2 + dim : r2;
     if (r + 8 <= num_rows) {
       __builtin_prefetch(rows + (r + 4) * dim);
       __builtin_prefetch(rows + (r + 5) * dim);
@@ -623,12 +632,13 @@ void SquaredL2Batch(const float* query, const float* rows, size_t num_rows,
       s2 += d2 * d2;
       s3 += d3 * d3;
     }
-    out[r] = s0;
-    out[r + 1] = s1;
-    out[r + 2] = s2;
-    out[r + 3] = s3;
+    float* dst = r + 4 <= num_rows ? out + r : tail;
+    dst[0] = s0;
+    dst[1] = s1;
+    dst[2] = s2;
+    dst[3] = s3;
   }
-  for (; r < num_rows; ++r) out[r] = SquaredL2(query, rows + r * dim, dim);
+  std::copy(tail, tail + num_rows % 4, out + num_rows / 4 * 4);
 }
 
 }  // namespace neon

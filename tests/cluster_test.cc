@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -415,6 +416,167 @@ TEST(HdbscanReferenceTest, BlobsMatchReference) {
   Matrix snapped = MakeBlobs(3, 70, 4, 2.0, 25);
   for (auto& x : snapped.data()) x = std::round(x);
   CheckAgainstReference(snapped, 8);
+}
+
+// ---------- Weighted points against their expanded copies ----------
+
+// A copy count per row of `data`: mostly 1 to 3, with every fifth row
+// given min_cluster_size - 1 to + 1 copies, so some rows carry a cluster
+// alone, at a core distance of 0 or (with exactly min_cluster_size copies)
+// above it.
+std::vector<uint32_t> RandomCopies(const Matrix& data, size_t min_cluster_size,
+                                   uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> copies(data.rows());
+  for (size_t i = 0; i < copies.size(); ++i) {
+    copies[i] = static_cast<uint32_t>(
+        i % 5 == 0 ? min_cluster_size - 1 + rng.NextBounded(3)
+                   : 1 + rng.NextBounded(3));
+  }
+  return copies;
+}
+
+// `data` with row i repeated copies[i] times, copies adjacent; first[i] is
+// the expanded row of row i's first copy.
+Matrix Expand(const Matrix& data, const std::vector<uint32_t>& copies,
+              std::vector<uint32_t>* first) {
+  const size_t total = std::accumulate(copies.begin(), copies.end(), size_t{0});
+  Matrix expanded(total, data.cols());
+  first->clear();
+  size_t row = 0;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    first->push_back(static_cast<uint32_t>(row));
+    for (uint32_t c = 0; c < copies[i]; ++c) expanded.SetRow(row++, data.RowVec(i));
+  }
+  return expanded;
+}
+
+TEST(HdbscanTest, CoreDistancesCountCopies) {
+  // A row's other copies count at distance 0 and a neighbour once per copy:
+  // bit for bit the full scan over the expanded rows, with k below, at and
+  // past a row's copy count.
+  std::vector<std::pair<Matrix, std::vector<size_t>>> cases;
+  cases.push_back({IntegerGrid(120, 3, 4, 41), {1, 4, 8, 13}});
+  cases.push_back({MakeBlobs(3, 30, 4, 0.5, 42), {2, 8, 30}});
+  Matrix two(2, 2);
+  two.At(1, 0) = 3.f;
+  cases.push_back({two, {1, 4, 40}});
+  ThreadPool pool(3);
+  for (size_t c = 0; c < cases.size(); ++c) {
+    const Matrix& data = cases[c].first;
+    const std::vector<uint32_t> copies = RandomCopies(data, 6, 43 + c);
+    std::vector<uint32_t> first;
+    const Matrix expanded = Expand(data, copies, &first);
+    for (size_t k : cases[c].second) {
+      SCOPED_TRACE("case " + std::to_string(c) + ", k = " + std::to_string(k));
+      const std::vector<double> all = ReferenceCoreDistances(expanded, k);
+      std::vector<double> want;
+      for (uint32_t row : first) want.push_back(all[row]);
+      ExpectSameBits(want, internal::CoreDistances(data, k, nullptr, copies));
+      ExpectSameBits(want, internal::CoreDistances(data, k, &pool, copies));
+    }
+  }
+}
+
+// Weighted HDBSCAN against the expanded rows, clustered by the plain path
+// from their MST: the distinct rows' MST (the expanded MST less each row's
+// copy edges), and before it each row's copies chained at its core
+// distance, so they merge first among equal weights, as hdbscan.h states.
+void CheckWeightedAgainstExpanded(const Matrix& data, size_t min_cluster_size,
+                                  uint64_t seed) {
+  const std::vector<uint32_t> copies =
+      RandomCopies(data, min_cluster_size, seed);
+  std::vector<uint32_t> first;
+  const Matrix expanded = Expand(data, copies, &first);
+  const std::vector<double> expanded_core =
+      ReferenceCoreDistances(expanded, min_cluster_size);
+  std::vector<double> core;
+  for (uint32_t row : first) core.push_back(expanded_core[row]);
+
+  std::vector<internal::MstEdge> edges;
+  for (size_t i = 0; i < data.rows(); ++i) {
+    for (uint32_t c = 1; c < copies[i]; ++c) {
+      edges.push_back({core[i], first[i], first[i] + c});
+    }
+  }
+  for (const internal::MstEdge& edge : ReferenceMst(data, core)) {
+    edges.push_back({edge.weight, first[edge.a], first[edge.b]});
+  }
+  const HdbscanResult want =
+      internal::ClustersFromMst(edges, expanded.rows(), min_cluster_size);
+
+  HdbscanOptions options;
+  options.min_cluster_size = min_cluster_size;
+  ThreadPool pool(4);
+  size_t rows_in_clusters = 0;
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    auto got = Hdbscan(data, options, p, copies);
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got->labels.size(), data.rows());
+    for (size_t i = 0; i < data.rows(); ++i) {
+      for (uint32_t c = 0; c < copies[i]; ++c) {
+        ASSERT_EQ(got->labels[i], want.labels[first[i] + c])
+            << "row " << i << " copy " << c;
+      }
+    }
+    ASSERT_EQ(got->clusters.size(), want.clusters.size());
+    rows_in_clusters = 0;
+    for (size_t c = 0; c < want.clusters.size(); ++c) {
+      std::vector<size_t> members;
+      for (size_t row : want.clusters[c].members) {
+        const size_t i = static_cast<size_t>(
+            std::upper_bound(first.begin(), first.end(), row) - first.begin() -
+            1);
+        if (members.empty() || members.back() != i) members.push_back(i);
+      }
+      EXPECT_EQ(got->clusters[c].members, members) << "cluster " << c;
+      // A row's copies add to a stability once, not once each, so the sums
+      // round differently.
+      const double stability = want.clusters[c].stability;
+      EXPECT_NEAR(got->clusters[c].stability, stability, 1e-9 * stability)
+          << "cluster " << c;
+      rows_in_clusters += members.size();
+    }
+  }
+  // The inputs are not all noise, so the labels say something.
+  EXPECT_GT(want.num_clusters(), 1u);
+  EXPECT_GT(rows_in_clusters, 0u);
+}
+
+TEST(HdbscanTest, MedoidCountsCopies) {
+  // One cluster on a line at 0, 1, 2, 3 and 10. Once, 2 is the medoid
+  // (total distance 12); with five copies of 10, 10 is (34 against 41 for
+  // 3), as in the expanded rows.
+  Matrix data(5, 1);
+  const float xs[] = {0.f, 1.f, 2.f, 3.f, 10.f};
+  for (size_t i = 0; i < 5; ++i) data.At(i, 0) = xs[i];
+  HdbscanResult result;
+  result.labels.assign(5, 0);
+  result.clusters.push_back({{0, 1, 2, 3, 4}, 1.0});
+  EXPECT_EQ(ComputeMedoids(data, result), std::vector<size_t>{2});
+  const std::vector<uint32_t> copies = {1, 1, 1, 1, 5};
+  EXPECT_EQ(ComputeMedoids(data, result, copies), std::vector<size_t>{4});
+  std::vector<uint32_t> first;
+  const Matrix expanded = Expand(data, copies, &first);
+  HdbscanResult expanded_result;
+  expanded_result.labels.assign(expanded.rows(), 0);
+  expanded_result.clusters.emplace_back();
+  for (size_t r = 0; r < expanded.rows(); ++r) {
+    expanded_result.clusters[0].members.push_back(r);
+  }
+  EXPECT_EQ(ComputeMedoids(expanded, expanded_result),
+            std::vector<size_t>{first[4]});
+}
+
+TEST(HdbscanReferenceTest, WeightedMatchesExpandedCopies) {
+  CheckWeightedAgainstExpanded(DoubledLattice(8), 8, 51);
+  CheckWeightedAgainstExpanded(IntegerGrid(200, 5, 4, 52), 8, 53);
+  CheckWeightedAgainstExpanded(IntegerGrid(150, 3, 3, 54), 5, 55);
+  CheckWeightedAgainstExpanded(IntegerGrid(128, 2, 6, 56), 12, 57);
+  CheckWeightedAgainstExpanded(MakeBlobs(4, 40, 5, 0.4, 58), 10, 59);
+  Matrix snapped = MakeBlobs(3, 50, 4, 2.0, 60);
+  for (auto& x : snapped.data()) x = std::round(x);
+  CheckWeightedAgainstExpanded(snapped, 8, 61);
 }
 
 TEST(HdbscanTest, CoreDistancesMatchFullScan) {

@@ -751,12 +751,10 @@ std::unique_ptr<DiscoveryEngine> BuildEngine(const Workload& workload,
 TEST(CtsSearchTest, RankingMatchesParentFingerprint) {
   // Pins the CTS rankings bit for bit over the whole workload, clustering
   // included. Scalar constant under MIRA_FORCE_SCALAR=1, AVX2 without it;
-  // both recorded when UMAP's SGD became block-synchronous. The AVX2 one
-  // was re-recorded when clusters began to hold each distinct row once:
-  // AVX2 DotBatch scores a row by its position in the scan, so a row's
-  // copies no longer score in the last bits as their positions did.
+  // both recorded when HDBSCAN began to cluster the store's distinct rows,
+  // each weighted by its cells.
   const std::optional<uint64_t> expected = FingerprintForTier(
-      1092517468830391069ULL, 16290450275925486642ULL);
+      4578446562113194260ULL, 5302852149165904470ULL);
   if (!expected.has_value()) {
     GTEST_SKIP() << "no recorded CTS fingerprint for SIMD tier "
                  << vecmath::SimdTierName(vecmath::ActiveSimdTier());
@@ -796,38 +794,28 @@ TEST(CtsSearchTest, LargeClusterRankingMatchesParentFingerprint) {
   EXPECT_EQ(CtsRankingFingerprint(*cts, workload), *expected);
 }
 
-TEST(CtsSearchTest, UnsampledCopiesFollowTheirSampledCopy) {
-  // Past max_clustering_points, HDBSCAN labels a sample of the cells. Here
-  // 120 cells read 40 store rows, and a sample of 30 cells carries labels,
-  // noise included. A cell left out of the sample must take the label of
-  // the first sampled cell that reads its store row, not that of its own
-  // nearest medoid; noise, and a cell with no sampled copy, fall back to
-  // the nearest medoid.
-  constexpr size_t kRows = 40, kCells = 120, kSample = 30, kClusters = 3;
+TEST(CtsSearchTest, UnsampledAndNoiseRowsTakeTheirNearestMedoid) {
+  // Past max_clustering_points, HDBSCAN labels a sample of the store rows.
+  // Here a sample of 30 of 40 rows carries labels, noise included. A
+  // sampled row keeps its cluster; a noise row, and a row left out of the
+  // sample, take the nearest medoid of their reduced point.
+  constexpr size_t kRows = 40, kSample = 30, kClusters = 3;
   Rng rng(91);
-  vecmath::Matrix store(kRows, 4);
-  vecmath::Matrix row_reduced(kRows, 2);
-  for (float& x : row_reduced.data()) x = rng.NextFloat();
-  std::vector<uint32_t> index(kCells);
-  for (uint32_t& row : index) row = static_cast<uint32_t>(rng.NextBounded(kRows));
-  const vecmath::RowsView cells(store, index);
-  vecmath::Matrix reduced(kCells, 2);
-  for (size_t i = 0; i < kCells; ++i) {
-    reduced.SetRow(i, row_reduced.RowVec(index[i]));
-  }
-  vecmath::Matrix medoid_reduced(kClusters, 2);
-  for (float& x : medoid_reduced.data()) x = rng.NextFloat();
-  std::vector<size_t> sample = rng.SampleWithoutReplacement(kCells, kSample);
+  vecmath::Matrix points(kRows, 2);
+  for (float& x : points.data()) x = rng.NextFloat();
+  vecmath::Matrix medoid_points(kClusters, 2);
+  for (float& x : medoid_points.data()) x = rng.NextFloat();
+  std::vector<size_t> sample = rng.SampleWithoutReplacement(kRows, kSample);
   std::sort(sample.begin(), sample.end());
   std::vector<int32_t> labels(kSample);
   for (int32_t& label : labels) label = static_cast<int32_t>(rng.NextInt(-1, 2));
 
-  auto nearest_medoid = [&](size_t cell) {
+  auto nearest_medoid = [&](size_t row) {
     int32_t best = 0;
     float best_dist = std::numeric_limits<float>::infinity();
     for (size_t m = 0; m < kClusters; ++m) {
-      const float d = vecmath::ScalarSquaredL2(reduced.Row(cell),
-                                               medoid_reduced.Row(m), 2);
+      const float d = vecmath::ScalarSquaredL2(points.Row(row),
+                                               medoid_points.Row(m), 2);
       if (d < best_dist) {
         best_dist = d;
         best = static_cast<int32_t>(m);
@@ -835,29 +823,24 @@ TEST(CtsSearchTest, UnsampledCopiesFollowTheirSampledCopy) {
     }
     return best;
   };
-  std::map<size_t, int32_t> sampled_label;  // by cell
-  std::map<uint32_t, int32_t> first_label;  // by store row
-  for (size_t i = 0; i < kSample; ++i) {
-    sampled_label[sample[i]] = labels[i];
-    first_label.emplace(index[sample[i]], labels[i]);
-  }
+  std::map<size_t, int32_t> sampled_label;
+  for (size_t i = 0; i < kSample; ++i) sampled_label[sample[i]] = labels[i];
 
   const std::vector<int32_t> got =
-      internal::AssignCells(cells, sample, labels, reduced, medoid_reduced);
-  ASSERT_EQ(got.size(), kCells);
-  size_t followed = 0;
-  for (size_t i = 0; i < kCells; ++i) {
-    int32_t label = cluster::kNoise;
-    if (sampled_label.count(i) > 0) {
-      label = sampled_label[i];
-    } else if (first_label.count(index[i]) > 0) {
-      label = first_label[index[i]];
-      followed += label >= 0 && label != nearest_medoid(i);
-    }
-    EXPECT_EQ(got[i], label >= 0 ? label : nearest_medoid(i)) << "cell " << i;
+      internal::AssignRows(points, sample, labels, medoid_points);
+  ASSERT_EQ(got.size(), kRows);
+  size_t kept = 0, moved = 0;
+  for (size_t r = 0; r < kRows; ++r) {
+    const auto it = sampled_label.find(r);
+    const int32_t label = it != sampled_label.end() ? it->second : -1;
+    kept += label >= 0 && label != nearest_medoid(r);
+    moved += label < 0;
+    EXPECT_EQ(got[r], label >= 0 ? label : nearest_medoid(r)) << "row " << r;
   }
-  // Some unsampled cells land where their own nearest medoid would not.
-  EXPECT_GT(followed, 0u);
+  // Some sampled rows keep a cluster that is not their nearest medoid's, and
+  // some rows fall back to it.
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(CtsSearchTest, WrongDimensionQueryIsInvalidArgument) {
@@ -917,6 +900,13 @@ void ExpectCtsTakingEveryCellMatchesExs(const SearcherInputs& inputs,
   auto cts =
       CtsSearcher::Build(inputs.corpus, inputs.encoder, cts_options).MoveValue();
   ASSERT_GE(cluster_candidates, cts->num_clusters());
+  const CollectionMemoryStats memory = cts->MemoryUsage();
+  if (memory.index.graph_bytes == 0) {
+    // Every store row is in exactly one cluster: the block holds each once,
+    // beside one medoid row per cluster.
+    EXPECT_EQ(memory.index.vectors_bytes / (corpus.dim() * sizeof(float)),
+              corpus.num_rows() + cts->num_clusters());
+  }
   ExsOptions exs_options;
   exs_options.reuse_corpus_embeddings = true;
   ExhaustiveSearcher exs(nullptr, inputs.corpus, inputs.encoder, exs_options);
@@ -945,11 +935,18 @@ void ExpectCtsTakingEveryCellMatchesExs(const SearcherInputs& inputs,
 TEST(CtsSearchTest, RetrievingEveryCellMatchesExs) {
   const SearcherInputs inputs;
   {
-    // The clustered corpus, flat probes only. On the AVX2 tier HDBSCAN
-    // splits one row's copies across two clusters here, so each cluster
-    // must take exactly its own copies of that row.
+    // The clustered corpus, flat probes only.
     SCOPED_TRACE("clustered");
     ExpectCtsTakingEveryCellMatchesExs(inputs, FastEngineOptions().cts, 256);
+  }
+  {
+    // HDBSCAN on a sample of 1,500 of the 2,434 rows; the rest, and the
+    // noise, take their nearest medoid, and each row is still held once.
+    SCOPED_TRACE("sampled rows");
+    CtsOptions sampled = FastEngineOptions().cts;
+    sampled.max_clustering_points = 1500;
+    ASSERT_GT(inputs.corpus->num_rows(), sampled.max_clustering_points);
+    ExpectCtsTakingEveryCellMatchesExs(inputs, sampled, 256);
   }
   {
     // One cluster of 2,434 distinct rows, probed through its HNSW graph,
@@ -1361,17 +1358,15 @@ TEST_F(GeneratedWorkloadTest, MemoryUsageBreakdownsArePopulated) {
   EXPECT_GT(cts_stats.points_bytes, 0u);
   EXPECT_GT(cts_stats.total(), 0u);
   // No cluster of this workload reaches the graph threshold, so the index
-  // is the clusters' row block plus one medoid row per cluster. Each
-  // cluster holds a distinct row once, so the block holds every store row,
-  // plus one more per extra cluster of a split row (rare: under 1 %), and
-  // far fewer rows than cells.
+  // is the clusters' row block plus one medoid row per cluster. Every store
+  // row is in exactly one cluster, so the block holds each once: far fewer
+  // rows than cells.
   EXPECT_EQ(cts_stats.index.graph_bytes, 0u);
   const size_t row_bytes = corpus.dim() * sizeof(float);
   ASSERT_EQ(cts_stats.index.vectors_bytes % row_bytes, 0u);
   const size_t block_rows =
       cts_stats.index.vectors_bytes / row_bytes - cts->num_clusters();
-  EXPECT_GE(block_rows, corpus.num_rows());
-  EXPECT_LT(block_rows, corpus.num_rows() + corpus.num_rows() / 100);
+  EXPECT_EQ(block_rows, corpus.num_rows());
   EXPECT_LT(block_rows, corpus.num_cells());
   EXPECT_EQ(cts_stats.index.total(), cts->IndexMemoryBytes());
 }

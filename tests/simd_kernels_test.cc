@@ -118,6 +118,37 @@ TEST(SimdKernelsTest, BatchParityAcrossDims) {
   }
 }
 
+TEST(SimdKernelsTest, BatchScoresDoNotDependOnRowPosition) {
+  // A row's batch score is the same bits scanned alone, as the last row of a
+  // short group, or inside a full group: every tier, both batch kernels.
+  Rng rng(505);
+  for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2, SimdTier::kNeon}) {
+    const auto& kernels = KernelsForTier(tier);
+    for (size_t dim : {5u, 16u, 61u, 256u}) {
+      constexpr size_t kRows = 21;
+      Vec q = RandomVec(&rng, dim);
+      Matrix m;
+      for (size_t r = 0; r < kRows; ++r) m.AppendRow(RandomVec(&rng, dim));
+      for (const auto batch : {kernels.dot_batch, kernels.squared_l2_batch}) {
+        std::vector<float> alone(kRows);
+        for (size_t r = 0; r < kRows; ++r) {
+          batch(q.data(), m.Row(r), 1, dim, &alone[r]);
+        }
+        for (size_t first = 0; first < kRows; ++first) {
+          std::vector<float> out(kRows - first);
+          batch(q.data(), m.Row(first), kRows - first, dim, out.data());
+          for (size_t r = first; r < kRows; ++r) {
+            EXPECT_EQ(std::bit_cast<uint32_t>(out[r - first]),
+                      std::bit_cast<uint32_t>(alone[r]))
+                << SimdTierName(tier) << " dim=" << dim << " row=" << r
+                << " first=" << first;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernelsTest, ScalarBatchMatchesScalarPairwiseBitwise) {
   // The scalar batch kernels delegate per row to the scalar pairwise
   // kernels, so their results are bitwise identical — this is what keeps
